@@ -9,6 +9,8 @@ re-evaluated, which matters on the 30k-point phase-space grids.
 
 import numpy as np
 
+from .errors import SolverDidNotConverge
+
 
 def newton_bisect(
     fun,
@@ -33,8 +35,9 @@ def newton_bisect(
 
     Components stop at |residual| <= tol; after ``relax_after`` iterations
     the acceptance widens to ``relax_tol`` (the solves near a grazing chord
-    are noise-limited well above machine epsilon).  Raises ArithmeticError
-    only if some component stays above ``fail_tol``.
+    are noise-limited well above machine epsilon).  Raises
+    SolverDidNotConverge (an ArithmeticError) only if some component stays
+    above ``fail_tol``.
     """
     x = np.array(seed, dtype=float, copy=True)
     shape = x.shape
@@ -74,5 +77,5 @@ def newton_bisect(
         r, _ = fun(x[active], active)
         worst = float(np.max(np.abs(r)))
         if worst > fail_tol:
-            raise ArithmeticError(f"newton_bisect: no convergence, residual {worst:.3e}")
+            raise SolverDidNotConverge(f"newton_bisect: no convergence, residual {worst:.3e}")
     return x.reshape(shape)

@@ -60,15 +60,31 @@ def generating_partials(table: TableCurve, q, Q):
     return dq, dQ
 
 
-def forward_chord(table: TableCurve, q, p, newton_tol=SOLVE_TOL, seed=None, start_frame=None):
+def native_start(table: TableCurve, q):
+    """(t_q, pos_q, tan_q): native parameter, position and tangent at q.
+
+    The only arc-length inversion of a bounce solve; grid sweeps compute it
+    once and pass it to ``forward_chord`` as ``start``.
+    """
+    t = table.native_of_q(q)
+    pos, tan, _ = table.native_frame(t)
+    return t, pos, tan
+
+
+def forward_chord(table: TableCurve, q, p, newton_tol=SOLVE_TOL, seed=None, start=None):
     """Vectorized bounce solve returning the full chord data.
 
-    The residual r(Q) = <u, gamma'(q)> - p decreases strictly from 1-p to
-    -1-p on (q, q+1), so a bracketed Newton (seeded with the round-table
-    closed form, or a caller-provided warm start) with bisection fallback
-    is well posed.  Returns (Q, P, pos_q, tan_q, pos_Q, tan_Q) with Q
-    unreduced in (q, q+1); ``start_frame`` lets callers reuse a precomputed
-    (pos_q, tan_q) pair.
+    The solve runs in the table's native parameter t (see
+    :mod:`hoferbilliards.curves`), where position, tangent and dq/dt are
+    closed form.  The residual r(t) = <u, gamma'(q)> - p decreases strictly
+    from 1-p to -1-p on (t_q, t_q + period), so a bracketed Newton with
+    dr/dt = dr/dQ * dq/dt and bisection fallback is well posed.  It is
+    seeded with the round-table closed form t_q + period * arccos(p)/pi, or
+    a caller-provided warm start ``seed`` in native units.  ``start`` lets
+    callers reuse a precomputed ``native_start(table, q)``.
+
+    Returns (Q, P, pos_q, tan_q, pos_Q, tan_Q, t_Q): Q is converted from the
+    landing parameter t_Q once, at the end, and is unreduced in (q, q+1).
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -76,41 +92,43 @@ def forward_chord(table: TableCurve, q, p, newton_tol=SOLVE_TOL, seed=None, star
     shape = q.shape
     qf = np.atleast_1d(q).ravel()
     pf = np.atleast_1d(p).ravel()
-    if start_frame is None:
-        pos_q, tan_q = table.frame(qf)
-    else:
-        pos_q = np.atleast_2d(start_frame[0]).reshape(-1, 2)
-        tan_q = np.atleast_2d(start_frame[1]).reshape(-1, 2)
+    if start is None:
+        start = native_start(table, qf)
+    t_q = np.atleast_1d(np.asarray(start[0], dtype=float)).ravel()
+    pos_q = np.atleast_2d(start[1]).reshape(-1, 2)
+    tan_q = np.atleast_2d(start[2]).reshape(-1, 2)
+    period = table.native_period
 
-    def fun(Q, idx):
-        pos_Q, tQ = table.frame(Q)
-        d = pos_Q - pos_q[idx]
+    def fun(t, idx):
+        pos_t, tan_t, dq_dt = table.native_frame(t)
+        d = pos_t - pos_q[idx]
         dist = np.linalg.norm(d, axis=-1)
         u = d / dist[..., None]
         tq = tan_q[idx]
         pc = np.sum(u * tq, axis=-1)
-        PQ = np.sum(u * tQ, axis=-1)
-        dr = (np.sum(tQ * tq, axis=-1) - PQ * pc) / dist
-        return pc - pf[idx], dr
+        PQ = np.sum(u * tan_t, axis=-1)
+        dr = (np.sum(tan_t * tq, axis=-1) - PQ * pc) / dist
+        return pc - pf[idx], dr * dq_dt
 
-    delta = 1e-13
+    delta = 1e-13 * period
     if seed is None:
-        seed = qf + np.arccos(np.clip(pf, -1.0, 1.0)) / np.pi
+        seed = t_q + period * np.arccos(np.clip(pf, -1.0, 1.0)) / np.pi
     else:
         seed = np.atleast_1d(np.asarray(seed, dtype=float)).ravel()
-    Q = newton_bisect(
+    t = newton_bisect(
         fun,
-        lo=qf + delta,
-        hi=qf + 1.0 - delta,
+        lo=t_q + delta,
+        hi=t_q + period - delta,
         seed=seed,
         increasing=False,
         tol=newton_tol,
         maxiter=100,
     )
-    pos_Q, tan_Q = table.frame(Q)
+    pos_Q, tan_Q, _ = table.native_frame(t)
     u = pos_Q - pos_q
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     P = np.sum(u * tan_Q, axis=-1)
+    Q = table.q_of_native(t)
     return (
         Q.reshape(shape),
         P.reshape(shape),
@@ -118,17 +136,24 @@ def forward_chord(table: TableCurve, q, p, newton_tol=SOLVE_TOL, seed=None, star
         tan_q.reshape(shape + (2,)),
         pos_Q.reshape(shape + (2,)),
         tan_Q.reshape(shape + (2,)),
+        t.reshape(shape),
     )
 
 
 def forward_arrays(table: TableCurve, q, p, newton_tol=SOLVE_TOL, seed=None):
-    """Vectorized bounce solve; returns (Q, P) with Q unreduced in (q, q+1)."""
+    """Vectorized bounce solve; returns (Q, P) with Q unreduced in (q, q+1).
+
+    ``seed`` is a warm start in the table's native parameter.
+    """
     Q, P = forward_chord(table, q, p, newton_tol, seed)[:2]
     return Q, P
 
 
 def inverse_arrays(table: TableCurve, Q, P, seed=None):
-    """Time reversal R o forward o R with R(q, p) = (q, -p); unreduced output."""
+    """Time reversal R o forward o R with R(q, p) = (q, -p); unreduced output.
+
+    ``seed`` is a warm start in the table's native parameter.
+    """
     q, p = forward_arrays(table, Q, -np.asarray(P, dtype=float), seed=seed)
     return q, -p
 

@@ -662,7 +662,9 @@ def main(argv=None):
         _emit({"error": str(exc)})
         _note(f"input error: {exc}")
         return INPUT_ERROR
-    except HoferBilliardsError as exc:
+    except (HoferBilliardsError, FloatingPointError) as exc:
+        # SolverDidNotConverge is a HoferBilliardsError; FloatingPointError
+        # comes from orbit batches that leave the solvable annulus
         _emit({"error": str(exc), "kind": type(exc).__name__})
         _note(f"certificate failure: {exc}")
         return CERT_FAIL

@@ -1,18 +1,28 @@
 """Billiard tables: closed convex plane curves of length 1 in arc-length parameter.
 
 Every table is parametrized by q in [0,1) with the marked point at q = 0,
-counterclockwise orientation and unit-speed parametrization.  Concrete
-representations:
+counterclockwise orientation and unit-speed parametrization.
 
-* ``DiscTable`` -- the round table of radius 1/(2*pi), all queries closed form.
+Each table also has a native parameter t in which its geometry is closed
+form: ``native_frame(t)`` returns (position, unit tangent, dq/dt) without
+inverting arc length, ``q_of_native`` maps t to q in closed form and
+``native_of_q`` is the (possibly iterative) inverse.  Both maps are lifts:
+t advances by ``native_period`` when q advances by 1.  The bounce solve of
+:mod:`hoferbilliards.billiard` runs in t, so arc length is inverted only
+at the start points of a solve.  Concrete representations:
+
+* ``DiscTable`` -- the round table of radius 1/(2*pi), all queries closed
+  form; its native parameter is q itself.
 * ``FourierTable`` -- built from a trigonometric support function h(theta);
-  positions, tangents, curvature and the cumulative arc length are all exact
-  (the arc-length inversion is a guarded Newton solve on the closed-form
-  cumulative integral).
+  the native parameter is the outward normal angle theta, in which
+  positions, tangents, the radius of curvature dq/dtheta and the cumulative
+  arc length q(theta) are exact.  Only q -> theta is a guarded Newton solve.
 * ``SampledCurve`` -- spectral (trigonometric-interpolation) representation of
   a smooth closed curve given by samples or a callable; used for perturbed
-  and reconstructed tables.
-* smoothed polygon boundaries live in :mod:`hoferbilliards.smoothing`.
+  and reconstructed tables.  The native parameter is the raw sample
+  parameter u, with closed-form cumulative arc length.
+* smoothed polygon boundaries live in :mod:`hoferbilliards.smoothing`; like
+  polygons they use q as their native parameter.
 """
 
 from __future__ import annotations
@@ -52,11 +62,17 @@ class TableCurve:
     curvature(q) >= 0 is the signed curvature (counterclockwise).
     ``strictly_convex`` marks membership in the class accepted by the
     billiard ball map.
+
+    The native parametrization defaults to the identity t = q with
+    dq/dt = 1; subclasses whose geometry is closed form in another
+    parameter override ``native_of_q``, ``q_of_native``, ``native_frame``
+    and ``native_period``.
     """
 
     kind = "abstract"
     strictly_convex = False
     length = 1.0
+    native_period = 1.0
 
     def position(self, q):
         raise NotImplementedError
@@ -71,9 +87,18 @@ class TableCurve:
         """Outward unit normal (tangent rotated by -90 degrees)."""
         return rotate_cw(self.tangent(q))
 
-    def frame(self, q):
-        """(position, tangent) in one call; subclasses fuse the inversion."""
-        return self.position(q), self.tangent(q)
+    def native_of_q(self, q):
+        """Native parameter t at arc-length parameter q (any real array)."""
+        return np.asarray(q, dtype=float)
+
+    def q_of_native(self, t):
+        """Arc-length parameter q at native parameter t, the inverse lift."""
+        return np.asarray(t, dtype=float)
+
+    def native_frame(self, t):
+        """(position, unit tangent, dq/dt) at native parameter t."""
+        t = np.asarray(t, dtype=float)
+        return self.position(t), self.tangent(t), np.ones(t.shape)
 
     def marked_point(self):
         return self.position(0.0)
@@ -102,10 +127,11 @@ class DiscTable(TableCurve):
     def curvature(self, q):
         return np.full(np.shape(np.asarray(q, dtype=float)), TWO_PI)
 
-    def frame(self, q):
-        ang = TWO_PI * np.asarray(q, dtype=float)
+    def native_frame(self, t):
+        ang = TWO_PI * np.asarray(t, dtype=float)
         c, s = np.cos(ang), np.sin(ang)
-        return self.radius * np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)
+        pos = self.radius * np.stack([c, s], axis=-1)
+        return pos, np.stack([-s, c], axis=-1), np.ones(ang.shape)
 
 
 def disc_table() -> DiscTable:
@@ -203,10 +229,17 @@ class FourierSupportSpec:
 
 
 class FourierTable(TableCurve):
-    """Strictly convex table defined by a normalized support function."""
+    """Strictly convex table defined by a normalized support function.
+
+    The native parameter is the outward normal angle theta: q(theta) is the
+    closed-form cumulative arc length ``spec.arclength``, dq/dtheta the
+    radius of curvature ``spec.rho`` and the boundary point
+    ``spec.boundary_point``.  Only ``theta_of_q`` solves a Newton problem.
+    """
 
     kind = "fourier_support"
     strictly_convex = True
+    native_period = TWO_PI
 
     def __init__(self, spec: FourierSupportSpec):
         self.spec = spec
@@ -239,14 +272,21 @@ class FourierTable(TableCurve):
         theta = self.theta_of_q(q)
         return np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
 
-    def frame(self, q):
-        theta = self.theta_of_q(q)
-        pos = self.spec.boundary_point(theta)
-        tan = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-        return pos, tan
-
     def curvature(self, q):
         return 1.0 / self.spec.rho(self.theta_of_q(q))
+
+    def native_of_q(self, q):
+        return self.theta_of_q(q)
+
+    def q_of_native(self, theta):
+        return self.spec.arclength(theta)
+
+    def native_frame(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        basis = self.spec._basis(theta)
+        pos = self.spec.boundary_point(theta, basis=basis)
+        tan = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+        return pos, tan, self.spec.rho(theta, basis=basis)
 
 
 def build_fourier_table(spec: FourierSupportSpec, validation_grid: int = 4096) -> FourierTable:
@@ -275,6 +315,7 @@ class MarkShiftedTable(TableCurve):
         self.shift = float(r)
         self.kind = base.kind
         self.strictly_convex = base.strictly_convex
+        self.native_period = base.native_period
 
     def position(self, q):
         return self.base.position(np.asarray(q, dtype=float) + self.shift)
@@ -282,11 +323,17 @@ class MarkShiftedTable(TableCurve):
     def tangent(self, q):
         return self.base.tangent(np.asarray(q, dtype=float) + self.shift)
 
-    def frame(self, q):
-        return self.base.frame(np.asarray(q, dtype=float) + self.shift)
-
     def curvature(self, q):
         return self.base.curvature(np.asarray(q, dtype=float) + self.shift)
+
+    def native_of_q(self, q):
+        return self.base.native_of_q(np.asarray(q, dtype=float) + self.shift)
+
+    def q_of_native(self, t):
+        return self.base.q_of_native(t) - self.shift
+
+    def native_frame(self, t):
+        return self.base.native_frame(t)
 
 
 def shift_mark(table: TableCurve, r: float) -> TableCurve:
@@ -304,6 +351,7 @@ class RigidMotionTable(TableCurve):
         self._rot = np.array([[c, -s], [s, c]])
         self.kind = base.kind
         self.strictly_convex = base.strictly_convex
+        self.native_period = base.native_period
 
     def position(self, q):
         return self.base.position(q) @ self._rot.T + self.offset
@@ -311,12 +359,18 @@ class RigidMotionTable(TableCurve):
     def tangent(self, q):
         return self.base.tangent(q) @ self._rot.T
 
-    def frame(self, q):
-        pos, tan = self.base.frame(q)
-        return pos @ self._rot.T + self.offset, tan @ self._rot.T
-
     def curvature(self, q):
         return self.base.curvature(q)
+
+    def native_of_q(self, q):
+        return self.base.native_of_q(q)
+
+    def q_of_native(self, t):
+        return self.base.q_of_native(t)
+
+    def native_frame(self, t):
+        pos, tan, dq_dt = self.base.native_frame(t)
+        return pos @ self._rot.T + self.offset, tan @ self._rot.T, dq_dt
 
 
 def rigid_motion(table: TableCurve, angle: float = 0.0, offset=(0.0, 0.0)) -> TableCurve:
@@ -351,6 +405,11 @@ class _TrigSeries:
         phase = np.exp(2j * np.pi * np.multiply.outer(u, self.k))
         return phase @ w
 
+    def with_derivative(self, u):
+        """(f(u), f'(u)) from one shared phase evaluation."""
+        phase = np.exp(2j * np.pi * np.multiply.outer(np.asarray(u, dtype=float), self.k))
+        return phase @ self.coef, phase @ (self.coef * (2j * np.pi * self.k))
+
 
 class SampledCurve(TableCurve):
     """Arc-length reparametrized, length-normalized spectral closed curve.
@@ -360,6 +419,10 @@ class SampledCurve(TableCurve):
     Fourier coefficients, and the arc-length inversion is a guarded Newton
     solve.  The curve is rescaled to length 1 by a homothety about its
     arc-length centroid.
+
+    The native parameter is the raw sample parameter u (period 1): q(u) is
+    the closed-form raw arc length times the scale, and the position and
+    tangent share one phase evaluation with dq/du = |z'(u)| * scale.
     """
 
     kind = "reconstructed_samples"
@@ -439,18 +502,27 @@ class SampledCurve(TableCurve):
         t = dz / np.abs(dz)
         return np.stack([np.real(t), np.imag(t)], axis=-1)
 
-    def frame(self, q):
-        u = self.u_of_q(q)
-        z = self._center + self._scale * (self._z(u) - self._center)
-        dz = self._z(u, deriv=1)
-        t = dz / np.abs(dz)
+    def curvature(self, q):
+        return self._raw_curvature(self.u_of_q(q)) * self.raw_length
+
+    def native_of_q(self, q):
+        q = np.asarray(q, dtype=float)
+        # u_of_q inverts q mod 1; the raw parameter winds with period 1 as well
+        return self.u_of_q(q) + (q - np.mod(q, 1.0))
+
+    def q_of_native(self, u):
+        return self._arclength(u) * self._scale
+
+    def native_frame(self, u):
+        z, dz = self._z.with_derivative(u)
+        z = self._center + self._scale * (z - self._center)
+        speed = np.abs(dz)
+        t = dz / speed
         return (
             np.stack([np.real(z), np.imag(z)], axis=-1),
             np.stack([np.real(t), np.imag(t)], axis=-1),
+            speed * self._scale,
         )
-
-    def curvature(self, q):
-        return self._raw_curvature(self.u_of_q(q)) * self.raw_length
 
 
 # ---------------------------------------------------------------------------

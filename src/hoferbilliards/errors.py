@@ -17,6 +17,10 @@ class NearGrazing(HoferBilliardsError):
         self.step = step
 
 
+class SolverDidNotConverge(HoferBilliardsError, ArithmeticError):
+    """A bracketed Newton solve ended above its failure tolerance."""
+
+
 class NotStrictlyConvex(HoferBilliardsError):
     """Table has flat or concave boundary pieces; the ball map is undefined."""
 

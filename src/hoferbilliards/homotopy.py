@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .billiard import forward_arrays, forward_chord
+from .billiard import forward_arrays, forward_chord, native_start
 from .curves import (
     CURVATURE_FLOOR,
     TWO_PI,
@@ -47,10 +47,11 @@ def simpson_nodes(n: int):
 class TablePath:
     """One-parameter family s in [0,1] of length-1 tables with s-derivative.
 
-    ``table_of_s`` builds the slice at s (cached); ``velocity_fn(s, q)``, when
-    given, evaluates dgamma_s/ds(q) analytically, otherwise second-order
-    finite differences in s with step ``ds`` are used (one-sided at the
-    endpoints).
+    ``table_of_s`` builds the slice at s (cached); ``velocity_fn(s, q, t)``,
+    when given, evaluates dgamma_s/ds(q) analytically, where t is either None
+    or the slice's native parameter at q (a field that is closed form in t
+    then skips the arc-length inversion).  Without it, second-order finite
+    differences in s with step ``ds`` are used (one-sided at the endpoints).
     """
 
     def __init__(self, table_of_s, velocity_fn=None, tag: str = "custom", ds: float = DEFAULT_DS):
@@ -68,10 +69,13 @@ class TablePath:
             self._cache[s] = hit
         return hit
 
-    def velocity(self, s: float, q):
-        """dgamma_s/ds at fixed arc-length parameter q; shape q.shape + (2,)."""
+    def velocity(self, s: float, q, t=None):
+        """dgamma_s/ds at fixed arc-length parameter q; shape q.shape + (2,).
+
+        ``t``, when known, is the native parameter of ``table(s)`` at q.
+        """
         if self._velocity_fn is not None:
-            return self._velocity_fn(s, q)
+            return self._velocity_fn(s, q, t)
         h = self.ds
         if s < h:
             a, b, c = self.table(s), self.table(s + h), self.table(s + 2 * h)
@@ -103,7 +107,7 @@ def translation_path(table: TableCurve, v) -> TablePath:
 
         return rigid_motion(table, 0.0, s * v)
 
-    def vel(s, q):
+    def vel(s, q, t):
         q = np.asarray(q, dtype=float)
         return np.broadcast_to(v, q.shape + (2,)).copy()
 
@@ -120,10 +124,10 @@ def rigid_motion_path(table: TableCurve, angle: float, v=(0.0, 0.0)) -> TablePat
 
         return rigid_motion(table, s * angle, s * v)
 
-    def vel(s, q):
-        pos = table.position(q)
+    def vel(s, q, t):
+        # the slices share the base table's native parameter
+        pos = table.position(q) if t is None else table.native_frame(t)[0]
         c, sn = np.cos(s * angle), np.sin(s * angle)
-        rot = np.array([[c, -sn], [sn, c]])
         dr = angle * np.array([[-sn, -c], [c, -sn]])
         return pos @ dr.T + v
 
@@ -164,22 +168,32 @@ def support_interp_path(
         if spec.c0 <= 0.0 or spec.rho(theta).min() <= CURVATURE_FLOOR:
             raise CurvatureNotPositive(f"interpolated support not convex at s={s:.6f}", where=s)
 
-    def build(s):
-        return FourierTable(raw(s).normalized())
+    specs: dict[float, tuple[FourierSupportSpec, FourierSupportSpec]] = {}
 
-    def vel(s, q):
-        spec = raw(s)
-        c0s = spec.c0
-        dc0 = b.c0 - a.c0
-        tau = 1.0 / (TWO_PI * c0s)
-        dtau = -dc0 / (TWO_PI * c0s * c0s)
-        g = FourierSupportSpec(
-            dtau * spec.c0 + tau * dc0,
-            dtau * spec.cos + tau * (cb - ca),
-            dtau * spec.sin + tau * (sb - sa),
-        )
-        table = build(s)
-        th = table.theta_of_q(q)
+    def slice_specs(s):
+        """(normalized support, its s-derivative g) of the slice at s, cached."""
+        s = float(s)
+        hit = specs.get(s)
+        if hit is None:
+            spec = raw(s)
+            c0s = spec.c0
+            dc0 = b.c0 - a.c0
+            tau = 1.0 / (TWO_PI * c0s)
+            dtau = -dc0 / (TWO_PI * c0s * c0s)
+            g = FourierSupportSpec(
+                dtau * spec.c0 + tau * dc0,
+                dtau * spec.cos + tau * (cb - ca),
+                dtau * spec.sin + tau * (sb - sa),
+            )
+            hit = specs[s] = (spec.normalized(), g)
+        return hit
+
+    def build(s):
+        return FourierTable(slice_specs(s)[0])
+
+    def vel(s, q, t):
+        norm, g = slice_specs(s)
+        th = FourierTable(norm).theta_of_q(q) if t is None else np.asarray(t, dtype=float)
         basis = g._basis(th)
         gv = g.h(th, basis=basis)
         gp = g.h(th, deriv=1, basis=basis)
@@ -300,29 +314,37 @@ class HamiltonianField:
     def __init__(self, path: TablePath):
         self.path = path
 
-    def value_arrays(self, s: float, Q, P, seed=None, return_seed=False, q_frame=None, vel_Q=None):
-        """Vectorized H_s on arrays; |P| <= 1 - 1e-6 required.
+    def solve(self, s: float, Q, P, seed=None, start=None, vel_Q=None):
+        """H_s on arrays with the landing data, all in the slice's native parameter.
 
-        ``seed`` warm-starts the inverse bounce solve (e.g. with the
-        solution from a nearby s); ``return_seed`` also returns it.
-        ``q_frame`` and ``vel_Q`` allow grid sweeps to reuse the frame and
-        velocity at the Q samples.
+        Returns (H, q_s, t_s): the Hamiltonian, and where the backward chord
+        from Q at momentum -P lands, in q and in native units.  ``seed`` is
+        a native warm start (e.g. t_s from a nearby s); ``start``, a
+        ``native_start`` at Q, and ``vel_Q`` let grid sweeps reuse the
+        start data and the velocity at the Q samples.
         """
-        Q = np.asarray(Q, dtype=float)
-        P = np.asarray(P, dtype=float)
+        Q, P = np.broadcast_arrays(np.asarray(Q, dtype=float), np.asarray(P, dtype=float))
         if np.any(np.abs(P) > 1.0 - self.GRAZING):
             raise NearGrazing("Hamiltonian evaluation too close to the annulus boundary")
         table = self.path.table(s)
+        if start is None:
+            start = native_start(table, np.atleast_1d(Q).ravel())
         # time reversal: the backward chord from Q at momentum -P lands on q_s
-        qs, _, pos_Q, _, pos_qs, _ = forward_chord(
-            table, Q, -P, seed=seed, start_frame=q_frame
-        )
+        qs, _, pos_Q, _, pos_qs, _, ts = forward_chord(table, Q, -P, seed=seed, start=start)
         d = pos_Q - pos_qs
         u = d / np.linalg.norm(d, axis=-1, keepdims=True)
         if vel_Q is None:
-            vel_Q = self.path.velocity(s, Q)
-        dv = self.path.velocity(s, qs) - vel_Q
-        H = np.sum(u * dv, axis=-1)
+            vel_Q = self.path.velocity(s, Q, np.reshape(start[0], np.shape(Q)))
+        dv = self.path.velocity(s, qs, ts) - vel_Q
+        return np.sum(u * dv, axis=-1), qs, ts
+
+    def value_arrays(self, s: float, Q, P, return_seed=False):
+        """Vectorized H_s on arrays; |P| <= 1 - 1e-6 required.
+
+        ``return_seed`` also returns the landing points q_s of the inverse
+        bounce, in arc-length units.
+        """
+        H, qs, _ = self.solve(s, Q, P)
         if return_seed:
             return H, qs
         return H
@@ -352,32 +374,32 @@ def _extreme_refine(hf: HamiltonianField, s, Qg, Pg, H, pmax, sign):
 def hofer_oscillation(
     hf: HamiltonianField, s: float, q_grid: int = 256, p_grid: int = 127, seed=None, return_seed=False
 ):
-    """max H_s - min H_s over the (Q, P) grid, extremes locally refined."""
+    """max H_s - min H_s over the (Q, P) grid, extremes locally refined.
+
+    ``seed`` and the seed returned with ``return_seed`` are the landing
+    native parameters of the grid's inverse solves, which warm-start the
+    grid of a nearby s.
+    """
     pmax = 1.0 - 1.0 / 128.0
     Qg = np.arange(q_grid) / q_grid
     Pg = np.linspace(-pmax, pmax, p_grid)
-    table = hf.path.table(s)
-    pos_g, tan_g = table.frame(Qg)
-    vel_g = hf.path.velocity(s, Qg)
+    t_g, pos_g, tan_g = native_start(hf.path.table(s), Qg)
+    vel_g = hf.path.velocity(s, Qg, t_g)
     QQ, PP = np.meshgrid(Qg, Pg, indexing="ij")
-    rep = (
-        np.repeat(pos_g, p_grid, axis=0),
-        np.repeat(tan_g, p_grid, axis=0),
-    )
-    H, qs = hf.value_arrays(
+    start = tuple(np.repeat(x, p_grid, axis=0) for x in (t_g, pos_g, tan_g))
+    H, _, ts = hf.solve(
         s,
         QQ.ravel(),
         PP.ravel(),
         seed=seed,
-        return_seed=True,
-        q_frame=rep,
+        start=start,
         vel_Q=np.repeat(vel_g, p_grid, axis=0),
     )
     H = H.reshape(q_grid, p_grid)
     hi = max(float(H.max()), _extreme_refine(hf, s, Qg, Pg, H, pmax, +1.0))
     lo = min(float(H.min()), _extreme_refine(hf, s, Qg, Pg, H, pmax, -1.0))
     if return_seed:
-        return hi - lo, qs
+        return hi - lo, ts
     return hi - lo
 
 
@@ -388,7 +410,7 @@ def hofer_length(
 
     Approximates the Hofer length of this particular path (an upper bound
     for the Hofer distance of its endpoints, up to grid error).  Consecutive
-    s-nodes warm-start each other's inverse solves.
+    s-nodes warm-start each other's inverse solves in the native parameter.
     """
     hf = HamiltonianField(path)
     x, w = simpson_nodes(s_nodes)

@@ -207,9 +207,6 @@ class _FamilyCurve(TableCurve):
     def tangent(self, q):
         return self.family.raw_tangent(self.s, q)
 
-    def frame(self, q):
-        return self.position(q), self.tangent(q)
-
     def curvature(self, q):
         return self.family.raw_curvature(self.s, q) * self.family.length_at(self.s)
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoferbilliards import (
     AnnulusPoint,
+    FourierSupportSpec,
     chord_length,
     forward_map,
     generating_partials,
@@ -12,8 +15,9 @@ from hoferbilliards import (
     rigid_motion,
     unit_square,
 )
-from hoferbilliards.billiard import forward_arrays
-from hoferbilliards.curves import PolygonBoundary, circ_dist
+from hoferbilliards import homotopy as ho
+from hoferbilliards.billiard import forward_arrays, forward_chord
+from hoferbilliards.curves import FourierTable, PolygonBoundary, circ_dist
 from hoferbilliards.errors import DiagonalPoint, NearGrazing, NotStrictlyConvex
 
 
@@ -176,3 +180,62 @@ def test_flat_table_guard():
     flat = PolygonBoundary(unit_square())
     with pytest.raises(NotStrictlyConvex):
         forward_map(flat, AnnulusPoint(0.0, 0.5))
+
+
+NATIVE_KINDS = ["disc", "mild_ellipse", "sampled", "mark_shifted", "rigid"]
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+
+def reflection_defects(table, q, p, Q, P):
+    """|<u, T(q)> - p| and |<u, T(Q)> - P| through position/tangent at q and Q."""
+    d = table.position(Q) - table.position(q)
+    u = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    out = np.abs(np.sum(u * table.tangent(q), axis=-1) - p)
+    back = np.abs(np.sum(u * table.tangent(Q), axis=-1) - P)
+    return out, back
+
+
+@pytest.mark.parametrize("kind", NATIVE_KINDS)
+@PROPERTY
+@given(
+    q=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=8),
+    p=st.floats(-0.99, 0.99),
+)
+def test_native_solve_obeys_reflection_law(native_tables, kind, q, p):
+    table = native_tables[kind]
+    q = np.asarray(q)
+    p = np.full_like(q, p)
+    Q, P = forward_arrays(table, q, p)
+    assert np.all(Q > q) and np.all(Q < q + 1.0)
+    out, back = reflection_defects(table, q, p, Q, P)
+    assert out.max() <= 1e-11 and back.max() <= 1e-11
+
+
+def test_native_solve_inverts_arc_length_once(mild_ellipse, monkeypatch):
+    calls = []
+    inner = FourierTable.theta_of_q
+
+    def counted(self, q):
+        calls.append(np.size(q))
+        return inner(self, q)
+
+    monkeypatch.setattr(FourierTable, "theta_of_q", counted)
+    rng = np.random.default_rng(5)
+    q, p = rng.uniform(0, 1, 300), rng.uniform(-0.95, 0.95, 300)
+    Q, *_, t_Q = forward_chord(mild_ellipse, q, p)
+    assert calls == [300]
+    assert np.abs(mild_ellipse.spec.arclength(t_Q) - Q).max() < 1e-15
+
+
+@PROPERTY
+@given(s=st.floats(0.0, 1.0), Q=st.floats(0.0, 1.0), P=st.floats(-0.95, 0.95))
+def test_value_arrays_seed_is_arc_length(s, Q, P):
+    path = ho.support_interp_path(FourierSupportSpec(1.0), FourierSupportSpec(1.0, cos=[0.0, 0.05]))
+    table = path.table(s)
+    Qa, Pa = np.array([Q]), np.array([P])
+    _, qs = ho.HamiltonianField(path).value_arrays(s, Qa, Pa, return_seed=True)
+    # the backward chord from (Q, -P) lands on qs: forward from qs reaches (Q, P)
+    assert np.all(qs > Qa) and np.all(qs < Qa + 1.0)
+    d = table.position(Qa) - table.position(qs)
+    u = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    assert np.abs(np.sum(u * table.tangent(Qa), axis=-1) - Pa).max() <= 1e-11

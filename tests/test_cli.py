@@ -5,6 +5,7 @@ import pytest
 
 from hoferbilliards import persistence as pe
 from hoferbilliards.cli import main
+from hoferbilliards.errors import SolverDidNotConverge
 from hoferbilliards.specio import SpecError, load_path, load_table
 
 
@@ -126,3 +127,32 @@ def test_exit_code_mapping_certificate_failure(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "p.json",
                   {"type": "translation", "table": {"type": "disc"}, "v": [0.0, 0.0]})
     assert main(["hofer", "compare", "--path", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "error",
+    [SolverDidNotConverge("newton_bisect: no convergence"), FloatingPointError("batch left the annulus")],
+)
+def test_solver_failures_exit_with_typed_json(tmp_path, capsys, monkeypatch, error):
+    import hoferbilliards.cli as cli
+
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_map_eval", failing)
+    table = _write(tmp_path, "disc.json", {"type": "disc"})
+    code = main(["map", "eval", "--table", table, "--q", "0", "--p", "0.5"])
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 2
+    assert out == {"error": str(error), "kind": type(error).__name__}
+
+
+def test_newton_bisect_failure_is_typed():
+    from hoferbilliards._solve import newton_bisect
+
+    def flat(x, idx):
+        return np.ones_like(x), np.ones_like(x)
+
+    with pytest.raises(SolverDidNotConverge) as info:
+        newton_bisect(flat, lo=0.0, hi=1.0, seed=np.array([0.5]), increasing=True, maxiter=5)
+    assert isinstance(info.value, ArithmeticError)

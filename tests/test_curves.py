@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoferbilliards import (
     FourierSupportSpec,
@@ -114,3 +116,36 @@ def test_rigid_motion_preserves_geometry(mild_ellipse):
     d = np.linalg.norm(g.position(q) - g.position(q + 0.5), axis=-1)
     d0 = np.linalg.norm(mild_ellipse.position(q) - mild_ellipse.position(q + 0.5), axis=-1)
     assert np.abs(d - d0).max() < 1e-12
+
+
+NATIVE_KINDS = ["disc", "mild_ellipse", "sampled", "mark_shifted", "rigid"]
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@pytest.mark.parametrize("kind", NATIVE_KINDS)
+@PROPERTY
+@given(q=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=16))
+def test_native_parameter_roundtrip(native_tables, kind, q):
+    table = native_tables[kind]
+    q = np.asarray(q)
+    assert np.abs(table.q_of_native(table.native_of_q(q)) - q).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", NATIVE_KINDS)
+@PROPERTY
+@given(q=st.floats(-2.0, 3.0))
+def test_native_frame_matches_arc_length_frame(native_tables, kind, q):
+    table = native_tables[kind]
+    t = table.native_of_q(np.array([q]))
+    pos, tan, dq_dt = table.native_frame(t)
+    assert np.abs(pos - table.position(np.array([q]))).max() < 1e-12
+    assert np.abs(tan - table.tangent(np.array([q]))).max() < 1e-12
+    h = 1e-6 * table.native_period
+    fd = (table.q_of_native(t + h) - table.q_of_native(t - h)) / (2 * h)
+    assert np.abs(dq_dt - fd).max() < 1e-6 * np.abs(fd).max()
+
+
+def test_native_period_is_one_turn(native_tables):
+    for table in native_tables.values():
+        t = table.native_of_q(np.array([0.2]))
+        assert abs(float(table.q_of_native(t + table.native_period)[0]) - 1.2) < 1e-13
