@@ -4,6 +4,13 @@ Phase space is the open annulus: q in [0,1) the arc-length footpoint of a
 chord, p in (-1,1) the tangential momentum <u, gamma'(q)> of the outgoing
 unit chord direction u.  The chord length F(q, Q) generates the map:
 dF/dq = -p and dF/dQ = P.
+
+``forward_chord`` is the one bounce solve; it runs in the table's native
+parameter t and returns the landing frame (t_Q, pos_Q, tan_Q) with Q and P.
+``trajectory_arrays`` is the one multi-step kernel: it inverts arc length
+once at the starts and hands each landing frame to the next bounce, so
+trajectories, portraits and orbit validation cost one inversion however
+many bounces they take.
 """
 
 from __future__ import annotations
@@ -179,20 +186,52 @@ def inverse_map(table: TableCurve, x: AnnulusPoint) -> AnnulusPoint:
     return AnnulusPoint(float(q), float(p))
 
 
+def trajectory_arrays(table: TableCurve, q, p, steps: int):
+    """Batched trajectories of the ball map from the starts (q, p).
+
+    Returns (qs, ps) of shape (|steps| + 1,) + broadcast shape, row k the
+    k-th iterate with q reduced mod 1; negative ``steps`` iterates the
+    inverse map by time reversal R o forward o R with R(q, p) = (q, -p).
+    Arc length is inverted once, at the starts: every later bounce starts
+    from the previous landing frame (t_Q mod native_period, pos_Q, tan_Q)
+    returned by ``forward_chord``.
+
+    Raises NearGrazing, with ``step`` the 1-based index of the bounce that
+    could not be taken, when some |p| reaches 1 - GRAZING_CUTOFF.
+    """
+    q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
+    n = abs(int(steps))
+    sign = -1.0 if steps < 0 else 1.0
+    qs = np.empty((n + 1,) + q.shape)
+    ps = np.empty_like(qs)
+    qs[0] = np.mod(q, 1.0)
+    ps[0] = p
+    if n == 0:
+        return qs, ps
+    Q = q.ravel()
+    P = sign * p.ravel()
+    start = native_start(table, Q)
+    for k in range(1, n + 1):
+        if not np.all(np.abs(P) < 1.0 - GRAZING_CUTOFF):
+            raise NearGrazing(f"grazing at step {k}: |p| reaches {1.0 - GRAZING_CUTOFF!r}", step=k)
+        Q, P, _, _, pos_Q, tan_Q, t_Q = forward_chord(table, Q, P, start=start)
+        start = (np.mod(t_Q, table.native_period), pos_Q, tan_Q)
+        qs[k] = np.mod(Q, 1.0).reshape(q.shape)
+        ps[k] = sign * P.reshape(q.shape)
+    return qs, ps
+
+
 def iterate(table: TableCurve, x: AnnulusPoint, n: int):
     """Trajectory [x, psi(x), ..., psi^n(x)]; negative n uses the inverse map.
 
+    One ``trajectory_arrays`` call, so arc length is inverted once whatever
+    n is.  Raises NotStrictlyConvex for tables outside the billiard class;
     NearGrazing raised mid-flight carries the failing step index.
     """
-    step = forward_map if n >= 0 else inverse_map
-    out = [x]
-    for i in range(abs(int(n))):
-        try:
-            x = step(table, x)
-        except NearGrazing as exc:
-            raise NearGrazing(f"grazing at step {i + 1}: {exc}", step=i + 1) from exc
-        out.append(x)
-    return out
+    if n and not table.strictly_convex:
+        raise NotStrictlyConvex(f"{table.kind} table is not strictly convex")
+    qs, ps = trajectory_arrays(table, x.q, x.p, n)
+    return [AnnulusPoint(q, p) for q, p in zip(qs.tolist(), ps.tolist())]
 
 
 def map_jacobian(table: TableCurve, q, p, step: float = 1e-5):

@@ -23,7 +23,7 @@ from . import dynamics as dy
 from . import homotopy as ho
 from . import persistence as pe
 from . import smoothing as sm
-from .billiard import AnnulusPoint, forward_arrays, iterate, map_jacobian
+from .billiard import AnnulusPoint, forward_arrays, iterate, map_jacobian, trajectory_arrays
 from .curves import FourierSupportSpec, build_fourier_table, disc_table, unit_square
 from .errors import HoferBilliardsError
 from .specio import SpecError, load_path, load_polygon, load_table
@@ -123,14 +123,14 @@ def cmd_map_iterate(args):
 def cmd_map_portrait(args):
     table = load_table(args.table)
     rng = np.random.default_rng(args.seed)
-    rows = []
-    for orbit_id in range(args.seeds):
-        q, p = rng.uniform(), rng.uniform(-0.9, 0.9)
-        qs, ps = np.full(1, q), np.full(1, p)
-        rows.append((orbit_id, 0, float(qs[0] % 1), float(ps[0])))
-        for step in range(1, args.steps + 1):
-            qs, ps = forward_arrays(table, qs, ps)
-            rows.append((orbit_id, step, float(qs[0] % 1.0), float(ps[0])))
+    starts = np.array([(rng.uniform(), rng.uniform(-0.9, 0.9)) for _ in range(args.seeds)]).reshape(-1, 2)
+    # all orbits advance together: one batched bounce per step
+    qs, ps = trajectory_arrays(table, starts[:, 0], starts[:, 1], args.steps)
+    rows = [
+        (orbit_id, step, qs[step, orbit_id], ps[step, orbit_id])
+        for orbit_id in range(args.seeds)
+        for step in range(len(qs))
+    ]
     out = _outdir(args) / "portrait.csv"
     _write_csv(out, ["orbit", "step", "q", "p"], rows)
     _emit({"orbits": args.seeds, "steps": args.steps, "file": str(out)})

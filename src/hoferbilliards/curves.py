@@ -4,12 +4,15 @@ Every table is parametrized by q in [0,1) with the marked point at q = 0,
 counterclockwise orientation and unit-speed parametrization.
 
 Each table also has a native parameter t in which its geometry is closed
-form: ``native_frame(t)`` returns (position, unit tangent, dq/dt) without
-inverting arc length, ``q_of_native`` maps t to q in closed form and
-``native_of_q`` is the (possibly iterative) inverse.  Both maps are lifts:
-t advances by ``native_period`` when q advances by 1.  The bounce solve of
-:mod:`hoferbilliards.billiard` runs in t, so arc length is inverted only
-at the start points of a solve.  Concrete representations:
+form: ``native_frame(t)`` returns (position, unit tangent, dq/dt) and
+``native_curvature(t)`` the curvature without inverting arc length,
+``q_of_native`` maps t to q in closed form and ``native_of_q`` is the
+(possibly iterative) inverse.  Both maps are lifts: t advances by
+``native_period`` when q advances by 1.  The bounce solve of
+:mod:`hoferbilliards.billiard` runs in t and hands its landing t to the
+next bounce, so arc length is inverted only at the start points of a
+trajectory; the orbit Newton of :mod:`hoferbilliards.dynamics` inverts it
+once per iterate.  Concrete representations:
 
 * ``DiscTable`` -- the round table of radius 1/(2*pi), all queries closed
   form; its native parameter is q itself.
@@ -65,8 +68,8 @@ class TableCurve:
 
     The native parametrization defaults to the identity t = q with
     dq/dt = 1; subclasses whose geometry is closed form in another
-    parameter override ``native_of_q``, ``q_of_native``, ``native_frame``
-    and ``native_period``.
+    parameter override ``native_of_q``, ``q_of_native``, ``native_frame``,
+    ``native_curvature`` and ``native_period``.
     """
 
     kind = "abstract"
@@ -99,6 +102,10 @@ class TableCurve:
         """(position, unit tangent, dq/dt) at native parameter t."""
         t = np.asarray(t, dtype=float)
         return self.position(t), self.tangent(t), np.ones(t.shape)
+
+    def native_curvature(self, t):
+        """Curvature at native parameter t."""
+        return self.curvature(t)
 
     def marked_point(self):
         return self.position(0.0)
@@ -288,6 +295,9 @@ class FourierTable(TableCurve):
         tan = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
         return pos, tan, self.spec.rho(theta, basis=basis)
 
+    def native_curvature(self, theta):
+        return 1.0 / self.spec.rho(theta)
+
 
 def build_fourier_table(spec: FourierSupportSpec, validation_grid: int = 4096) -> FourierTable:
     """Normalize a support spec to boundary length 1 and validate convexity.
@@ -335,6 +345,9 @@ class MarkShiftedTable(TableCurve):
     def native_frame(self, t):
         return self.base.native_frame(t)
 
+    def native_curvature(self, t):
+        return self.base.native_curvature(t)
+
 
 def shift_mark(table: TableCurve, r: float) -> TableCurve:
     return MarkShiftedTable(table, r)
@@ -371,6 +384,9 @@ class RigidMotionTable(TableCurve):
     def native_frame(self, t):
         pos, tan, dq_dt = self.base.native_frame(t)
         return pos @ self._rot.T + self.offset, tan @ self._rot.T, dq_dt
+
+    def native_curvature(self, t):
+        return self.base.native_curvature(t)
 
 
 def rigid_motion(table: TableCurve, angle: float = 0.0, offset=(0.0, 0.0)) -> TableCurve:
@@ -523,6 +539,9 @@ class SampledCurve(TableCurve):
             np.stack([np.real(t), np.imag(t)], axis=-1),
             speed * self._scale,
         )
+
+    def native_curvature(self, u):
+        return self._raw_curvature(u) * self.raw_length
 
 
 # ---------------------------------------------------------------------------

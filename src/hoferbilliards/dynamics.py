@@ -16,19 +16,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .billiard import forward_arrays
+from .billiard import trajectory_arrays
 from .curves import SampledCurve, TableCurve, c0_distance, circ_dist
-from .errors import BoundViolated, DiagonalPoint, InconsistentChords
+from .errors import (
+    BoundViolated,
+    CurvatureNotPositive,
+    DiagonalPoint,
+    InconsistentChords,
+    NearGrazing,
+    SolverDidNotConverge,
+)
 
 ACCEPT_RESIDUAL = 1e-10
 PHASE_TOL = 1e-8
 DEDUP_TOL = 1e-6
 
 
-def _chords(table: TableCurve, qs):
-    """Positions, consecutive unit chords and lengths of a cyclic tuple."""
+def _chords(table: TableCurve, qs, pos=None):
+    """Positions, consecutive unit chords and lengths of a cyclic tuple.
+
+    ``pos``, when given, holds the positions at ``qs`` already.
+    """
     qs = np.asarray(qs, dtype=float)
-    pos = table.position(qs)
+    if pos is None:
+        pos = table.position(qs)
     nxt = np.roll(pos, -1, axis=-2)
     d = nxt - pos
     dist = np.linalg.norm(d, axis=-1)
@@ -42,26 +53,42 @@ def orbit_functional(table: TableCurve, qs) -> float:
     return float(_chords(table, qs)[2].sum(axis=-1))
 
 
-def orbit_gradient(table: TableCurve, qs):
-    """d/dq_i of the functional: incoming momentum minus outgoing momentum.
+def _orbit_frame(table: TableCurve, qs):
+    """Unit chords, chord lengths, tangents and curvatures of a cyclic tuple.
 
-    Component i vanishes exactly when the reflection law holds at bounce i.
+    One arc-length inversion: positions and tangents come from
+    ``native_frame`` and curvatures from ``native_curvature`` at the tuple's
+    native parameters, so the gradient and the Hessian can share them.
     """
     qs = np.asarray(qs, dtype=float)
-    _, u, _ = _chords(table, qs)
-    tan = table.tangent(qs)
+    t = table.native_of_q(qs)
+    pos, tan, _ = table.native_frame(t)
+    _, u, dist = _chords(table, qs, pos=pos)
+    return u, dist, tan, table.native_curvature(t)
+
+
+def _gradient(u, tan):
     outgoing = np.sum(u * tan, axis=-1)
     incoming = np.sum(np.roll(u, 1, axis=-2) * tan, axis=-1)
     return incoming - outgoing
 
 
+def orbit_gradient(table: TableCurve, qs):
+    """d/dq_i of the functional: incoming momentum minus outgoing momentum.
+
+    Component i vanishes exactly when the reflection law holds at bounce i.
+    """
+    u, _, tan, _ = _orbit_frame(table, qs)
+    return _gradient(u, tan)
+
+
 def orbit_hessian(table: TableCurve, qs):
     """Analytic Hessian of the functional, assembled chord by chord."""
-    qs = np.asarray(qs, dtype=float)
-    n = qs.size
-    _, u, dist = _chords(table, qs)
-    tan = table.tangent(qs)
-    kappa = table.curvature(qs)
+    return _hessian(*_orbit_frame(table, qs))
+
+
+def _hessian(u, dist, tan, kappa):
+    n = dist.size
     # gamma'' = kappa * (tangent rotated by +90)
     gpp = kappa[:, None] * np.stack([-tan[:, 1], tan[:, 0]], axis=-1)
     H = np.zeros((n, n))
@@ -113,44 +140,42 @@ def orbit_phase_point(table: TableCurve, qs):
 
 
 def _phase_validation(table: TableCurve, qs):
-    """Max phase-space deviation of the tuple from a bounce trajectory."""
+    """Max phase-space deviation of the tuple from a bounce trajectory.
+
+    The n bounces from the tuple's phase point must visit q_2, ..., q_n and
+    close up at q_1; a trajectory that grazes the boundary scores inf.
+    """
     qs = np.asarray(qs, dtype=float)
-    n = qs.size
     q, p = orbit_phase_point(table, qs)
-    err = 0.0
-    for i in range(n):
-        if not abs(p) < 1.0 - 1e-9:
-            return np.inf
-        Q, P = forward_arrays(table, np.array([q]), np.array([p]))
-        q, p = float(np.mod(Q[0], 1.0)), float(P[0])
-        err = max(err, float(circ_dist(q, qs[(i + 1) % n])))
-    # after n bounces the trajectory must close up
-    err = max(err, float(circ_dist(q, qs[0])))
-    return err
+    try:
+        traj, _ = trajectory_arrays(table, q, p, qs.size)
+    except NearGrazing:
+        return np.inf
+    return float(circ_dist(traj[1:], np.roll(qs, -1)).max())
 
 
 def _newton_orbit(table: TableCurve, qs0, maxiter=60):
+    """Damped Newton on the torus from ``qs0``: (tuple mod 1, residual) or None.
+
+    Each iterate inverts arc length once; its gradient and Hessian share
+    that geometry.
+    """
     qs = np.array(qs0, dtype=float)
-    for _ in range(maxiter):
+    settled = False
+    for it in range(maxiter + 1):
         try:
-            g = orbit_gradient(table, qs)
+            u, dist, tan, kappa = _orbit_frame(table, qs)
         except DiagonalPoint:
             return None
-        if np.abs(g).max() < 1e-13:
-            break
-        H = orbit_hessian(table, qs)
-        step, *_ = np.linalg.lstsq(H, -g, rcond=None)
+        g = _gradient(u, tan)
+        if settled or it == maxiter or np.abs(g).max() < 1e-13:
+            return np.mod(qs, 1.0), float(np.abs(g).max())
+        step, *_ = np.linalg.lstsq(_hessian(u, dist, tan, kappa), -g, rcond=None)
         norm = np.abs(step).max()
         if norm > 0.1:
             step *= 0.1 / norm
         qs = qs + step
-        if norm < 1e-15:
-            break
-    try:
-        g = orbit_gradient(table, qs)
-    except DiagonalPoint:
-        return None
-    return np.mod(qs, 1.0), float(np.abs(g).max())
+        settled = norm < 1e-15
 
 
 def _canonical_images(qs):
@@ -238,15 +263,19 @@ def find_periodic_orbits(
 
 
 def _iterate_batch(table: TableCurve, pts: np.ndarray, n: int):
-    """n-fold lifted bounce map of a batch of (q, p) rows."""
-    if np.any(np.abs(pts[:, 1]) >= 1 - 1e-9):
+    """n-fold lifted bounce map of a batch of (q, p) rows.
+
+    Every forward bounce advances q by (Q - q) mod 1 in (0, 1), which
+    restores the lift from the reduced trajectory.
+    """
+    try:
+        qs, ps = trajectory_arrays(table, pts[:, 0], pts[:, 1], n)
+    except NearGrazing as exc:
+        raise FloatingPointError("batch leaves the solvable annulus") from exc
+    if not np.all(np.abs(ps[-1]) < 1 - 1e-9):
         raise FloatingPointError("batch leaves the solvable annulus")
-    Q, P = pts[:, 0].copy(), pts[:, 1].copy()
-    for _ in range(n):
-        Q, P = forward_arrays(table, Q, P)
-        if np.any(np.abs(P) >= 1 - 1e-9):
-            raise FloatingPointError("batch leaves the solvable annulus")
-    return np.stack([Q, P], axis=-1)
+    Q = pts[:, 0] + np.mod(np.diff(qs, axis=0), 1.0).sum(axis=0)
+    return np.stack([Q, ps[-1]], axis=-1)
 
 
 def phase_fixed_points(
@@ -298,12 +327,7 @@ def phase_fixed_points(
 
 def tuple_from_phase_point(table: TableCurve, q: float, p: float, n: int):
     """Bounce parameters visited over n iterations from (q, p)."""
-    qs = [float(np.mod(q, 1.0))]
-    for _ in range(n - 1):
-        Q, P = forward_arrays(table, np.array([q]), np.array([p]))
-        q, p = float(np.mod(Q[0], 1.0)), float(P[0])
-        qs.append(q)
-    return np.array(qs)
+    return trajectory_arrays(table, q, p, n - 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +405,8 @@ class AlmostPeriodicityReport:
     geometric_upper_bound: float | None
     cloud_b: np.ndarray = field(repr=False, default=None)
     cloud_a: np.ndarray = field(repr=False, default=None)
+    # why geometric_upper_bound is None, else None
+    bound_missing: str | None = None
 
     def to_json(self):
         return {
@@ -390,6 +416,7 @@ class AlmostPeriodicityReport:
             "samples": self.samples,
             "n": self.n,
             "geometric_upper_bound": self.geometric_upper_bound,
+            "bound_missing": self.bound_missing,
         }
 
 
@@ -414,7 +441,9 @@ def almost_periodicity_experiment(
     under b to the cloud of n-th iterates under a, together with the
     geometric path upper bound between the tables when both expose support
     specs (context for the displacement-energy threshold, which itself is
-    not computable).
+    not computable).  When there is no bound, ``bound_missing`` says why:
+    a table without a support spec, or the typed error of an interpolation
+    that leaves the convex class or a length sweep that did not converge.
     """
     rng = np.random.default_rng(rng)
     q0, p0 = orbit_phase_point(a, np.asarray(orbit.qs))
@@ -424,10 +453,8 @@ def almost_periodicity_experiment(
     ps = np.concatenate([[p0], np.clip(p0 + rad * np.sin(ang), -0.999, 0.999)])
 
     def iterate_cloud(table):
-        Q, P = qs.copy(), ps.copy()
-        for _ in range(n):
-            Q, P = forward_arrays(table, Q, P)
-        return np.stack([np.mod(Q, 1.0), P], axis=-1)
+        Q, P = trajectory_arrays(table, qs, ps, n)
+        return np.stack([Q[-1], P[-1]], axis=-1)
 
     cloud_a = iterate_cloud(a)
     cloud_b = iterate_cloud(b)
@@ -437,15 +464,18 @@ def almost_periodicity_experiment(
     upper = None
     spec_a = getattr(a, "spec", None)
     spec_b = getattr(b, "spec", None)
-    if spec_a is not None and spec_b is not None:
+    if spec_a is None or spec_b is None:
+        missing = "a table has no support spec"
+    else:
         from .homotopy import path_geometric_length, support_interp_path
 
+        missing = None
         try:
             upper = path_geometric_length(
                 support_interp_path(spec_a, spec_b), s_nodes=17, q_nodes=512
             )
-        except Exception:
-            upper = None
+        except (CurvatureNotPositive, SolverDidNotConverge) as exc:
+            missing = f"{type(exc).__name__}: {exc}"
     return AlmostPeriodicityReport(
         min_distance=float(dists[j]),
         argmin_start=(float(qs[j] % 1.0), float(ps[j])),
@@ -455,6 +485,7 @@ def almost_periodicity_experiment(
         geometric_upper_bound=upper,
         cloud_b=cloud_b,
         cloud_a=cloud_a,
+        bound_missing=missing,
     )
 
 

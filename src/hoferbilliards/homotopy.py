@@ -86,15 +86,31 @@ class TablePath:
         return (self.table(s + h).position(q) - self.table(s - h).position(q)) / (2.0 * h)
 
     def speed_max(self, s: float, q_nodes: int = 1024, refine: bool = True) -> float:
-        """Grid max of ||velocity|| over q with one local refinement pass."""
+        """Grid max of ||velocity|| over q with three local refinement passes.
+
+        Each pass samples 17 points across a window around the best point so
+        far; the window starts at about one grid spacing on either side and
+        shrinks 8x per pass, to the spacing of the pass before.  With a
+        single pass, l_B at 512 nodes read up to 2e-7 (relative) below the
+        endpoint C^0 distance on random 4-harmonic paths, which inverted
+        ``bracket_dB``.  The passes run in the slice's native parameter t,
+        where q(t) is closed form, so arc length is inverted only at the
+        grid maximum.
+        """
         q = np.arange(q_nodes) / q_nodes
         mag = np.linalg.norm(self.velocity(s, q), axis=-1)
-        best = float(mag.max())
+        j = int(np.argmax(mag))
+        best = float(mag[j])
         if refine:
-            j = int(np.argmax(mag))
-            local = q[j] + np.linspace(-1.0, 1.0, 17) / q_nodes
-            mag2 = np.linalg.norm(self.velocity(s, local), axis=-1)
-            best = max(best, float(mag2.max()))
+            table = self.table(s)
+            center = table.native_of_q(q[j : j + 1])
+            half = 1.0 / (q_nodes * table.native_frame(center)[2])
+            for _ in range(3):
+                t = center + np.linspace(-1.0, 1.0, 17) * half
+                mag2 = np.linalg.norm(self.velocity(s, table.q_of_native(t), t), axis=-1)
+                k = int(np.argmax(mag2))
+                best, center = max(best, float(mag2[k])), t[k]
+                half /= 8.0
         return best
 
 
@@ -351,11 +367,6 @@ class HamiltonianField:
 
     def value(self, s: float, Q: float, P: float) -> float:
         return float(self.value_arrays(s, np.asarray(Q), np.asarray(P)))
-
-
-def hamiltonian_value(hf: HamiltonianField, s: float, Q: float, P: float) -> float:
-    """H_s(Q,P) = -dF_s/ds(q_s(Q,P), Q), evaluated through the velocity field."""
-    return hf.value(s, Q, P)
 
 
 def _extreme_refine(hf: HamiltonianField, s, Qg, Pg, H, pmax, sign):

@@ -16,7 +16,8 @@ from hoferbilliards import (
     unit_square,
 )
 from hoferbilliards import homotopy as ho
-from hoferbilliards.billiard import forward_arrays, forward_chord
+from hoferbilliards.billiard import forward_arrays, forward_chord, inverse_arrays, trajectory_arrays
+from hoferbilliards.cli import main
 from hoferbilliards.curves import FourierTable, PolygonBoundary, circ_dist
 from hoferbilliards.errors import DiagonalPoint, NearGrazing, NotStrictlyConvex
 
@@ -239,3 +240,74 @@ def test_value_arrays_seed_is_arc_length(s, Q, P):
     d = table.position(Qa) - table.position(qs)
     u = d / np.linalg.norm(d, axis=-1, keepdims=True)
     assert np.abs(np.sum(u * table.tangent(Qa), axis=-1) - Pa).max() <= 1e-11
+
+
+@pytest.mark.parametrize("kind", NATIVE_KINDS)
+@PROPERTY
+@given(
+    q=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=5),
+    p=st.lists(st.floats(-0.95, 0.95), min_size=5, max_size=5),
+    steps=st.integers(-12, 12),
+)
+def test_trajectory_rows_obey_reflection_law(native_tables, kind, q, p, steps):
+    table = native_tables[kind]
+    q = np.asarray(q)
+    p = np.asarray(p[: q.size])
+    qs, ps = trajectory_arrays(table, q, p, steps)
+    assert qs.shape == ps.shape == (abs(steps) + 1, q.size)
+    assert np.all(qs >= 0.0) and np.all(qs <= 1.0)
+    assert np.array_equal(qs[0], np.mod(q, 1.0)) and np.array_equal(ps[0], p)
+    if steps:
+        # the first bounce is the single-bounce solve, bit for bit
+        Q1, P1 = (forward_arrays if steps > 0 else inverse_arrays)(table, q, p)
+        assert np.array_equal(qs[1], np.mod(Q1, 1.0)) and np.array_equal(ps[1], P1)
+    # a forward bounce takes row k to row k + 1, a backward one row k + 1 to row k
+    src, dst = (qs[:-1], ps[:-1]), (qs[1:], ps[1:])
+    if steps < 0:
+        src, dst = dst, src
+    out, back = reflection_defects(table, *src, *dst)
+    assert out.max(initial=0.0) <= 1e-11 and back.max(initial=0.0) <= 1e-11
+
+
+@pytest.mark.parametrize("kind", NATIVE_KINDS)
+def test_iterate_there_and_back(native_tables, kind):
+    table = native_tables[kind]
+    x = AnnulusPoint(0.23, 0.41)
+    fwd = iterate(table, x, 15)
+    back = iterate(table, fwd[-1], -15)
+    assert len(back) == 16
+    for a, b in zip(fwd, back[::-1]):
+        assert circ_dist(a.q, b.q) < 1e-9 and abs(a.p - b.p) < 1e-9
+
+
+def test_iterate_reports_grazing_step(disc):
+    with pytest.raises(NearGrazing) as info:
+        iterate(disc, AnnulusPoint(0.2, 1 - 1e-10), 3)
+    assert info.value.step == 1
+
+
+@pytest.mark.parametrize("steps", [1, 9, 40])
+def test_trajectories_invert_arc_length_once(mild_ellipse, monkeypatch, tmp_path, steps):
+    calls = []
+    inner = FourierTable.native_of_q
+
+    def counted(self, q):
+        calls.append(np.size(q))
+        return inner(self, q)
+
+    monkeypatch.setattr(FourierTable, "native_of_q", counted)
+    iterate(mild_ellipse, AnnulusPoint(0.1, 0.3), steps)
+    iterate(mild_ellipse, AnnulusPoint(0.1, 0.3), -steps)
+    assert calls == [1, 1]
+
+    calls.clear()
+    spec = tmp_path / "table.json"
+    spec.write_text('{"type": "fourier_support", "c0": 1.0, "cos": [0.0, 0.03]}')
+    argv = ["map", "portrait", "--table", str(spec), "--seeds", "5", "--steps", str(steps),
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert calls == [5]
+    rows = np.loadtxt(tmp_path / "portrait.csv", delimiter=",", skiprows=1)
+    # orbit-major row order: every orbit's steps 0..steps, one orbit after another
+    assert np.array_equal(rows[:, 0], np.repeat(np.arange(5.0), steps + 1))
+    assert np.array_equal(rows[:, 1], np.tile(np.arange(steps + 1.0), 5))

@@ -13,7 +13,8 @@ from hoferbilliards import (
     shift_mark,
     unit_square,
 )
-from hoferbilliards.curves import PolygonSpec, curve_centroid
+from hoferbilliards.curves import PolygonBoundary, PolygonSpec, curve_centroid
+from hoferbilliards.smoothing import family_from_polygon
 from hoferbilliards.errors import CurvatureNotPositive
 
 TWO_PI = 2 * np.pi
@@ -149,3 +150,19 @@ def test_native_period_is_one_turn(native_tables):
     for table in native_tables.values():
         t = table.native_of_q(np.array([0.2]))
         assert abs(float(table.q_of_native(t + table.native_period)[0]) - 1.2) < 1e-13
+
+
+@pytest.mark.parametrize("kind", NATIVE_KINDS)
+@PROPERTY
+@given(turns=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=16))
+def test_native_curvature_matches_arc_length_curvature(native_tables, kind, turns):
+    table = native_tables[kind]
+    t = np.asarray(turns) * table.native_period
+    kappa = table.native_curvature(t)
+    assert np.abs(kappa - table.curvature(table.q_of_native(t))).max() <= 1e-9 * np.abs(kappa).max()
+
+
+def test_native_curvature_default_is_curvature():
+    t = np.linspace(-1.0, 2.0, 37)
+    for table in (PolygonBoundary(unit_square()), family_from_polygon(unit_square()).curve(0.5)):
+        assert np.array_equal(table.native_curvature(t), table.curvature(t))

@@ -3,7 +3,8 @@ import pytest
 
 from hoferbilliards import FourierSupportSpec, build_fourier_table, rigid_motion
 from hoferbilliards import dynamics as dy
-from hoferbilliards.curves import circ_dist
+from hoferbilliards import smoothing as sm
+from hoferbilliards.curves import FourierTable, circ_dist, unit_square
 from hoferbilliards.errors import DiagonalPoint, InconsistentChords
 
 DIAMETER_ACTION = 2 / np.pi
@@ -49,6 +50,45 @@ def test_functional_isometry_invariance(mild_ellipse):
     g = rigid_motion(mild_ellipse, 0.9, (0.2, -0.4))
     qs = [0.05, 0.42, 0.77]
     assert dy.orbit_functional(g, qs) == pytest.approx(dy.orbit_functional(mild_ellipse, qs), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["mild_ellipse", "sampled", "mark_shifted", "rigid"])
+def test_hessian_matches_gradient_differences(native_tables, kind):
+    table = native_tables[kind]
+    rng = np.random.default_rng(6)
+    h = 1e-6
+    for _ in range(4):
+        qs = np.sort(rng.uniform(0, 1, 4))
+        if circ_dist(qs, np.roll(qs, -1)).min() < 0.05:
+            continue
+        H = dy.orbit_hessian(table, qs)
+        fd = np.empty_like(H)
+        for i in range(qs.size):
+            e = np.zeros(qs.size)
+            e[i] = h
+            fd[:, i] = (dy.orbit_gradient(table, qs + e) - dy.orbit_gradient(table, qs - e)) / (2 * h)
+        assert np.abs(H - fd).max() < 1e-6 * max(1.0, np.abs(H).max())
+
+
+def test_orbit_newton_inverts_arc_length_once_per_iterate(mild_ellipse, monkeypatch):
+    calls, hessians = [], []
+    inner, inner_hessian = FourierTable.native_of_q, dy._hessian
+
+    def counted(self, q):
+        calls.append(np.size(q))
+        return inner(self, q)
+
+    def counted_hessian(*frame):
+        hessians.append(1)
+        return inner_hessian(*frame)
+
+    monkeypatch.setattr(FourierTable, "native_of_q", counted)
+    monkeypatch.setattr(dy, "_hessian", counted_hessian)
+    qs, residual = dy._newton_orbit(mild_ellipse, [0.05, 0.38, 0.71])
+    assert residual < dy.ACCEPT_RESIDUAL
+    # every iterate but the last takes one Newton step with the shared frame
+    assert len(hessians) >= 2
+    assert calls == [3] * (len(hessians) + 1)
 
 
 def test_disc_orbits(disc):
@@ -136,6 +176,26 @@ def test_almost_periodicity_sweep(disc):
         mins.append(rep.min_distance)
     assert all(a > b for a, b in zip(mins, mins[1:]))
     assert rep.geometric_upper_bound is not None
+    assert rep.bound_missing is None
+
+
+def test_almost_periodicity_reports_missing_bound(disc):
+    orb = dy.PeriodicOrbitCandidate(
+        qs=(0.13, 0.63), n=2, action=DIAMETER_ACTION, residual=0.0,
+        accepted=True, degenerate_family=True, phase_error=0.0,
+    )
+    # radius of curvature dips to -1e-3 at eight normal angles: the support
+    # interpolation from the disc leaves the convex class near s = 1
+    dented = FourierTable(FourierSupportSpec(1.0, cos=[0.0] * 7 + [1 / 63 + 1e-4]).normalized())
+    rep = dy.almost_periodicity_experiment(disc, dented, orb, 2, radius=0.05, samples=40, rng=0)
+    assert rep.geometric_upper_bound is None
+    assert rep.bound_missing.startswith("CurvatureNotPositive: ")
+    assert rep.to_json()["bound_missing"] == rep.bound_missing
+
+    smoothed = sm.family_from_polygon(unit_square()).curve(0.5)
+    rep = dy.almost_periodicity_experiment(disc, smoothed, orb, 2, radius=0.05, samples=20, rng=0)
+    assert rep.geometric_upper_bound is None
+    assert rep.bound_missing == "a table has no support spec"
 
 
 def test_reconstruction_disc(disc):

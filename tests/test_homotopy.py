@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hoferbilliards import FourierSupportSpec, chord_length
+from hoferbilliards import FourierSupportSpec, c0_distance, chord_length
 from hoferbilliards import homotopy as ho
 from hoferbilliards.billiard import inverse_arrays
 from hoferbilliards.errors import CurvatureNotPositive, PerturbationTooLarge
@@ -201,3 +203,24 @@ def test_normal_perturbation_bound(disc):
 def test_normal_perturbation_too_large(disc):
     with pytest.raises((PerturbationTooLarge, CurvatureNotPositive)):
         ho.normal_perturbation_path(disc, np.full(256, 0.5))
+
+
+COEFFS = st.lists(st.floats(-0.03, 0.03), min_size=8, max_size=8)
+
+
+def _admissible(coeffs):
+    spec = FourierSupportSpec(1.0, cos=coeffs[:4], sin=coeffs[4:])
+    assume(spec.rho(np.linspace(0, 2 * np.pi, 512, endpoint=False)).min() > 0.02)
+    return spec
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(a=COEFFS, b=COEFFS)
+def test_geometric_length_bounds_endpoint_distance(a, b):
+    # a path is at least as long as the C^0 distance of its ends, with
+    # equality when one harmonic moves.  The last refinement pass of the
+    # l_B sweep samples 1/512^2 of a turn apart, where a speed peak of these
+    # paths reads low by at most about 1e-9 relative; one pass read up to 1e-7
+    path = ho.support_interp_path(_admissible(a), _admissible(b))
+    lower = c0_distance(path.table(0.0), path.table(1.0))
+    assert ho.path_geometric_length(path, 33, 512) >= lower * (1.0 - 2e-9)
