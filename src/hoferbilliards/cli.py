@@ -11,6 +11,7 @@ thread counts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -234,9 +235,8 @@ def cmd_polygon_independence(args):
     fam_a = sm.family_from_polygon(poly, width=args.width)
     fam_b = sm.family_from_polygon(poly, width=args.width2)
     slope, gaps = sm.independence_slope(fam_a, fam_b)
-    scales = [0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125]
     out = _outdir(args) / "independence.csv"
-    _write_csv(out, ["s", "gap"], list(zip(scales, gaps)))
+    _write_csv(out, ["s", "gap"], list(zip(sm.INDEPENDENCE_SCALES, gaps)))
     passed = bool(0.9 <= slope <= 1.1)
     _emit({"slope": slope, "pass": passed, "file": str(out)})
     _note(f"profile-independence log-log slope {slope:.4f} (pass: {passed})")
@@ -454,8 +454,7 @@ def cmd_verify_all(args):
                list(zip(tail.nodes, tail.speeds, tail.partial_sums, tail.corrected)))
     fam_b = sm.family_from_polygon(unit_square(), width=0.005)
     slope, gaps = sm.independence_slope(fam, fam_b, q_nodes=2048)
-    _write_csv(outdir / "independence.csv", ["s", "gap"],
-               list(zip([0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125], gaps)))
+    _write_csv(outdir / "independence.csv", ["s", "gap"], list(zip(sm.INDEPENDENCE_SCALES, gaps)))
     smoothing_ok = (
         affine_resid < 1e-9
         and bool(np.all(np.diff(tail.increments) < 0))
@@ -534,29 +533,29 @@ def build_parser():
     g = sub.add_parser("table").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("inspect")
     common(sp, table=True)
-    sp.set_defaults(fn=cmd_table_inspect)
+    sp.set_defaults(fn="cmd_table_inspect")
     sp = g.add_parser("sample")
     common(sp, table=True)
     sp.add_argument("--grid-q", type=int, default=1024)
-    sp.set_defaults(fn=cmd_table_sample)
+    sp.set_defaults(fn="cmd_table_sample")
 
     g = sub.add_parser("map").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("eval")
     common(sp, table=True)
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
-    sp.set_defaults(fn=cmd_map_eval)
+    sp.set_defaults(fn="cmd_map_eval")
     sp = g.add_parser("iterate")
     common(sp, table=True)
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--steps", type=int, default=100)
-    sp.set_defaults(fn=cmd_map_iterate)
+    sp.set_defaults(fn="cmd_map_iterate")
     sp = g.add_parser("portrait")
     common(sp, table=True)
     sp.add_argument("--seeds", type=int, default=40)
     sp.add_argument("--steps", type=int, default=200)
-    sp.set_defaults(fn=cmd_map_portrait)
+    sp.set_defaults(fn="cmd_map_portrait")
 
     g = sub.add_parser("hofer").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("length")
@@ -566,54 +565,54 @@ def build_parser():
     sp.add_argument("--grid-s", type=int, default=65)
     sp.add_argument("--dump-field", action="store_true",
                     help="also sample the Hamiltonian field to CSV (s, Q, P, H)")
-    sp.set_defaults(fn=cmd_hofer_length)
+    sp.set_defaults(fn="cmd_hofer_length")
     sp = g.add_parser("compare")
     common(sp, path=True)
-    sp.set_defaults(fn=cmd_hofer_compare)
+    sp.set_defaults(fn="cmd_hofer_compare")
     sp = g.add_parser("hjresidual")
     common(sp, path=True)
     sp.add_argument("--s", type=float, default=0.5)
     sp.add_argument("--points", type=int, default=100)
-    sp.set_defaults(fn=cmd_hofer_hjresidual)
+    sp.set_defaults(fn="cmd_hofer_hjresidual")
 
     g = sub.add_parser("polygon").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("family")
     common(sp)
     sp.add_argument("--polygon", required=True)
     sp.add_argument("--width", type=float, default=None)
-    sp.set_defaults(fn=cmd_polygon_family)
+    sp.set_defaults(fn="cmd_polygon_family")
     sp = g.add_parser("cauchy")
     common(sp)
     sp.add_argument("--polygon", required=True)
     sp.add_argument("--width", type=float, default=None)
     sp.add_argument("--s0", type=float, default=1.0)
     sp.add_argument("--levels", type=int, default=8)
-    sp.set_defaults(fn=cmd_polygon_cauchy)
+    sp.set_defaults(fn="cmd_polygon_cauchy")
     sp = g.add_parser("independence")
     common(sp)
     sp.add_argument("--polygon", required=True)
     sp.add_argument("--width", type=float, default=0.01)
     sp.add_argument("--width2", type=float, default=0.005)
-    sp.set_defaults(fn=cmd_polygon_independence)
+    sp.set_defaults(fn="cmd_polygon_independence")
 
     g = sub.add_parser("orbits").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("find")
     common(sp, table=True)
     sp.add_argument("--period", type=int, required=True)
     sp.add_argument("--seeds", type=int, default=32)
-    sp.set_defaults(fn=cmd_orbits_find)
+    sp.set_defaults(fn="cmd_orbits_find")
     sp = g.add_parser("gap")
     common(sp, table=True, table2=True)
     sp.add_argument("--period", type=int, required=True)
     sp.add_argument("--grid-q", type=int, default=64)
-    sp.set_defaults(fn=cmd_orbits_gap)
+    sp.set_defaults(fn="cmd_orbits_gap")
     sp = g.add_parser("experiment")
     common(sp, table=True, table2=True)
     sp.add_argument("--period", type=int, required=True)
     sp.add_argument("--radius", type=float, default=0.05)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--seeds", type=int, default=16)
-    sp.set_defaults(fn=cmd_orbits_experiment)
+    sp.set_defaults(fn="cmd_orbits_experiment")
 
     g = sub.add_parser("barcode").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("compute")
@@ -622,43 +621,53 @@ def build_parser():
     sp.add_argument("--resolution", type=int, default=64)
     sp.add_argument("--dump-grid", action="store_true",
                     help="also write the sampled grid (JSON header + raw doubles)")
-    sp.set_defaults(fn=cmd_barcode_compute)
+    sp.set_defaults(fn="cmd_barcode_compute")
     sp = g.add_parser("bottleneck")
     common(sp)
     sp.add_argument("--barcode", required=True)
     sp.add_argument("--barcode2", required=True)
     sp.add_argument("--degree", type=int, default=0)
-    sp.set_defaults(fn=cmd_barcode_bottleneck)
+    sp.set_defaults(fn="cmd_barcode_bottleneck")
     sp = g.add_parser("stability")
     common(sp, table=True, table2=True)
     sp.add_argument("--period", type=int, default=2)
     sp.add_argument("--resolution", type=int, default=64)
-    sp.set_defaults(fn=cmd_barcode_stability)
+    sp.set_defaults(fn="cmd_barcode_stability")
 
     sp = sub.add_parser("reconstruct")
     common(sp, table=False)
     sp.add_argument("--table", help="table spec JSON file (round-trip mode)")
     sp.add_argument("--chords", help="chord data JSON file")
     sp.add_argument("--samples", type=int, default=256)
-    sp.set_defaults(fn=cmd_reconstruct, cmd="reconstruct")
+    sp.set_defaults(fn="cmd_reconstruct", cmd="reconstruct")
 
     g = sub.add_parser("verify").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("all")
     common(sp)
     sp.add_argument("--paths", type=int, default=4, help="random comparison paths")
-    sp.set_defaults(fn=cmd_verify_all)
+    sp.set_defaults(fn="cmd_verify_all")
 
     return p
 
 
+@functools.cache
+def _parser():
+    """The argparse tree, built on first use and shared by every later request."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if getattr(args, "fn", None) is cmd_reconstruct and not (args.table or args.chords):
+    args = _parser().parse_args(argv)
+    if args.group == "reconstruct" and not (args.table or args.chords):
         _emit({"error": "reconstruct needs --table or --chords"})
         return INPUT_ERROR
+    # the shared parser holds command names, not functions: a lookup at
+    # dispatch sees the module's current cmd_* binding
+    fn = globals()[args.fn]
     try:
-        return args.fn(args)
+        return fn(args)
     except (SpecError, OSError, ValueError) as exc:
+        # InvalidWidth and MarkInCorner are ValueErrors: bad widths and marks
         _emit({"error": str(exc)})
         _note(f"input error: {exc}")
         return INPUT_ERROR

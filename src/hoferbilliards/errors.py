@@ -37,12 +37,12 @@ class PerturbationTooLarge(HoferBilliardsError):
     """Normal perturbation violates the C^2-smallness hypothesis."""
 
 
-class InvalidWidth(HoferBilliardsError):
-    """Corner profile width is nonpositive or collides with a neighbor."""
+class InvalidWidth(HoferBilliardsError, ValueError):
+    """Corner profile width is nonpositive or collides with a neighbor (an input error)."""
 
 
-class MarkInCorner(HoferBilliardsError):
-    """Marked point sits inside a corner-rounding neighborhood."""
+class MarkInCorner(HoferBilliardsError, ValueError):
+    """Marked point sits inside a corner-rounding neighborhood (an input error)."""
 
 
 class InconsistentChords(HoferBilliardsError):

@@ -13,6 +13,15 @@ L(s) is affine: L(s) = L_K - s * sum(delta_i), with delta_i the per-corner
 length defect of the profile graph against the corner graph.  The module
 also certifies the Cauchy behaviour of the family as s -> 0 and the O(s)
 independence of the profile choice.
+
+The independence certificate blends the two families' corner profiles at
+the stencil points of a Simpson rule in the blend parameter t; building a
+blended family (four arc-length tables) dominates its cost.  The blend does
+not depend on the scale, so one sweep over the t nodes serves every scale
+of `independence_slope` and builds 2 t_nodes + 2 families whatever the
+number of scales.  Each blended family is dropped as soon as its node is
+done; its slices are evaluated without the slice cache of `curve`, whose
+back reference would tie the family into a cycle.
 """
 
 from __future__ import annotations
@@ -145,7 +154,7 @@ def make_profile(slope: float, width: float) -> CornerProfile:
     tabulated mollifier integrals.
     """
     if width <= 0.0:
-        raise InvalidWidth(f"profile width must be positive, got {width!r}")
+        raise InvalidWidth(f"profile width must be positive, got {float(width)!r}")
     a = float(slope)
     w = float(width)
     if a <= 0.0:
@@ -250,7 +259,9 @@ class SmoothingFamily:
         for i in range(n):
             adj = min(self.edge_len[i - 1], self.edge_len[i])
             if self.widths[i] > adj / 2.0:
-                raise InvalidWidth(f"width {self.widths[i]!r} exceeds half the shortest edge at corner {i}")
+                raise InvalidWidth(
+                    f"width {float(self.widths[i])!r} exceeds half the shortest edge at corner {i}"
+                )
         margin = 1.0 + 1e-3
         for i in range(n):
             if margin * (self.cut[i] + self.cut[(i + 1) % n]) >= self.edge_len[i]:
@@ -406,7 +417,7 @@ def family_from_polygon(
         if width is None:
             width = min(0.01, float(lens.min()) / 4.0)
         if width <= 0.0:
-            raise InvalidWidth(f"profile width must be positive, got {width!r}")
+            raise InvalidWidth(f"profile width must be positive, got {float(width)!r}")
         profiles = [
             make_profile(corner_slope(dirs[i - 1], dirs[i]), width) for i in range(len(V))
         ]
@@ -470,9 +481,64 @@ def cauchy_tail(fam: SmoothingFamily, s0: float, levels: int = 8, q_nodes: int =
     )
 
 
+INDEPENDENCE_SCALES = (0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125)
+
+
 def _family_with_blend(base: SmoothingFamily, other: SmoothingFamily, t: float) -> SmoothingFamily:
     profiles = [p.blend(q, t) for p, q in zip(base.profiles, other.profiles)]
     return SmoothingFamily(base.polygon, profiles)
+
+
+def _ordered_families(fam_a: SmoothingFamily, fam_b: SmoothingFamily):
+    """(lower, upper, coincide): the pair ordered pointwise, corner by corner.
+
+    ``coincide`` is true when every corner's two profiles agree to 1e-14.
+    """
+    if fam_a.polygon is not fam_b.polygon and not np.allclose(
+        fam_a.polygon.vertices, fam_b.polygon.vertices
+    ):
+        raise ValueError("families must share the polygon")
+    xs = np.linspace(-1.0, 1.0, 257)
+    order = []
+    coincide = True
+    for pa, pb in zip(fam_a.profiles, fam_b.profiles):
+        grid = xs * max(pa.width, pb.width)
+        d = pb.f(grid) - pa.f(grid)
+        coincide = coincide and bool(np.all(np.abs(d) <= 1e-14))
+        if np.all(d >= -1e-14):
+            order.append(+1)
+        elif np.all(d <= 1e-14):
+            order.append(-1)
+        else:
+            raise ValueError("corner profiles are not pointwise ordered")
+    if all(o <= 0 for o in order):
+        fam_a, fam_b = fam_b, fam_a
+    elif not all(o >= 0 for o in order):
+        raise ValueError("profile ordering differs between corners")
+    return fam_a, fam_b, coincide
+
+
+def _independence_gaps(fam_a, fam_b, scales, t_nodes, q_nodes):
+    """Independence gap at every scale from one sweep over the blend nodes
+    (see `profile_independence_gap` for the cost and the memory)."""
+    tq, tw = simpson_nodes(t_nodes)
+    q = np.arange(q_nodes) / q_nodes
+    h = 1.0 / (4.0 * (t_nodes - 1))
+    scales = [float(s) for s in scales]
+    totals = [0.0] * len(scales)
+    for t, w in zip(tq, tw):
+        # one-sided second-order stencils at the ends, central inside
+        if t < h:
+            ts, stencil = (t, t + h, t + 2 * h), lambda p: -3.0 * p[0] + 4.0 * p[1] - p[2]
+        elif t > 1.0 - h:
+            ts, stencil = (t, t - h, t - 2 * h), lambda p: 3.0 * p[0] - 4.0 * p[1] + p[2]
+        else:
+            ts, stencil = (t + h, t - h), lambda p: p[0] - p[1]
+        fams = [_family_with_blend(fam_a, fam_b, tt) for tt in ts]
+        for k, s in enumerate(scales):
+            d = stencil([_FamilyCurve(f, s).position(q) for f in fams]) / (2 * h)
+            totals[k] += w * float(np.linalg.norm(d, axis=-1).max())
+    return np.array(totals)
 
 
 def profile_independence_gap(
@@ -487,64 +553,37 @@ def profile_independence_gap(
     ``t`` interpolates the corner profiles of the two families (pointwise
     ordered; families are swapped if needed so the lower one comes first).
     The value is O(s) as s -> 0, which `independence_slope` certifies.
+
+    Cost: the t derivative takes a 2- or 3-point stencil at each of the
+    ``t_nodes`` Simpson nodes, 2 t_nodes + 2 blended families in all (36 at
+    the default 17), each building four arc-length tables.  The same sweep
+    serves every scale of `independence_slope`, so a call with six scales
+    builds no more families than a call with one.  Slices of a blended
+    family are evaluated without being cached on it: a cached slice points
+    back at its family, and the cycle would keep every family alive until
+    the cyclic garbage collector runs.
     """
-    if fam_a.polygon is not fam_b.polygon and not np.allclose(
-        fam_a.polygon.vertices, fam_b.polygon.vertices
-    ):
-        raise ValueError("families must share the polygon")
-    xs = np.linspace(-1.0, 1.0, 257)
-    order = []
-    for pa, pb in zip(fam_a.profiles, fam_b.profiles):
-        grid = xs * max(pa.width, pb.width)
-        d = pb.f(grid) - pa.f(grid)
-        if np.all(d >= -1e-14):
-            order.append(+1)
-        elif np.all(d <= 1e-14):
-            order.append(-1)
-        else:
-            raise ValueError("corner profiles are not pointwise ordered")
-    if all(o <= 0 for o in order):
-        fam_a, fam_b = fam_b, fam_a
-    elif not all(o >= 0 for o in order):
-        raise ValueError("profile ordering differs between corners")
-
-    tq, tw = simpson_nodes(t_nodes)
-    q = np.arange(q_nodes) / q_nodes
-    h = 1.0 / (4.0 * (t_nodes - 1))
-
-    def blend_positions(t):
-        return _family_with_blend(fam_a, fam_b, t)._curve_unchecked(s).position(q)
-
-    total = 0.0
-    for t, w in zip(tq, tw):
-        if t < h:
-            d = (
-                -3.0 * blend_positions(t)
-                + 4.0 * blend_positions(t + h)
-                - blend_positions(t + 2 * h)
-            ) / (2 * h)
-        elif t > 1.0 - h:
-            d = (
-                3.0 * blend_positions(t)
-                - 4.0 * blend_positions(t - h)
-                + blend_positions(t - 2 * h)
-            ) / (2 * h)
-        else:
-            d = (blend_positions(t + h) - blend_positions(t - h)) / (2 * h)
-        total += w * float(np.linalg.norm(d, axis=-1).max())
-    return total
+    lower, upper, _ = _ordered_families(fam_a, fam_b)
+    return _independence_gaps(lower, upper, [s], t_nodes, q_nodes)[0]
 
 
 def independence_slope(
     fam_a: SmoothingFamily,
     fam_b: SmoothingFamily,
-    scales=(0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125),
+    scales=INDEPENDENCE_SCALES,
     t_nodes: int = 17,
     q_nodes: int = 4096,
 ):
-    """Log-log slope of the independence gap over the scale sweep."""
+    """Log-log slope of the independence gap over the scale sweep.
+
+    Raises ValueError when the two families have the same profile at every
+    corner: their gaps are roundoff, and a line through them means nothing.
+    """
+    lower, upper, coincide = _ordered_families(fam_a, fam_b)
+    if coincide:
+        raise ValueError("the two families have the same profile at every corner; their gaps are roundoff")
     scales = np.asarray(scales, dtype=float)
-    gaps = np.array([profile_independence_gap(fam_a, fam_b, float(s), t_nodes, q_nodes) for s in scales])
+    gaps = _independence_gaps(lower, upper, scales, t_nodes, q_nodes)
     slope = float(np.polyfit(np.log(scales), np.log(gaps), 1)[0])
     return slope, gaps
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import FourierSupportSpec, PolygonSpec, TableCurve, disc_table, build_fourier_table
+from .errors import InvalidWidth, MarkInCorner
 from .homotopy import TablePath, normal_perturbation_path, support_interp_path, translation_path
 
 
@@ -70,6 +71,10 @@ def load_table(source) -> TableCurve:
             return fam.curve(float(obj["scale"]))
         except (KeyError, TypeError) as exc:
             raise SpecError(f"table.{exc}: missing or malformed field") from exc
+        except InvalidWidth as exc:
+            raise SpecError(f"table.profile_width: {exc}") from exc
+        except MarkInCorner as exc:
+            raise SpecError(f"table.mark: {exc}") from exc
     raise SpecError(f"table.type: unknown kind {kind!r}")
 
 

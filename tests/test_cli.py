@@ -156,3 +156,68 @@ def test_newton_bisect_failure_is_typed():
     with pytest.raises(SolverDidNotConverge) as info:
         newton_bisect(flat, lo=0.0, hi=1.0, seed=np.array([0.5]), increasing=True, maxiter=5)
     assert isinstance(info.value, ArithmeticError)
+
+
+_SQUARE = {"vertices": [[0.125, -0.125], [0.125, 0.125], [-0.125, 0.125], [-0.125, -0.125]], "mark": 0.125}
+
+
+@pytest.mark.parametrize(
+    "extra, polygon, message",
+    [
+        (["--width", "0"], _SQUARE, "profile width must be positive, got 0.0"),
+        (["--width", "0.2"], _SQUARE, "width 0.2 exceeds half the shortest edge"),
+        ([], dict(_SQUARE, mark=0.25), "marked point lies inside a corner neighborhood"),
+        (["--width", "0.01", "--width2", "0.01"], _SQUARE, "same profile at every corner"),
+    ],
+)
+def test_polygon_input_errors_exit_1(tmp_path, capsys, extra, polygon, message):
+    poly = _write(tmp_path, "poly.json", polygon)
+    code = main(["polygon", "independence", "--polygon", poly, "--out", str(tmp_path / "out")] + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert message in json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert "input error" in captured.err and "np.float64" not in captured.err
+
+
+def test_smoothed_polygon_spec_errors_are_spec_errors(tmp_path, capsys):
+    spec = dict(_SQUARE, type="smoothed_polygon", profile_width=0.2, scale=0.5)
+    with pytest.raises(SpecError, match="profile_width"):
+        load_table(spec)
+    with pytest.raises(SpecError, match="mark"):
+        load_table(dict(spec, profile_width=0.01, mark=0.25))
+    assert main(["table", "inspect", "--table", _write(tmp_path, "t.json", spec)]) == 1
+
+
+def test_independence_certificate_failure_exits_2(tmp_path, capsys, monkeypatch):
+    import hoferbilliards.cli as cli
+
+    monkeypatch.setattr(cli.sm, "independence_slope", lambda *a, **k: (0.5, np.ones(6)))
+    poly = _write(tmp_path, "poly.json", _SQUARE)
+    assert main(["polygon", "independence", "--polygon", poly, "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().out)["pass"] is False
+
+
+def test_parser_is_built_once_and_requests_share_no_state(tmp_path, capsys, monkeypatch):
+    import hoferbilliards.cli as cli
+
+    seen = []
+    with monkeypatch.context() as patch:
+        for name in ("cmd_polygon_family", "cmd_map_eval"):
+            patch.setattr(cli, name, lambda args: seen.append(vars(args).copy()) or 0)
+        # the shared parser is built here, while the commands are patched
+        cli._parser.cache_clear()
+        patch.setattr(cli, "build_parser", lambda real=cli.build_parser: seen.append("built") or real())
+        poly = _write(tmp_path, "poly.json", _SQUARE)
+        table = _write(tmp_path, "disc.json", {"type": "disc"})
+        assert main(["polygon", "family", "--polygon", poly, "--width", "0.003", "--seed", "9"]) == 0
+        assert main(["map", "eval", "--table", table, "--q", "0", "--p", "0.5"]) == 0
+        assert main(["polygon", "family", "--polygon", poly]) == 0
+    built, first, second, third = seen
+    assert built == "built"
+    assert (first["width"], first["seed"]) == (0.003, 9)
+    assert second["seed"] == 0 and "width" not in second and "polygon" not in second
+    assert (third["width"], third["seed"]) == (None, 0) and "q" not in third
+    # the parser outlives the patch and dispatches to the restored command
+    capsys.readouterr()
+    assert main(["map", "eval", "--table", table, "--q", "0", "--p", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["Q"] == pytest.approx(1 / 3, abs=1e-9)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from hoferbilliards import smoothing as sm
 from hoferbilliards.billiard import forward_arrays, map_jacobian
 from hoferbilliards.curves import PolygonBoundary
 from hoferbilliards.errors import InvalidWidth, MarkInCorner
-from hoferbilliards.homotopy import path_geometric_length
+from hoferbilliards.homotopy import path_geometric_length, simpson_nodes
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +169,103 @@ def test_independence_slope():
     scales = np.array([0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125])
     ratios = gaps / scales
     assert ratios.max() <= 2.0 * ratios.min()
+
+
+def _gap_by_scale_then_node(fam_a, fam_b, s, t_nodes, q_nodes):
+    """The independence gap as a loop over scales outside and nodes inside,
+    one freshly built blended family per (scale, stencil t)."""
+    tq, tw = simpson_nodes(t_nodes)
+    q = np.arange(q_nodes) / q_nodes
+    h = 1.0 / (4.0 * (t_nodes - 1))
+
+    def blend_positions(t):
+        return sm._family_with_blend(fam_a, fam_b, t)._curve_unchecked(s).position(q)
+
+    total = 0.0
+    for t, w in zip(tq, tw):
+        if t < h:
+            d = (-3.0 * blend_positions(t) + 4.0 * blend_positions(t + h) - blend_positions(t + 2 * h)) / (2 * h)
+        elif t > 1.0 - h:
+            d = (3.0 * blend_positions(t) - 4.0 * blend_positions(t - h) + blend_positions(t - 2 * h)) / (2 * h)
+        else:
+            d = (blend_positions(t + h) - blend_positions(t - h)) / (2 * h)
+        total += w * float(np.linalg.norm(d, axis=-1).max())
+    return total
+
+
+@pytest.fixture(scope="module")
+def width_pair():
+    # the family with the wider profiles lies below the narrower one
+    return sm.family_from_polygon(unit_square(), width=0.005), sm.family_from_polygon(unit_square(), width=0.01)
+
+
+def test_independence_gaps_match_per_scale_loop_bitwise(width_pair):
+    fam_lo, fam_hi = width_pair
+    scales = (0.25, 0.0625, 0.015625)
+    _, gaps = sm.independence_slope(fam_lo, fam_hi, scales=scales, t_nodes=5, q_nodes=256)
+    ref = [_gap_by_scale_then_node(fam_lo, fam_hi, s, 5, 256) for s in scales]
+    assert gaps.tolist() == ref
+    # argument order does not matter, and the one-scale entry point agrees
+    assert sm.profile_independence_gap(fam_hi, fam_lo, 0.0625, t_nodes=5, q_nodes=256) == ref[1]
+
+
+@pytest.fixture
+def blend_log(monkeypatch):
+    """Weak references to every blended family built through the module."""
+    refs = []
+    build = sm._family_with_blend
+
+    def logged(base, other, t):
+        fam = build(base, other, t)
+        refs.append(weakref.ref(fam))
+        return fam
+
+    monkeypatch.setattr(sm, "_family_with_blend", logged)
+    return refs
+
+
+def test_independence_sweep_builds_each_blend_once(width_pair, blend_log):
+    fam_a, fam_b = width_pair
+    # 17 nodes: 15 central stencils of 2 families and 2 one-sided ones of 3
+    sm.profile_independence_gap(fam_a, fam_b, 0.25, t_nodes=17, q_nodes=128)
+    assert len(blend_log) == 36
+    sm.independence_slope(fam_a, fam_b, t_nodes=17, q_nodes=128)
+    assert len(blend_log) == 72
+
+
+def test_blended_families_die_by_refcount(width_pair, blend_log):
+    fam_a, fam_b = width_pair
+    gc.collect()
+    gc.disable()
+    try:
+        sm.independence_slope(fam_a, fam_b, t_nodes=5, q_nodes=128)
+        assert len(blend_log) == 12
+        assert all(ref() is None for ref in blend_log)
+    finally:
+        gc.enable()
+
+
+def test_independence_slope_rejects_identical_profiles(square_family):
+    twin = sm.family_from_polygon(unit_square())
+    with pytest.raises(ValueError, match="same profile at every corner"):
+        sm.independence_slope(square_family, twin, t_nodes=5, q_nodes=128)
+    assert sm.profile_independence_gap(square_family, twin, 0.25, t_nodes=5, q_nodes=128) < 1e-12
+
+
+def test_independence_slope_default_scales(width_pair):
+    fam_a, fam_b = width_pair
+    _, gaps = sm.independence_slope(fam_a, fam_b, t_nodes=3, q_nodes=128)
+    assert len(gaps) == len(sm.INDEPENDENCE_SCALES)
+    assert gaps[-1] == sm.profile_independence_gap(fam_a, fam_b, sm.INDEPENDENCE_SCALES[-1], t_nodes=3, q_nodes=128)
+
+
+def test_width_error_message_formats_plain_floats():
+    with pytest.raises(InvalidWidth, match=r"width 0\.2 exceeds") as info:
+        sm.family_from_polygon(unit_square(), width=np.float64(0.2))
+    assert "np.float64" not in str(info.value)
+    with pytest.raises(InvalidWidth, match=r"got 0\.0$"):
+        sm.make_profile(1.0, np.float64(0.0))
+    assert issubclass(InvalidWidth, ValueError) and issubclass(MarkInCorner, ValueError)
 
 
 def test_restricted_path_tail_bounds_summable(square_family):
