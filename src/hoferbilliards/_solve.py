@@ -31,7 +31,11 @@ def newton_bisect(
     states the residual's monotonicity, so the bracket is updated from the
     sign of the residual at each iterate without ever evaluating the
     endpoints (where the residual may be ill-conditioned).  Newton steps
-    that leave the bracket fall back to bisection.
+    that leave the bracket fall back to bisection, and so does the step
+    after an iterate whose |residual| is not at most half the previous
+    one (the ``rtsafe`` guard of Numerical Recipes, section 9.4): a Newton
+    iteration that cycles inside the bracket would otherwise shrink it
+    ever more slowly.
 
     Components stop at |residual| <= tol; after ``relax_after`` iterations
     the acceptance widens to ``relax_tol`` (the solves near a grazing chord
@@ -47,14 +51,18 @@ def newton_bisect(
     np.clip(x, lo, hi, out=x)
 
     active = np.arange(x.size)
-    worst = 0.0
+    prev = np.inf  # |residual| of the active components at their previous iterate
     for it in range(maxiter):
         r, dr = fun(x[active], active)
+        ar = np.abs(r)
         tol_now = tol if it < relax_after else relax_tol
-        keep = np.abs(r) > tol_now
+        keep = ar > tol_now
         if not keep.any():
             active = active[:0]
             break
+        # rtsafe guard: a step that did not halve |residual| bisects next
+        stalled = (ar > 0.5 * prev)[keep]
+        prev = ar[keep]
         act = active[keep]
         r = r[keep]
         dr = dr[keep]
@@ -68,11 +76,10 @@ def newton_bisect(
             hi[act[~pos]] = xa[~pos]
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = xa - r / dr
-        bad = ~np.isfinite(xn) | (xn <= lo[act]) | (xn >= hi[act])
+        bad = stalled | ~np.isfinite(xn) | (xn <= lo[act]) | (xn >= hi[act])
         xn[bad] = 0.5 * (lo[act][bad] + hi[act][bad])
         x[act] = xn
         active = act
-        worst = float(np.max(np.abs(r)))
     if active.size:
         r, _ = fun(x[active], active)
         worst = float(np.max(np.abs(r)))

@@ -23,7 +23,11 @@ once per iterate.  Concrete representations:
 * ``SampledCurve`` -- spectral (trigonometric-interpolation) representation of
   a smooth closed curve given by samples or a callable; used for perturbed
   and reconstructed tables.  The native parameter is the raw sample
-  parameter u, with closed-form cumulative arc length.
+  parameter u, with closed-form cumulative arc length.  Its series are
+  evaluated without a dense (points x modes) exp matrix: at arbitrary
+  points from powers of e^(2 pi i u) filled by doubling, in blocks of
+  EVAL_CHUNK points (about 17 MB of powers per block at 513 modes, however
+  large the batch); on a uniform grid u = j/n by one inverse FFT.
 * smoothed polygon boundaries live in :mod:`hoferbilliards.smoothing`; like
   polygons they use q as their native parameter.
 """
@@ -398,33 +402,96 @@ def rigid_motion(table: TableCurve, angle: float = 0.0, offset=(0.0, 0.0)) -> Ta
 # ---------------------------------------------------------------------------
 
 
+# points per block of the off-grid evaluation: one block's power matrix is
+# EVAL_CHUNK x modes complex numbers, about 17 MB at 513 modes
+EVAL_CHUNK = 2048
+
+
 class _TrigSeries:
-    """Trigonometric interpolant of periodic complex samples."""
+    """Trigonometric interpolant of periodic complex samples.
+
+    ``coef`` holds the coefficients c_k of sum_k c_k e^(2 pi i k u) for the
+    contiguous frequencies ``k`` = -(m//2) .. m//2; for an even sample count
+    m the Nyquist mode is split evenly between -m/2 and m/2, so the series
+    of real samples stays real between the nodes.
+
+    Every evaluation is a sum sum_k w_k e^(2 pi i k u) for some weight
+    vector w (c_k times (2 pi i k)^deriv, or any other weights on the same
+    frequencies), computed in one of two ways:
+
+    * ``evaluate`` at arbitrary points: the powers z^k, z = e^(2 pi i u),
+      are filled by doubling from z^k_min (one block multiply per power of
+      two, with each factor z^(2^j) taken from the exact product 2^j u mod
+      1), then multiplied by a stack of weight vectors.  Points go in blocks
+      of EVAL_CHUNK, so memory stays bounded whatever the batch size.
+    * ``on_grid`` at the uniform points u = j/n: the weights are folded by
+      k mod n, which is exact on the grid, and one inverse FFT returns all
+      n values.
+    """
 
     def __init__(self, samples: np.ndarray):
         m = samples.size
-        coef = np.fft.fft(samples) / m
-        self.k = np.fft.fftfreq(m, d=1.0 / m)  # integer frequencies
+        coef = np.fft.fftshift(np.fft.fft(samples) / m)
+        self.k = np.arange(-(m // 2), m // 2 + 1)
         if m % 2 == 0:
-            # split the Nyquist mode symmetrically so evaluation stays real-analytic
-            coef = coef.copy()
-            ny = m // 2
-            idx = np.argmin(np.abs(self.k + ny))
-            self.k = np.append(self.k, ny)
-            coef = np.append(coef, 0.5 * coef[idx])
-            coef[idx] *= 0.5
+            coef = np.append(coef, 0.5 * coef[0])
+            coef[0] *= 0.5
         self.coef = coef
 
-    def __call__(self, u, deriv=0):
+    def weights(self, deriv=0):
+        """Weights c_k (2 pi i k)^deriv of the deriv-th derivative."""
+        return self.coef * (2j * np.pi * self.k) ** deriv
+
+    def evaluate(self, u, weights):
+        """sum_k w_k e^(2 pi i k u) for each weight column w; shape u.shape + weights.shape[1:]."""
         u = np.asarray(u, dtype=float)
-        w = self.coef * (2j * np.pi * self.k) ** deriv
-        phase = np.exp(2j * np.pi * np.multiply.outer(u, self.k))
-        return phase @ w
+        flat = u.reshape(-1)
+        out = np.empty((flat.size,) + weights.shape[1:], dtype=complex)
+        for a in range(0, flat.size, EVAL_CHUNK):
+            out[a : a + EVAL_CHUNK] = (weights.T @ self._powers(flat[a : a + EVAL_CHUNK])).T
+        return out.reshape(u.shape + weights.shape[1:])
+
+    def _powers(self, u):
+        """(modes, points) matrix of z^k, z = e^(2 pi i u), k = k[0] .. k[-1].
+
+        Modes run along the first axis, so every doubling step multiplies
+        whole contiguous rows.
+        """
+        nk = self.k.size
+        # z^b for b = 2^j < nk; b * u is exact in floating point, so each
+        # phase is reduced mod 1 without rounding
+        steps = [1 << j for j in range(max(nk - 1, 1).bit_length())]
+        zpow = np.exp(2j * np.pi * np.mod(np.multiply.outer(steps, u), 1.0))
+        p = np.empty((nk, u.size), dtype=complex)
+        # z^k[0] = conj(z^-k[0]) from the binary digits of -k[0] >= 0
+        p[0] = 1.0
+        for b, zb in zip(steps, zpow):
+            if -self.k[0] & b:
+                p[0] *= zb
+        np.conj(p[0], out=p[0])
+        for b, zb in zip(steps, zpow):
+            np.multiply(p[: min(b, nk - b)], zb, out=p[b : 2 * b])
+        return p
+
+    def on_grid(self, n, deriv=0):
+        """Values of the deriv-th derivative at u = j/n, j = 0 .. n-1, by one inverse FFT."""
+        w = self.weights(deriv)
+        folded = np.zeros(n, dtype=complex)
+        np.add.at(folded, np.mod(self.k, n), w)
+        return n * np.fft.ifft(folded)
+
+    def __call__(self, u, deriv=0):
+        return self.evaluate(u, self.weights(deriv))
 
     def with_derivative(self, u):
-        """(f(u), f'(u)) from one shared phase evaluation."""
-        phase = np.exp(2j * np.pi * np.multiply.outer(np.asarray(u, dtype=float), self.k))
-        return phase @ self.coef, phase @ (self.coef * (2j * np.pi * self.k))
+        """(f(u), f'(u)) from one shared power matrix."""
+        both = self.evaluate(u, np.stack([self.weights(0), self.weights(1)], axis=1))
+        return both[..., 0], both[..., 1]
+
+
+def _signed_curvature(dz, ddz):
+    """Signed curvature Im(conj(z') z'') / |z'|^3 of a plane curve z(u)."""
+    return np.imag(np.conj(dz) * ddz) / np.abs(dz) ** 3
 
 
 class SampledCurve(TableCurve):
@@ -438,7 +505,15 @@ class SampledCurve(TableCurve):
 
     The native parameter is the raw sample parameter u (period 1): q(u) is
     the closed-form raw arc length times the scale, and the position and
-    tangent share one phase evaluation with dq/du = |z'(u)| * scale.
+    tangent share one power matrix with dq/du = |z'(u)| * scale.
+
+    Evaluation (see ``_TrigSeries``): the speed and curvature on the m
+    sample nodes come from inverse FFTs of z' and z''; off the nodes every
+    query is one chunked power-matrix product, bounded in memory by
+    EVAL_CHUNK points at a time.  The speed series has the frequencies of
+    z, so each iterate of the arc-length Newton ``u_of_q`` evaluates its
+    residual (the integrated speed weights c_k / (2 pi i k), less their
+    sum) and its derivative |z'| from one shared power matrix.
     """
 
     kind = "reconstructed_samples"
@@ -447,19 +522,27 @@ class SampledCurve(TableCurve):
         z = np.asarray(samples[:, 0] + 1j * samples[:, 1])
         m = z.size
         self._z = _TrigSeries(z)
-        grid = np.arange(m) / m
-        dz = self._z(grid, deriv=1)
+        dz = self._z.on_grid(m, 1)
         speed = np.abs(dz)
         if speed.min() <= 0.0:
             raise ValueError("raw parametrization is singular")
-        self._speed = _TrigSeries(speed.astype(complex))
-        self.raw_length = float(np.real(self._speed.coef[0]))
+        speed_series = _TrigSeries(speed.astype(complex))
+        k = speed_series.k
+        self.raw_length = float(np.real(speed_series.coef[k == 0][0]))
+        # raw arc length = raw_length u + sum_{k != 0} c_k/(2 pi i k) (z^k - 1);
+        # the speed series shares the frequencies of z, so one power matrix
+        # serves both columns of the arc-length Newton (this and z')
+        self._arc_w = np.zeros_like(speed_series.coef)
+        self._arc_w[k != 0] = speed_series.coef[k != 0] / (2j * np.pi * k[k != 0])
+        self._arc_w0 = self._arc_w.sum()
+        self._newton_w = np.stack([self._arc_w, self._z.weights(1)], axis=1)
+        self._curvature_w = np.stack([self._z.weights(1), self._z.weights(2)], axis=1)
         centroid = np.sum(z * speed) / np.sum(speed)
         self._center = centroid
         self._scale = 1.0 / self.raw_length
         if kind is not None:
             self.kind = kind
-        kappa = self._raw_curvature(grid)
+        kappa = _signed_curvature(dz, self._z.on_grid(m, 2))
         self.min_curvature = float(kappa.min() * self.raw_length)
         self.strictly_convex = bool(self.min_curvature > CURVATURE_FLOOR)
 
@@ -475,12 +558,7 @@ class SampledCurve(TableCurve):
     def _arclength(self, u):
         """Cumulative raw arc length from parameter 0, closed form in coefficients."""
         u = np.asarray(u, dtype=float)
-        c = self._speed.coef
-        k = self._speed.k
-        nz = k != 0
-        w = np.zeros_like(c)
-        w[nz] = c[nz] / (2j * np.pi * k[nz])
-        osc = (np.exp(2j * np.pi * np.multiply.outer(u, k)) - 1.0) @ w
+        osc = self._z.evaluate(u, self._arc_w) - self._arc_w0
         return self.raw_length * u + np.real(osc)
 
     def u_of_q(self, q):
@@ -489,10 +567,9 @@ class SampledCurve(TableCurve):
         qflat = np.atleast_1d(qr).ravel()
 
         def fun(u, idx):
-            return (
-                self._arclength(u) * self._scale - qflat[idx],
-                np.abs(self._z(u, deriv=1)) * self._scale,
-            )
+            osc, dz = self._z.evaluate(u, self._newton_w).T
+            arc = self.raw_length * u + np.real(osc - self._arc_w0)
+            return arc * self._scale - qflat[idx], np.abs(dz) * self._scale
 
         return newton_bisect(
             fun,
@@ -504,9 +581,8 @@ class SampledCurve(TableCurve):
         )
 
     def _raw_curvature(self, u):
-        dz = self._z(u, deriv=1)
-        ddz = self._z(u, deriv=2)
-        return np.imag(np.conj(dz) * ddz) / np.abs(dz) ** 3
+        both = self._z.evaluate(u, self._curvature_w)
+        return _signed_curvature(both[..., 0], both[..., 1])
 
     def position(self, q):
         u = self.u_of_q(q)

@@ -261,8 +261,8 @@ def normal_perturbation_path(
         raise ValueError("need at least 256 samples of f")
     f = _TrigSeries(f_samples.astype(complex))
     dense = np.arange(4096) / 4096.0
-    fv = np.real(f(dense))
-    dfv = np.real(f(dense, deriv=1))
+    fv = np.real(f.on_grid(dense.size))
+    dfv = np.real(f.on_grid(dense.size, deriv=1))
     sup_f = float(np.abs(fv).max())
     sup_df = float(np.abs(dfv).max())
     k_max = float(np.abs(table.curvature(dense[::2])).max())

@@ -20,12 +20,14 @@ blended family (four arc-length tables) dominates its cost.  The blend does
 not depend on the scale, so one sweep over the t nodes serves every scale
 of `independence_slope` and builds 2 t_nodes + 2 families whatever the
 number of scales.  Each blended family is dropped as soon as its node is
-done; its slices are evaluated without the slice cache of `curve`, whose
-back reference would tie the family into a cycle.
+done.  A family holds its slices only weakly: a slice points back at its
+family, and a strong reference the other way would keep both alive until
+the cyclic garbage collector runs.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,7 +284,7 @@ class SmoothingFamily:
                 "marked point lies inside a corner neighborhood at s = 1; "
                 "use a shifted mark and pass to the limit"
             )
-        self._curves: dict[float, _FamilyCurve] = {}
+        self._slices: weakref.WeakValueDictionary[float, _FamilyCurve] = weakref.WeakValueDictionary()
 
     @property
     def n_corners(self) -> int:
@@ -374,11 +376,13 @@ class SmoothingFamily:
         return self._curve_unchecked(s)
 
     def _curve_unchecked(self, s: float) -> TableCurve:
+        # a slice is only (family, s), so the family holds its live slices
+        # weakly: a slice alive elsewhere is handed out again, and a strong
+        # reference back from the family would tie both into a cycle
         s = float(s)
-        hit = self._curves.get(s)
+        hit = self._slices.get(s)
         if hit is None:
-            hit = _FamilyCurve(self, s)
-            self._curves[s] = hit
+            hit = self._slices[s] = _FamilyCurve(self, s)
         return hit
 
     def edge_point_parameter(self, s: float, edge: int, offset: float) -> float:
@@ -558,10 +562,8 @@ def profile_independence_gap(
     ``t_nodes`` Simpson nodes, 2 t_nodes + 2 blended families in all (36 at
     the default 17), each building four arc-length tables.  The same sweep
     serves every scale of `independence_slope`, so a call with six scales
-    builds no more families than a call with one.  Slices of a blended
-    family are evaluated without being cached on it: a cached slice points
-    back at its family, and the cycle would keep every family alive until
-    the cyclic garbage collector runs.
+    builds no more families than a call with one.  Each blended family is
+    freed by reference counting once its node is done.
     """
     lower, upper, _ = _ordered_families(fam_a, fam_b)
     return _independence_gaps(lower, upper, [s], t_nodes, q_nodes)[0]

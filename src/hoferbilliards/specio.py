@@ -12,7 +12,13 @@ Path spec:
     {"type": "normal_perturbation", "table": <table spec>,
      "f": {"const": c, "cos": [...], "sin": [...]}}
 
-All numbers are IEEE doubles, coordinates in plane units.
+All numbers are IEEE doubles, coordinates in plane units.  ``load_table``
+and ``load_path`` raise only ``SpecError`` (an input error, exit code 1 of
+``hb``), naming the offending field: a malformed field, a table outside
+the admissible class (a support function whose radius of curvature is not
+positive, a polygon that is not convex or whose perimeter is not 1, a
+scale outside (0, 1]), and a path that leaves it (a nonconvex
+interpolated support, a normal perturbation that is not C^2-small).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import FourierSupportSpec, PolygonSpec, TableCurve, disc_table, build_fourier_table
-from .errors import InvalidWidth, MarkInCorner
+from .errors import CurvatureNotPositive, InvalidWidth, MarkInCorner, PerturbationTooLarge
 from .homotopy import TablePath, normal_perturbation_path, support_interp_path, translation_path
 
 
@@ -61,20 +67,38 @@ def load_table(source) -> TableCurve:
     if kind == "disc":
         return disc_table()
     if kind == "fourier_support":
-        return build_fourier_table(_fourier_spec(obj, "table"))
+        spec = _fourier_spec(obj, "table")
+        try:
+            return build_fourier_table(spec)
+        except CurvatureNotPositive as exc:
+            raise SpecError(f"table.c0/cos/sin: inadmissible support function, {exc}") from exc
     if kind == "smoothed_polygon":
         from .smoothing import family_from_polygon
 
         try:
-            poly = PolygonSpec(np.asarray(obj["vertices"], dtype=float), float(obj.get("mark", 0.0)))
+            vertices = obj["vertices"]
+            mark = float(obj.get("mark", 0.0))
+            scale = float(obj["scale"])
+        except KeyError as exc:
+            raise SpecError(f"table.{exc.args[0]}: missing field") from exc
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"table.mark/scale: expected numbers ({exc})") from exc
+        try:
+            poly = PolygonSpec(np.asarray(vertices, dtype=float), mark)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"table.vertices: {exc}") from exc
+        try:
             fam = family_from_polygon(poly, width=obj.get("profile_width"))
-            return fam.curve(float(obj["scale"]))
-        except (KeyError, TypeError) as exc:
-            raise SpecError(f"table.{exc}: missing or malformed field") from exc
         except InvalidWidth as exc:
             raise SpecError(f"table.profile_width: {exc}") from exc
         except MarkInCorner as exc:
             raise SpecError(f"table.mark: {exc}") from exc
+        except TypeError as exc:
+            raise SpecError(f"table.profile_width: malformed field ({exc})") from exc
+        try:
+            return fam.curve(scale)
+        except ValueError as exc:
+            raise SpecError(f"table.scale: {exc}, got {scale!r}") from exc
     raise SpecError(f"table.type: unknown kind {kind!r}")
 
 
@@ -113,9 +137,16 @@ def load_path(source) -> TablePath:
     if kind == "support_interp":
         if "a" not in obj or "b" not in obj:
             raise SpecError("path: support_interp needs 'a' and 'b' fourier specs")
-        return support_interp_path(_fourier_spec(obj["a"], "path.a"), _fourier_spec(obj["b"], "path.b"))
+        a, b = _fourier_spec(obj["a"], "path.a"), _fourier_spec(obj["b"], "path.b")
+        try:
+            return support_interp_path(a, b)
+        except CurvatureNotPositive as exc:
+            raise SpecError(f"path.a/b: {exc}") from exc
     if kind == "normal_perturbation":
         table = load_table(obj.get("table", {"type": "disc"}))
         f = _periodic_samples(obj.get("f", {}), "path.f")
-        return normal_perturbation_path(table, f).path
+        try:
+            return normal_perturbation_path(table, f).path
+        except (PerturbationTooLarge, CurvatureNotPositive) as exc:
+            raise SpecError(f"path.f: {exc}") from exc
     raise SpecError(f"path.type: unknown kind {kind!r}")

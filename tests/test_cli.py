@@ -221,3 +221,33 @@ def test_parser_is_built_once_and_requests_share_no_state(tmp_path, capsys, monk
     capsys.readouterr()
     assert main(["map", "eval", "--table", table, "--q", "0", "--p", "0.5"]) == 0
     assert json.loads(capsys.readouterr().out)["Q"] == pytest.approx(1 / 3, abs=1e-9)
+
+
+_HALF_SQUARE = [[0.25, -0.25], [0.25, 0.25], [-0.25, 0.25], [-0.25, -0.25]]
+
+
+@pytest.mark.parametrize(
+    "command, flag, spec, field, cause",
+    [
+        (["table", "inspect"], "--table", {"type": "fourier_support", "c0": 1, "cos": [0, 0.5]},
+         "table.c0/cos/sin", "CurvatureNotPositive"),
+        (["table", "inspect"], "--table", dict(_SQUARE, type="smoothed_polygon", scale=1.5),
+         "table.scale", "ValueError"),
+        (["table", "inspect"], "--table",
+         {"type": "smoothed_polygon", "vertices": _HALF_SQUARE, "scale": 0.5, "mark": 0.125},
+         "table.vertices", "ValueError"),
+        (["hofer", "compare"], "--path", {"type": "normal_perturbation", "f": {"cos": [0.5]}},
+         "path.f", "PerturbationTooLarge"),
+    ],
+    ids=["curvature", "scale", "perimeter", "perturbation"],
+)
+def test_inadmissible_specs_are_input_errors(tmp_path, capsys, command, flag, spec, field, cause):
+    load = load_path if flag == "--path" else load_table
+    with pytest.raises(SpecError, match=field) as info:
+        load(spec)
+    assert type(info.value.__cause__).__name__ == cause
+    code = main(command + [flag, _write(tmp_path, "spec.json", spec), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert field in json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert "input error" in captured.err

@@ -13,7 +13,8 @@ from hoferbilliards import (
     shift_mark,
     unit_square,
 )
-from hoferbilliards.curves import PolygonBoundary, PolygonSpec, curve_centroid
+from hoferbilliards._solve import newton_bisect
+from hoferbilliards.curves import EVAL_CHUNK, PolygonBoundary, PolygonSpec, _TrigSeries, curve_centroid
 from hoferbilliards.smoothing import family_from_polygon
 from hoferbilliards.errors import CurvatureNotPositive
 
@@ -166,3 +167,126 @@ def test_native_curvature_default_is_curvature():
     t = np.linspace(-1.0, 2.0, 37)
     for table in (PolygonBoundary(unit_square()), family_from_polygon(unit_square()).curve(0.5)):
         assert np.array_equal(table.native_curvature(t), table.curvature(t))
+
+
+# ---------------------------------------------------------------------------
+# the spectral evaluation kernel against the dense exp-matrix formula
+# ---------------------------------------------------------------------------
+
+
+def _dense(series, u, w):
+    """Oracle: sum_k w_k e^(2 pi i k u) from the dense (points x modes) exp matrix."""
+    return np.exp(2j * np.pi * np.multiply.outer(np.asarray(u, dtype=float), series.k)) @ w
+
+
+def _random_series(m):
+    rng = np.random.default_rng(m)
+    return _TrigSeries(rng.normal(size=m) + 1j * rng.normal(size=m)), rng
+
+
+@pytest.mark.parametrize("m", [129, 128], ids=["odd", "even"])
+def test_trig_series_matches_dense_oracle(m):
+    series, rng = _random_series(m)
+    u = rng.uniform(-1.0, 2.0, 600)
+    for deriv in (0, 1, 2):
+        w = series.weights(deriv)
+        assert np.abs(series(u, deriv) - _dense(series, u, w)).max() <= 1e-12 * np.abs(w).sum()
+    f, df = series.with_derivative(u)
+    for got, deriv in ((f, 0), (df, 1)):
+        w = series.weights(deriv)
+        assert np.abs(got - _dense(series, u, w)).max() <= 1e-12 * np.abs(w).sum()
+
+
+@pytest.mark.parametrize("m", [129, 128], ids=["odd", "even"])
+def test_sampled_arclength_matches_dense_oracle(m):
+    rng = np.random.default_rng(m)
+    phase = rng.uniform(0, TWO_PI)
+
+    def bumpy(u):
+        r = 1.0 + 0.05 * np.cos(TWO_PI * 3 * u + phase) + 0.02 * np.sin(TWO_PI * 5 * u)
+        return r[:, None] * np.stack([np.cos(TWO_PI * u), np.sin(TWO_PI * u)], axis=-1)
+
+    curve = SampledCurve.from_function(bumpy, samples=m)
+    # the closed-form arc length, every sum taken with the dense oracle
+    series = curve._z
+    speed = np.abs(_dense(series, np.arange(m) / m, series.weights(1)))
+    speed_series = _TrigSeries(speed.astype(complex))
+    c, k = speed_series.coef, speed_series.k
+    w = np.where(k != 0, c / np.where(k != 0, 2j * np.pi * k, 1.0), 0.0)
+    u = rng.uniform(-1.0, 2.0, 400)
+    expect = np.real(c[k == 0][0]) * u + np.real((np.exp(2j * np.pi * np.multiply.outer(u, k)) - 1.0) @ w)
+    assert np.abs(curve._arclength(u) - expect).max() <= 1e-12 * (np.abs(w).sum() + abs(c[k == 0][0]) * 2.0)
+
+
+@pytest.mark.parametrize("m, n", [(129, 129), (128, 128), (129, 4096), (128, 4096), (128, 64)])
+def test_trig_series_on_grid_matches_dense_oracle(m, n):
+    # n = m: the curve's own grid (for even m the split modes -m/2 and m/2
+    # alias onto one bin); n = 4096: zero padding; n < m folds many modes
+    series, _ = _random_series(m)
+    grid = np.arange(n) / n
+    for deriv in (0, 1, 2):
+        w = series.weights(deriv)
+        assert np.abs(series.on_grid(n, deriv) - _dense(series, grid, w)).max() <= 1e-12 * np.abs(w).sum()
+
+
+def test_trig_series_batch_equals_chunk_by_chunk():
+    series, rng = _random_series(65)
+    u = rng.uniform(-1.0, 2.0, 2 * EVAL_CHUNK + 3)
+    w = np.stack([series.weights(0), series.weights(2)], axis=1)
+    chunks = [series.evaluate(u[a : a + EVAL_CHUNK], w) for a in range(0, u.size, EVAL_CHUNK)]
+    assert np.array_equal(series.evaluate(u, w), np.concatenate(chunks))
+
+
+def test_trig_series_keeps_shapes():
+    series, rng = _random_series(33)
+    u = rng.uniform(0.0, 1.0, (3, 4))
+    assert series(0.25).shape == ()
+    assert series(u, 1).shape == (3, 4)
+    f, df = series.with_derivative(u)
+    assert f.shape == df.shape == (3, 4)
+    assert series.with_derivative(0.25)[1].shape == ()
+    assert series.evaluate(u, np.ones((series.k.size, 2))).shape == (3, 4, 2)
+    assert series(u).ravel().tolist() == series(u.ravel()).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the bracketed Newton: stalls inside the bracket bisect
+# ---------------------------------------------------------------------------
+
+
+def test_newton_bisect_bisects_when_the_residual_does_not_halve():
+    # Newton on sign(x)|x|^0.55 maps x to -0.82 x: every step stays inside
+    # the bracket, and |residual| shrinks by only about 10% per step
+    def fun(x, idx):
+        return np.sign(x) * np.abs(x) ** 0.55, 0.55 * np.abs(x) ** -0.45
+
+    # without the guard 100 iterations end near |residual| 1e-5 and raise
+    x = newton_bisect(fun, lo=-1.0, hi=2.0, seed=np.array([0.7, -0.3]), increasing=True, maxiter=100)
+    assert np.abs(x).max() ** 0.55 <= 1e-10
+
+
+def _small_rho_spec(seed, harmonics, floor):
+    """Many-mode support spec whose radius of curvature dips to ``floor`` times its mean."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, harmonics + 1)
+    decay = 1.0 / k**2.5
+    cos, sin = rng.normal(size=harmonics) * decay, rng.normal(size=harmonics) * decay
+    spec = FourierSupportSpec(0.0, cos, sin)
+    theta = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
+    osc = spec.rho(theta)
+    # rho = c0 + osc, with c0 chosen so min rho = floor * c0
+    c0 = -osc.min() / (1.0 - floor)
+    return FourierSupportSpec(c0, cos, sin)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    seed=st.integers(0, 2**16),
+    harmonics=st.integers(24, 96),
+    floor=st.floats(0.01, 0.05),
+    q=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=16),
+)
+def test_native_roundtrip_on_many_mode_small_rho_specs(seed, harmonics, floor, q):
+    table = build_fourier_table(_small_rho_spec(seed, harmonics, floor))
+    q = np.asarray(q)
+    assert np.abs(table.q_of_native(table.native_of_q(q)) - q).max() <= 1e-13

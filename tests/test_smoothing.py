@@ -7,7 +7,7 @@ import pytest
 from hoferbilliards import c0_distance, regular_polygon, unit_square
 from hoferbilliards import smoothing as sm
 from hoferbilliards.billiard import forward_arrays, map_jacobian
-from hoferbilliards.curves import PolygonBoundary
+from hoferbilliards.curves import PolygonBoundary, PolygonSpec
 from hoferbilliards.errors import InvalidWidth, MarkInCorner
 from hoferbilliards.homotopy import path_geometric_length, simpson_nodes
 
@@ -300,3 +300,40 @@ def test_lift_supports_billiard_map(square_family):
     Q1, P1 = forward_arrays(lift, np.array([0.3]), np.array([0.2]))
     Q2, P2 = forward_arrays(lift, Q1, -P1)
     assert abs((Q2 - 0.3) % 1.0) < 1e-8 or abs((Q2 - 0.3) % 1.0 - 1.0) < 1e-8
+
+
+def test_family_dies_by_refcount_after_cauchy_tail():
+    gc.collect()
+    gc.disable()
+    try:
+        fam = sm.family_from_polygon(unit_square())
+        ref = weakref.ref(fam)
+        sm.cauchy_tail(fam, 1.0, q_nodes=256)
+        del fam
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_curvature_lift_where_theta_newton_stalled():
+    # landscape inputs of default_rng([959, 6]): theta_of_q on the 96-mode
+    # lift cycled inside its bracket at q = 0.489013671875 until it raised
+    hexagon = PolygonSpec(
+        np.array([
+            [0.09212910886569128, -0.1388884627223996],
+            [0.16634549144301172, 0.010341917344511002],
+            [0.0742163825773204, 0.1492303800669106],
+            [-0.09212910886569126, 0.13888846272239963],
+            [-0.16634549144301172, -0.010341917344510981],
+            [-0.0742163825773205, -0.14923038006691056],
+        ]),
+        mark=0.7534324681278349,
+    )
+    s, eps = 0.5801017530954131, 0.029478784602341285
+    fam = sm.family_from_polygon(hexagon)
+    lift = sm.positive_curvature_lift(fam, s, eps)
+    assert lift.strictly_convex
+    fourier = lift.base.base
+    q = np.array([0.489013671875, 0.989013671875])
+    assert np.abs(fourier.spec.arclength(fourier.theta_of_q(q)) - q).max() <= 1e-13
+    assert c0_distance(lift, fam.curve(s), grid=4096) < 2 * eps
