@@ -11,19 +11,14 @@ import numpy as np
 
 from .errors import SolverDidNotConverge
 
+# tolerances shared by every caller; see newton_bisect
+TOL = 1e-13
+RELAX_AFTER = 30
+RELAX_TOL = 1e-10
+FAIL_TOL = 1e-9
 
-def newton_bisect(
-    fun,
-    lo,
-    hi,
-    seed,
-    increasing,
-    tol=1e-13,
-    maxiter=100,
-    relax_after=30,
-    relax_tol=1e-10,
-    fail_tol=1e-9,
-):
+
+def newton_bisect(fun, lo, hi, seed, increasing, maxiter=100):
     """Solve fun(x, idx) == 0 componentwise for x in (lo, hi).
 
     ``fun`` maps an active-subset array x and its flat indices into the
@@ -37,11 +32,12 @@ def newton_bisect(
     iteration that cycles inside the bracket would otherwise shrink it
     ever more slowly.
 
-    Components stop at |residual| <= tol; after ``relax_after`` iterations
-    the acceptance widens to ``relax_tol`` (the solves near a grazing chord
-    are noise-limited well above machine epsilon).  Raises
-    SolverDidNotConverge (an ArithmeticError) only if some component stays
-    above ``fail_tol``.
+    The tolerances are the module constants, one set for every caller:
+    components stop at |residual| <= TOL (1e-13); after RELAX_AFTER (30)
+    iterations the acceptance widens to RELAX_TOL (1e-10), since the solves
+    near a grazing chord are noise-limited well above machine epsilon.
+    Raises SolverDidNotConverge (an ArithmeticError) only if some component
+    is still above FAIL_TOL (1e-9) after ``maxiter`` iterations.
     """
     x = np.array(seed, dtype=float, copy=True)
     shape = x.shape
@@ -55,7 +51,7 @@ def newton_bisect(
     for it in range(maxiter):
         r, dr = fun(x[active], active)
         ar = np.abs(r)
-        tol_now = tol if it < relax_after else relax_tol
+        tol_now = TOL if it < RELAX_AFTER else RELAX_TOL
         keep = ar > tol_now
         if not keep.any():
             active = active[:0]
@@ -83,6 +79,6 @@ def newton_bisect(
     if active.size:
         r, _ = fun(x[active], active)
         worst = float(np.max(np.abs(r)))
-        if worst > fail_tol:
+        if worst > FAIL_TOL:
             raise SolverDidNotConverge(f"newton_bisect: no convergence, residual {worst:.3e}")
     return x.reshape(shape)

@@ -25,7 +25,6 @@ from .errors import DiagonalPoint, NearGrazing, NotStrictlyConvex
 
 GRAZING_CUTOFF = 1e-9
 DIAGONAL_TOL = 1e-12
-SOLVE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ def native_start(table: TableCurve, q):
     return t, pos, tan
 
 
-def forward_chord(table: TableCurve, q, p, newton_tol=SOLVE_TOL, seed=None, start=None):
+def forward_chord(table: TableCurve, q, p, seed=None, start=None):
     """Vectorized bounce solve returning the full chord data.
 
     The solve runs in the table's native parameter t (see
@@ -92,6 +91,10 @@ def forward_chord(table: TableCurve, q, p, newton_tol=SOLVE_TOL, seed=None, star
 
     Returns (Q, P, pos_q, tan_q, pos_Q, tan_Q, t_Q): Q is converted from the
     landing parameter t_Q once, at the end, and is unreduced in (q, q+1).
+    Callers that need only the bounce take ``forward_chord(...)[:2]``, and
+    the inverse bounce is the time reversal of ``forward_chord(table, Q, -P)``.
+    No check of strict convexity or grazing is made here; ``iterate`` makes
+    both.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -128,8 +131,6 @@ def forward_chord(table: TableCurve, q, p, newton_tol=SOLVE_TOL, seed=None, star
         hi=t_q + period - delta,
         seed=seed,
         increasing=False,
-        tol=newton_tol,
-        maxiter=100,
     )
     pos_Q, tan_Q, _ = table.native_frame(t)
     u = pos_Q - pos_q
@@ -145,45 +146,6 @@ def forward_chord(table: TableCurve, q, p, newton_tol=SOLVE_TOL, seed=None, star
         tan_Q.reshape(shape + (2,)),
         t.reshape(shape),
     )
-
-
-def forward_arrays(table: TableCurve, q, p, newton_tol=SOLVE_TOL, seed=None):
-    """Vectorized bounce solve; returns (Q, P) with Q unreduced in (q, q+1).
-
-    ``seed`` is a warm start in the table's native parameter.
-    """
-    Q, P = forward_chord(table, q, p, newton_tol, seed)[:2]
-    return Q, P
-
-
-def inverse_arrays(table: TableCurve, Q, P, seed=None):
-    """Time reversal R o forward o R with R(q, p) = (q, -p); unreduced output.
-
-    ``seed`` is a warm start in the table's native parameter.
-    """
-    q, p = forward_arrays(table, Q, -np.asarray(P, dtype=float), seed=seed)
-    return q, -p
-
-
-def _require_map_input(table: TableCurve, p):
-    if not table.strictly_convex:
-        raise NotStrictlyConvex(f"{table.kind} table is not strictly convex")
-    if np.any(np.abs(p) > 1.0 - GRAZING_CUTOFF):
-        raise NearGrazing(f"|p| exceeds {1.0 - GRAZING_CUTOFF!r}")
-
-
-def forward_map(table: TableCurve, x: AnnulusPoint) -> AnnulusPoint:
-    """One bounce of the billiard ball map."""
-    _require_map_input(table, x.p)
-    Q, P = forward_arrays(table, x.q, x.p)
-    return AnnulusPoint(float(Q), float(P))
-
-
-def inverse_map(table: TableCurve, x: AnnulusPoint) -> AnnulusPoint:
-    """Inverse bounce; forward_map(inverse_map(x)) == x to solver accuracy."""
-    _require_map_input(table, x.p)
-    q, p = inverse_arrays(table, x.q, x.p)
-    return AnnulusPoint(float(q), float(p))
 
 
 def trajectory_arrays(table: TableCurve, q, p, steps: int):
@@ -234,12 +196,23 @@ def iterate(table: TableCurve, x: AnnulusPoint, n: int):
     return [AnnulusPoint(q, p) for q, p in zip(qs.tolist(), ps.tolist())]
 
 
-def map_jacobian(table: TableCurve, q, p, step: float = 1e-5):
-    """Central-difference Jacobian of the ball map at (q, p), unreduced in Q."""
-    Qp, Pp = forward_arrays(table, q + step, p)
-    Qm, Pm = forward_arrays(table, q - step, p)
-    Qu, Pu = forward_arrays(table, q, p + step)
-    Qd, Pd = forward_arrays(table, q, p - step)
+def forward_map(table: TableCurve, x: AnnulusPoint) -> AnnulusPoint:
+    """One bounce of the billiard ball map."""
+    return iterate(table, x, 1)[1]
+
+
+def inverse_map(table: TableCurve, x: AnnulusPoint) -> AnnulusPoint:
+    """Inverse bounce; forward_map(inverse_map(x)) == x to solver accuracy."""
+    return iterate(table, x, -1)[1]
+
+
+def map_jacobian(table: TableCurve, q, p):
+    """Central-difference Jacobian (step 1e-5) of the ball map at (q, p), unreduced in Q."""
+    step = 1e-5
+    Qp, Pp = forward_chord(table, q + step, p)[:2]
+    Qm, Pm = forward_chord(table, q - step, p)[:2]
+    Qu, Pu = forward_chord(table, q, p + step)[:2]
+    Qd, Pd = forward_chord(table, q, p - step)[:2]
     return np.array(
         [
             [(Qp - Qm) / (2 * step), (Qu - Qd) / (2 * step)],

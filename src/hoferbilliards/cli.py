@@ -3,9 +3,16 @@
 Every subcommand prints one JSON result object to stdout and a one-line
 human summary to stderr; bulk data goes to CSV/JSON files under --out
 (default: the HB_OUT environment variable, else ./hb_out).  Exit codes:
-0 success and all certificates passing, 1 input error, 2 certificate
-failure.  A fixed --seed makes outputs byte-identical across runs and
-thread counts.
+0 success and all certificates passing, 1 input error (a usage error
+too), 2 certificate failure.
+
+A subcommand takes only the flags it reads.  --seed (map portrait, hofer
+hjresidual, orbits find, orbits experiment, verify all) fixes the random
+draws, so outputs are byte-identical across runs and --threads values
+(verify all only).  --tol is the slack of hofer compare and the tail
+closure tolerance of polygon cauchy.  Solver tolerances are not flags: every
+bracketed Newton accepts |residual| <= 1e-13, widens that to 1e-10 after 30
+iterations and fails above 1e-9 (SolverDidNotConverge, exit 2).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from . import dynamics as dy
 from . import homotopy as ho
 from . import persistence as pe
 from . import smoothing as sm
-from .billiard import AnnulusPoint, forward_arrays, iterate, map_jacobian, trajectory_arrays
+from .billiard import AnnulusPoint, forward_chord, forward_map, iterate, map_jacobian, trajectory_arrays
 from .curves import FourierSupportSpec, build_fourier_table, disc_table, unit_square
 from .errors import HoferBilliardsError
 from .specio import SpecError, load_path, load_polygon, load_table
@@ -103,8 +110,6 @@ def cmd_table_sample(args):
 
 def cmd_map_eval(args):
     table = load_table(args.table)
-    from .billiard import forward_map
-
     y = forward_map(table, AnnulusPoint(args.q, args.p))
     _emit({"Q": y.q, "P": y.p})
     _note(f"bounce ({args.q}, {args.p}) -> ({y.q:.7f}, {y.p:.7f})")
@@ -171,7 +176,7 @@ def cmd_hofer_length(args):
 
 def cmd_hofer_compare(args):
     path = load_path(args.path)
-    cert = ho.verify_comparison(path, slack=args.tol if args.tol is not None else 1e-2)
+    cert = ho.verify_comparison(path, slack=args.tol)
     _emit(cert.to_json())
     _note(f"ratio l_H / l_B = {cert.ratio:.4f} (pass: {cert.passed})")
     return OK if cert.passed else CERT_FAIL
@@ -221,9 +226,8 @@ def cmd_polygon_cauchy(args):
         ["s", "family_speed", "tail_partial", "tail_corrected"],
         list(zip(tail.nodes, tail.speeds, tail.partial_sums, tail.corrected)),
     )
-    tol = args.tol if args.tol is not None else 1e-3
     increments_ok = bool(np.all(np.diff(tail.increments) < 0))
-    final_ok = bool(abs(tail.corrected[-1] - tail.corrected[-2]) < tol * tail.value)
+    final_ok = bool(abs(tail.corrected[-1] - tail.corrected[-2]) < args.tol * tail.value)
     _emit({"value": tail.value, "increments_decreasing": increments_ok,
            "final_increment_small": final_ok, "file": str(out)})
     _note(f"cauchy tail {tail.value:.6g} (converged: {increments_ok and final_ok})")
@@ -397,7 +401,7 @@ def cmd_verify_all(args):
     # 1. round-table closed form
     q = rng.uniform(0, 1, 1000)
     p = rng.uniform(-0.99, 0.99, 1000)
-    Q, P = forward_arrays(disc, q, p)
+    Q, P = forward_chord(disc, q, p)[:2]
     dq = np.abs(np.mod(Q, 1.0) - np.mod(q + np.arccos(p) / np.pi, 1.0))
     err = float(max(np.minimum(dq, 1 - dq).max(), np.abs(P - p).max()))
     record("disc_closed_form", err < 1e-10, {"max_error": err})
@@ -514,21 +518,32 @@ def cmd_verify_all(args):
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects; ``main`` reports it as an input error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit with status 2, which hb reserves for certificate failures
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="hb", description=__doc__)
+    p = _Parser(prog="hb", description=__doc__)
     sub = p.add_subparsers(dest="group", required=True)
 
     def common(sp, table=False, table2=False, path=False):
         sp.add_argument("--out", help="output directory (default $HB_OUT or ./hb_out)")
-        sp.add_argument("--seed", type=int, default=0, help="random seed")
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        sp.add_argument("--tol", type=float, default=None, help="override tolerance")
         if table:
             sp.add_argument("--table", required=True, help="table spec JSON file")
         if table2:
             sp.add_argument("--table2", required=True, help="second table spec JSON file")
         if path:
             sp.add_argument("--path", required=True, help="path spec JSON file")
+
+    def seed(sp):
+        sp.add_argument("--seed", type=int, default=0, help="random seed")
 
     g = sub.add_parser("table").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("inspect")
@@ -553,6 +568,7 @@ def build_parser():
     sp.set_defaults(fn="cmd_map_iterate")
     sp = g.add_parser("portrait")
     common(sp, table=True)
+    seed(sp)
     sp.add_argument("--seeds", type=int, default=40)
     sp.add_argument("--steps", type=int, default=200)
     sp.set_defaults(fn="cmd_map_portrait")
@@ -568,9 +584,12 @@ def build_parser():
     sp.set_defaults(fn="cmd_hofer_length")
     sp = g.add_parser("compare")
     common(sp, path=True)
+    sp.add_argument("--tol", type=float, default=1e-2,
+                    help="slack of the check l_H <= 4 l_B (1 + tol)")
     sp.set_defaults(fn="cmd_hofer_compare")
     sp = g.add_parser("hjresidual")
     common(sp, path=True)
+    seed(sp)
     sp.add_argument("--s", type=float, default=0.5)
     sp.add_argument("--points", type=int, default=100)
     sp.set_defaults(fn="cmd_hofer_hjresidual")
@@ -587,6 +606,8 @@ def build_parser():
     sp.add_argument("--width", type=float, default=None)
     sp.add_argument("--s0", type=float, default=1.0)
     sp.add_argument("--levels", type=int, default=8)
+    sp.add_argument("--tol", type=float, default=1e-3,
+                    help="relative bound on the last corrected tail increment")
     sp.set_defaults(fn="cmd_polygon_cauchy")
     sp = g.add_parser("independence")
     common(sp)
@@ -598,6 +619,7 @@ def build_parser():
     g = sub.add_parser("orbits").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("find")
     common(sp, table=True)
+    seed(sp)
     sp.add_argument("--period", type=int, required=True)
     sp.add_argument("--seeds", type=int, default=32)
     sp.set_defaults(fn="cmd_orbits_find")
@@ -608,6 +630,7 @@ def build_parser():
     sp.set_defaults(fn="cmd_orbits_gap")
     sp = g.add_parser("experiment")
     common(sp, table=True, table2=True)
+    seed(sp)
     sp.add_argument("--period", type=int, required=True)
     sp.add_argument("--radius", type=float, default=0.05)
     sp.add_argument("--samples", type=int, default=200)
@@ -635,15 +658,19 @@ def build_parser():
     sp.set_defaults(fn="cmd_barcode_stability")
 
     sp = sub.add_parser("reconstruct")
-    common(sp, table=False)
-    sp.add_argument("--table", help="table spec JSON file (round-trip mode)")
-    sp.add_argument("--chords", help="chord data JSON file")
+    common(sp)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--table", help="table spec JSON file (round-trip mode)")
+    source.add_argument("--chords", help="chord data JSON file")
     sp.add_argument("--samples", type=int, default=256)
     sp.set_defaults(fn="cmd_reconstruct", cmd="reconstruct")
 
     g = sub.add_parser("verify").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("all")
     common(sp)
+    seed(sp)
+    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                    help="worker threads of the comparison certificates")
     sp.add_argument("--paths", type=int, default=4, help="random comparison paths")
     sp.set_defaults(fn="cmd_verify_all")
 
@@ -657,10 +684,15 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    if args.group == "reconstruct" and not (args.table or args.chords):
-        _emit({"error": "reconstruct needs --table or --chords"})
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        _emit({"error": str(exc)})
+        _note(f"input error: {exc}")
         return INPUT_ERROR
+    except SystemExit as exc:
+        # --help prints and stops with code 0; usage errors are caught above
+        return exc.code
     # the shared parser holds command names, not functions: a lookup at
     # dispatch sees the module's current cmd_* binding
     fn = globals()[args.fn]

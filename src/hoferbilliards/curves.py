@@ -272,7 +272,6 @@ class FourierTable(TableCurve):
             hi=np.full_like(qr, TWO_PI + 1e-12),
             seed=TWO_PI * qr,
             increasing=True,
-            tol=1e-13,
         )
         return theta + TWO_PI * wind
 
@@ -303,14 +302,14 @@ class FourierTable(TableCurve):
         return 1.0 / self.spec.rho(theta)
 
 
-def build_fourier_table(spec: FourierSupportSpec, validation_grid: int = 4096) -> FourierTable:
+def build_fourier_table(spec: FourierSupportSpec) -> FourierTable:
     """Normalize a support spec to boundary length 1 and validate convexity.
 
     Raises CurvatureNotPositive when the radius of curvature h + h'' drops
-    to the floor (1e-8) anywhere on the validation grid.
+    to the floor (1e-8) anywhere on a uniform grid of 4096 normal angles.
     """
     norm = spec.normalized()
-    theta = np.linspace(0.0, TWO_PI, validation_grid, endpoint=False)
+    theta = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
     rho = norm.rho(theta)
     m = float(rho.min())
     if m <= CURVATURE_FLOOR:
@@ -577,7 +576,6 @@ class SampledCurve(TableCurve):
             hi=qr + 0.75,
             seed=qr,
             increasing=True,
-            tol=1e-13,
         )
 
     def _raw_curvature(self, u):
@@ -716,7 +714,7 @@ class PolygonBoundary(TableCurve):
 # ---------------------------------------------------------------------------
 
 
-def c0_distance(a: TableCurve, b: TableCurve, grid: int = 4096, refine: bool = True) -> float:
+def c0_distance(a: TableCurve, b: TableCurve, grid: int = 4096) -> float:
     """max_q ||a(q) - b(q)|| over a dense grid with one local refinement pass.
 
     A grid maximum never exceeds the true maximum, so the value is a lower
@@ -724,13 +722,10 @@ def c0_distance(a: TableCurve, b: TableCurve, grid: int = 4096, refine: bool = T
     """
     q = np.arange(grid) / grid
     gap = np.linalg.norm(a.position(q) - b.position(q), axis=-1)
-    best = float(gap.max())
-    if refine:
-        j = int(np.argmax(gap))
-        local = q[j] + np.linspace(-1.0, 1.0, 33) / grid
-        gap2 = np.linalg.norm(a.position(local) - b.position(local), axis=-1)
-        best = max(best, float(gap2.max()))
-    return best
+    j = int(np.argmax(gap))
+    local = q[j] + np.linspace(-1.0, 1.0, 33) / grid
+    gap2 = np.linalg.norm(a.position(local) - b.position(local), axis=-1)
+    return max(float(gap.max()), float(gap2.max()))
 
 
 def curve_centroid(t: TableCurve, grid: int = 2048) -> np.ndarray:

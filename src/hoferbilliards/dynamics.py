@@ -154,12 +154,13 @@ def _phase_validation(table: TableCurve, qs):
     return float(circ_dist(traj[1:], np.roll(qs, -1)).max())
 
 
-def _newton_orbit(table: TableCurve, qs0, maxiter=60):
+def _newton_orbit(table: TableCurve, qs0):
     """Damped Newton on the torus from ``qs0``: (tuple mod 1, residual) or None.
 
-    Each iterate inverts arc length once; its gradient and Hessian share
-    that geometry.
+    At most 60 steps.  Each iterate inverts arc length once; its gradient
+    and Hessian share that geometry.
     """
+    maxiter = 60
     qs = np.array(qs0, dtype=float)
     settled = False
     for it in range(maxiter + 1):
@@ -278,19 +279,15 @@ def _iterate_batch(table: TableCurve, pts: np.ndarray, n: int):
     return np.stack([Q, ps[-1]], axis=-1)
 
 
-def phase_fixed_points(
-    table: TableCurve, n: int, seed_count: int = 24, rng=None, seeds=None, tol=1e-11
-) -> list[tuple]:
+def phase_fixed_points(table: TableCurve, n: int, seed_count: int = 24, rng=None) -> list[tuple]:
     """Fixed points of the n-fold bounce map by Newton in phase space.
 
-    Independent of the torus search; used as its validation oracle.
-    Returns deduplicated (q, p) pairs.
+    Independent of the torus search; used as its validation oracle.  A start
+    converges when the fixed-point defect falls below 1e-11.  Returns
+    deduplicated (q, p) pairs.
     """
     rng = np.random.default_rng(rng)
-    starts = [np.asarray(s, dtype=float) for s in (seeds or [])]
-    starts += [
-        np.array([rng.uniform(), rng.uniform(-0.8, 0.8)]) for _ in range(seed_count)
-    ]
+    starts = [np.array([rng.uniform(), rng.uniform(-0.8, 0.8)]) for _ in range(seed_count)]
     h = 1e-7
     stencil = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     out = []
@@ -303,7 +300,7 @@ def phase_fixed_points(
                 break
             G = ys[0] - (x + stencil[0])
             G[0] -= np.rint(G[0])
-            if np.abs(G).max() < tol:
+            if np.abs(G).max() < 1e-11:
                 ok = True
                 break
             J = np.empty((2, 2))

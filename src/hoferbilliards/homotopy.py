@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .billiard import forward_arrays, forward_chord, native_start
+from .billiard import forward_chord, native_start
 from .curves import (
     CURVATURE_FLOOR,
     TWO_PI,
@@ -29,7 +29,8 @@ from .curves import (
 )
 from .errors import BracketInverted, CurvatureNotPositive, NearGrazing, PerturbationTooLarge
 
-DEFAULT_DS = 1e-4
+# s-step of the finite-difference velocity of a path without a velocity field
+_VELOCITY_DS = 1e-4
 
 
 def simpson_nodes(n: int):
@@ -51,14 +52,13 @@ class TablePath:
     when given, evaluates dgamma_s/ds(q) analytically, where t is either None
     or the slice's native parameter at q (a field that is closed form in t
     then skips the arc-length inversion).  Without it, second-order finite
-    differences in s with step ``ds`` are used (one-sided at the endpoints).
+    differences in s with step 1e-4 are used (one-sided at the endpoints).
     """
 
-    def __init__(self, table_of_s, velocity_fn=None, tag: str = "custom", ds: float = DEFAULT_DS):
+    def __init__(self, table_of_s, velocity_fn=None, tag: str = "custom"):
         self._build = table_of_s
         self._velocity_fn = velocity_fn
         self.tag = tag
-        self.ds = float(ds)
         self._cache: dict[float, TableCurve] = {}
 
     def table(self, s: float) -> TableCurve:
@@ -76,7 +76,7 @@ class TablePath:
         """
         if self._velocity_fn is not None:
             return self._velocity_fn(s, q, t)
-        h = self.ds
+        h = _VELOCITY_DS
         if s < h:
             a, b, c = self.table(s), self.table(s + h), self.table(s + 2 * h)
             return (-3.0 * a.position(q) + 4.0 * b.position(q) - c.position(q)) / (2.0 * h)
@@ -85,7 +85,7 @@ class TablePath:
             return (3.0 * a.position(q) - 4.0 * b.position(q) + c.position(q)) / (2.0 * h)
         return (self.table(s + h).position(q) - self.table(s - h).position(q)) / (2.0 * h)
 
-    def speed_max(self, s: float, q_nodes: int = 1024, refine: bool = True) -> float:
+    def speed_max(self, s: float, q_nodes: int = 1024) -> float:
         """Grid max of ||velocity|| over q with three local refinement passes.
 
         Each pass samples 17 points across a window around the best point so
@@ -101,16 +101,15 @@ class TablePath:
         mag = np.linalg.norm(self.velocity(s, q), axis=-1)
         j = int(np.argmax(mag))
         best = float(mag[j])
-        if refine:
-            table = self.table(s)
-            center = table.native_of_q(q[j : j + 1])
-            half = 1.0 / (q_nodes * table.native_frame(center)[2])
-            for _ in range(3):
-                t = center + np.linspace(-1.0, 1.0, 17) * half
-                mag2 = np.linalg.norm(self.velocity(s, table.q_of_native(t), t), axis=-1)
-                k = int(np.argmax(mag2))
-                best, center = max(best, float(mag2[k])), t[k]
-                half /= 8.0
+        table = self.table(s)
+        center = table.native_of_q(q[j : j + 1])
+        half = 1.0 / (q_nodes * table.native_frame(center)[2])
+        for _ in range(3):
+            t = center + np.linspace(-1.0, 1.0, 17) * half
+            mag2 = np.linalg.norm(self.velocity(s, table.q_of_native(t), t), axis=-1)
+            k = int(np.argmax(mag2))
+            best, center = max(best, float(mag2[k])), t[k]
+            half /= 8.0
         return best
 
 
@@ -150,12 +149,7 @@ def rigid_motion_path(table: TableCurve, angle: float, v=(0.0, 0.0)) -> TablePat
     return TablePath(build, vel, tag="rigid")
 
 
-def support_interp_path(
-    a: FourierSupportSpec,
-    b: FourierSupportSpec,
-    s_check: int = 64,
-    theta_check: int = 1024,
-) -> TablePath:
+def support_interp_path(a: FourierSupportSpec, b: FourierSupportSpec) -> TablePath:
     """Linear interpolation of raw support functions, each slice renormalized.
 
     The renormalization factor tau(s) = 1/(2 pi c0(s)) is part of the path,
@@ -165,7 +159,7 @@ def support_interp_path(
         dgamma_s/ds = g(theta) e_r + (g'(theta) - int_0^theta (g + g'')) e_t.
 
     Raises CurvatureNotPositive (with the failing s) when some slice leaves
-    the positively curved class.
+    the positively curved class, checked at 64 slices on 1024 normal angles.
     """
     n = max(a.cos.size, b.cos.size)
     ca = np.pad(a.cos, (0, n - a.cos.size))
@@ -178,8 +172,8 @@ def support_interp_path(
             (1 - s) * a.c0 + s * b.c0, (1 - s) * ca + s * cb, (1 - s) * sa + s * sb
         )
 
-    theta = np.linspace(0.0, TWO_PI, theta_check, endpoint=False)
-    for s in np.linspace(0.0, 1.0, s_check):
+    theta = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    for s in np.linspace(0.0, 1.0, 64):
         spec = raw(s)
         if spec.c0 <= 0.0 or spec.rho(theta).min() <= CURVATURE_FLOOR:
             raise CurvatureNotPositive(f"interpolated support not convex at s={s:.6f}", where=s)
@@ -240,19 +234,15 @@ class NormalPerturbationPath:
         return iter((self.path, self.bound))
 
 
-def normal_perturbation_path(
-    table: TableCurve,
-    f_samples,
-    slices_check: int = 9,
-    curve_samples: int = 513,
-) -> NormalPerturbationPath:
+def normal_perturbation_path(table: TableCurve, f_samples) -> NormalPerturbationPath:
     """Path gamma_s = alpha + s f n, renormalized to length 1 and reparametrized.
 
     ``f_samples``: N >= 256 uniform samples of a smooth 1-periodic function,
     interpolated spectrally.  Requires sup|f| * max-curvature <= 1/2 (the
     C^2-smallness hypothesis that keeps the renormalization well posed),
-    else PerturbationTooLarge; per-slice positive curvature is checked on a
-    grid, else CurvatureNotPositive.
+    else PerturbationTooLarge.  Each slice is a ``SampledCurve`` of 513
+    samples; positive curvature is checked on 9 slices, else
+    CurvatureNotPositive.
     """
     from .curves import _TrigSeries
 
@@ -277,9 +267,9 @@ def normal_perturbation_path(
             u = np.asarray(u, dtype=float)
             return table.position(u) + float(s) * np.real(f(u))[..., None] * table.normal(u)
 
-        return SampledCurve.from_function(raw, samples=curve_samples, kind="reconstructed_samples")
+        return SampledCurve.from_function(raw, samples=513, kind="reconstructed_samples")
 
-    for s in np.linspace(0.0, 1.0, slices_check):
+    for s in np.linspace(0.0, 1.0, 9):
         slc = build(s)
         if slc.min_curvature <= 0.0:
             raise CurvatureNotPositive(
@@ -307,7 +297,7 @@ def path_geometric_length(
 ):
     """Simpson quadrature of max_q ||dgamma_s/ds|| over s in [0, 1].
 
-    The q-sweep is a grid max with one refinement pass, so the integrand and
+    The q-sweep is a grid max with three refinement passes, so the integrand and
     hence the value approximate the true path length from below up to
     quadrature error; ``with_error`` also returns the Simpson doubling
     estimate |I_n - I_(n//2+1)|.
@@ -354,16 +344,9 @@ class HamiltonianField:
         dv = self.path.velocity(s, qs, ts) - vel_Q
         return np.sum(u * dv, axis=-1), qs, ts
 
-    def value_arrays(self, s: float, Q, P, return_seed=False):
-        """Vectorized H_s on arrays; |P| <= 1 - 1e-6 required.
-
-        ``return_seed`` also returns the landing points q_s of the inverse
-        bounce, in arc-length units.
-        """
-        H, qs, _ = self.solve(s, Q, P)
-        if return_seed:
-            return H, qs
-        return H
+    def value_arrays(self, s: float, Q, P):
+        """Vectorized H_s on arrays; |P| <= 1 - 1e-6 required."""
+        return self.solve(s, Q, P)[0]
 
     def value(self, s: float, Q: float, P: float) -> float:
         return float(self.value_arrays(s, np.asarray(Q), np.asarray(P)))
@@ -382,14 +365,11 @@ def _extreme_refine(hf: HamiltonianField, s, Qg, Pg, H, pmax, sign):
     return float(np.max(sign * Hl) * sign)
 
 
-def hofer_oscillation(
-    hf: HamiltonianField, s: float, q_grid: int = 256, p_grid: int = 127, seed=None, return_seed=False
-):
-    """max H_s - min H_s over the (Q, P) grid, extremes locally refined.
+def hofer_oscillation(hf: HamiltonianField, s: float, q_grid: int = 256, p_grid: int = 127, seed=None):
+    """(max H_s - min H_s over the (Q, P) grid, extremes locally refined, ts).
 
-    ``seed`` and the seed returned with ``return_seed`` are the landing
-    native parameters of the grid's inverse solves, which warm-start the
-    grid of a nearby s.
+    ``ts`` are the landing native parameters of the grid's inverse solves;
+    passed back as ``seed``, they warm-start the grid of a nearby s.
     """
     pmax = 1.0 - 1.0 / 128.0
     Qg = np.arange(q_grid) / q_grid
@@ -409,9 +389,7 @@ def hofer_oscillation(
     H = H.reshape(q_grid, p_grid)
     hi = max(float(H.max()), _extreme_refine(hf, s, Qg, Pg, H, pmax, +1.0))
     lo = min(float(H.min()), _extreme_refine(hf, s, Qg, Pg, H, pmax, -1.0))
-    if return_seed:
-        return hi - lo, ts
-    return hi - lo
+    return hi - lo, ts
 
 
 def hofer_length(
@@ -428,7 +406,7 @@ def hofer_length(
     vals = np.empty(s_nodes)
     seed = None
     for i, s in enumerate(x):
-        vals[i], seed = hofer_oscillation(hf, float(s), q_grid, p_grid, seed=seed, return_seed=True)
+        vals[i], seed = hofer_oscillation(hf, float(s), q_grid, p_grid, seed=seed)
     return float(vals @ w)
 
 
@@ -505,20 +483,13 @@ def verify_comparison(
     )
 
 
-def hamilton_jacobi_residual(
-    path: TablePath,
-    s: float,
-    points,
-    h: float = 1e-4,
-    grad_step: float = 1e-5,
-    per_point: bool = False,
-):
-    """Residual of d psi_s/ds = (dH/dP, -dH/dQ) o psi_s at sample points.
+def hamilton_jacobi_residual(path: TablePath, s: float, points, h: float = 1e-4) -> float:
+    """Max residual of d psi_s/ds = (dH/dP, -dH/dQ) o psi_s over sample points.
 
     The left side is a central difference of the lifted bounce map in s, the
     right side the symplectic gradient of the Hamiltonian by central
-    differences; both are independent discretizations, so the residual
-    certifies the Hamilton-Jacobi identity to O(h^2).
+    differences with step 1e-5; both are independent discretizations, so
+    the residual certifies the Hamilton-Jacobi identity to O(h^2).
     """
     pts = np.asarray(
         [(pt.q, pt.p) if hasattr(pt, "q") else tuple(pt) for pt in points], dtype=float
@@ -526,11 +497,12 @@ def hamilton_jacobi_residual(
     q, p = pts[:, 0], pts[:, 1]
     hf = HamiltonianField(path)
 
-    Qp, Pp = forward_arrays(path.table(s + h), q, p)
-    Qm, Pm = forward_arrays(path.table(s - h), q, p)
+    Qp, Pp = forward_chord(path.table(s + h), q, p)[:2]
+    Qm, Pm = forward_chord(path.table(s - h), q, p)[:2]
     flow = np.stack([(Qp - Qm) / (2 * h), (Pp - Pm) / (2 * h)], axis=-1)
 
-    Q0, P0 = forward_arrays(path.table(s), q, p)
+    Q0, P0 = forward_chord(path.table(s), q, p)[:2]
+    grad_step = 1e-5
     dH_dQ = (
         hf.value_arrays(s, Q0 + grad_step, P0) - hf.value_arrays(s, Q0 - grad_step, P0)
     ) / (2 * grad_step)
@@ -539,10 +511,7 @@ def hamilton_jacobi_residual(
     ) / (2 * grad_step)
     sym = np.stack([dH_dP, -dH_dQ], axis=-1)
 
-    res = np.linalg.norm(flow - sym, axis=-1)
-    if per_point:
-        return float(res.max()), res
-    return float(res.max())
+    return float(np.linalg.norm(flow - sym, axis=-1).max())
 
 
 @dataclass

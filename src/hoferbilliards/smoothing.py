@@ -598,7 +598,7 @@ def restricted_path(fam: SmoothingFamily, s_lo: float, s_hi: float) -> TablePath
     def build(u):
         return fam._curve_unchecked(s_lo + u * (s_hi - s_lo))
 
-    return TablePath(build, tag="smoothing_restriction", ds=1e-4)
+    return TablePath(build, tag="smoothing_restriction")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ Path spec:
     {"type": "normal_perturbation", "table": <table spec>,
      "f": {"const": c, "cos": [...], "sin": [...]}}
 
+f is sampled at 512 points, so its cos and sin lists hold at most 255
+harmonics each; a longer list would alias and is rejected.
+
 All numbers are IEEE doubles, coordinates in plane units.  ``load_table``
 and ``load_path`` raise only ``SpecError`` (an input error, exit code 1 of
 ``hb``), naming the offending field: a malformed field, a table outside
@@ -110,16 +113,25 @@ def load_polygon(source) -> PolygonSpec:
         raise SpecError(f"polygon.{exc}: missing or malformed field") from exc
 
 
-def _periodic_samples(obj, where, samples=512):
-    q = np.arange(samples) / samples
+def _periodic_samples(obj, where):
+    """f at 512 uniform points; a harmonic k >= 256 would alias, so it is rejected."""
+    samples = 512
     try:
-        vals = np.full(samples, float(obj.get("const", 0.0)))
-        for k, c in enumerate(obj.get("cos", []), start=1):
-            vals += float(c) * np.cos(2 * np.pi * k * q)
-        for k, c in enumerate(obj.get("sin", []), start=1):
-            vals += float(c) * np.sin(2 * np.pi * k * q)
-    except (TypeError, ValueError) as exc:
+        const = float(obj.get("const", 0.0))
+        harmonics = [(wave, [float(c) for c in obj.get(name, [])])
+                     for name, wave in (("cos", np.cos), ("sin", np.sin))]
+    except (AttributeError, TypeError, ValueError) as exc:
         raise SpecError(f"{where}: bad harmonic coefficients ({exc})") from exc
+    top = max(len(coefs) for _, coefs in harmonics)
+    if top >= samples // 2:
+        raise SpecError(
+            f"{where}: harmonic k = {top} aliases on the {samples} samples of f; k must be below {samples // 2}"
+        )
+    q = np.arange(samples) / samples
+    vals = np.full(samples, const)
+    for wave, coefs in harmonics:
+        for k, c in enumerate(coefs, start=1):
+            vals += c * wave(2 * np.pi * k * q)
     return vals
 
 

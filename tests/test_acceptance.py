@@ -17,7 +17,7 @@ from hoferbilliards import dynamics as dy
 from hoferbilliards import homotopy as ho
 from hoferbilliards import persistence as pe
 from hoferbilliards import smoothing as sm
-from hoferbilliards.billiard import forward_arrays, map_jacobian
+from hoferbilliards.billiard import forward_chord, map_jacobian
 from hoferbilliards.curves import circ_dist
 
 from conftest import random_support_spec
@@ -36,7 +36,7 @@ def test_criterion_01_disc_closed_form():
     rng = np.random.default_rng(1)
     q = rng.uniform(0, 1, 1000)
     p = rng.uniform(-0.999, 0.999, 1000)
-    Q, P = forward_arrays(DISC, q, p)
+    Q, P = forward_chord(DISC, q, p)[:2]
     err = max(
         float(circ_dist(Q, q + np.arccos(p) / np.pi).max()),
         float(np.abs(P - p).max()),

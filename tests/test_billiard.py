@@ -16,7 +16,7 @@ from hoferbilliards import (
     unit_square,
 )
 from hoferbilliards import homotopy as ho
-from hoferbilliards.billiard import forward_arrays, forward_chord, inverse_arrays, trajectory_arrays
+from hoferbilliards.billiard import GRAZING_CUTOFF, forward_chord, trajectory_arrays
 from hoferbilliards.cli import main
 from hoferbilliards.curves import FourierTable, PolygonBoundary, circ_dist
 from hoferbilliards.errors import DiagonalPoint, NearGrazing, NotStrictlyConvex
@@ -84,7 +84,7 @@ def test_forward_disc_closed_form(disc):
     rng = np.random.default_rng(7)
     q = rng.uniform(0, 1, 1000)
     p = rng.uniform(-0.99, 0.99, 1000)
-    Q, P = forward_arrays(disc, q, p)
+    Q, P = forward_chord(disc, q, p)[:2]
     assert circ_dist(Q, q + np.arccos(p) / np.pi).max() < 1e-10
     assert np.abs(P - p).max() < 1e-10
 
@@ -102,6 +102,26 @@ def test_inverse_roundtrip(mild_ellipse):
         x = AnnulusPoint(rng.uniform(), rng.uniform(-0.95, 0.95))
         y = forward_map(mild_ellipse, inverse_map(mild_ellipse, x))
         assert circ_dist(y.q, x.q) < 1e-9 and abs(y.p - x.p) < 1e-9
+
+
+# -log10 of the smallest distance 1 - |p| the round trip below draws
+NEAR_GRAZING_DEPTH = -np.log10(1.1 * GRAZING_CUTOFF)
+
+
+@pytest.mark.parametrize("table_name", ["disc", "mild_ellipse"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    q=st.floats(0.0, 1.0, exclude_max=True),
+    depth=st.floats(1.0, NEAR_GRAZING_DEPTH),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_inverse_undoes_forward_near_grazing(table_name, request, q, depth, sign):
+    # 1 - |p| runs log-uniformly from 0.1 down to 1.1 GRAZING_CUTOFF
+    table = request.getfixturevalue(table_name)
+    p = sign * (1.0 - max(10.0**-depth, 1.1 * GRAZING_CUTOFF))
+    x = AnnulusPoint(q, p)
+    y = inverse_map(table, forward_map(table, x))
+    assert circ_dist(y.q, x.q) < 1e-9 and abs(y.p - x.p) < 1e-11
 
 
 def test_iterate_rotation(disc):
@@ -136,7 +156,7 @@ def test_symplecticity(table_name, request):
 
 def test_twist_monotonicity(mild_ellipse):
     p = np.linspace(-0.98, 0.98, 200)
-    Q, _ = forward_arrays(mild_ellipse, np.full_like(p, 0.3), p)
+    Q, _ = forward_chord(mild_ellipse, np.full_like(p, 0.3), p)[:2]
     assert np.all(np.diff(Q) < 0)
 
 
@@ -144,8 +164,8 @@ def test_reversibility(mild_ellipse):
     rng = np.random.default_rng(3)
     q = rng.uniform(0, 1, 200)
     p = rng.uniform(-0.9, 0.9, 200)
-    Q1, P1 = forward_arrays(mild_ellipse, q, p)
-    Q2, P2 = forward_arrays(mild_ellipse, Q1, -P1)
+    Q1, P1 = forward_chord(mild_ellipse, q, p)[:2]
+    Q2, P2 = forward_chord(mild_ellipse, Q1, -P1)[:2]
     assert circ_dist(Q2, q).max() < 1e-9
     assert np.abs(-P2 - p).max() < 1e-9
 
@@ -155,8 +175,8 @@ def test_isometry_invariance(mild_ellipse):
     rng = np.random.default_rng(4)
     q = rng.uniform(0, 1, 100)
     p = rng.uniform(-0.9, 0.9, 100)
-    Q1, P1 = forward_arrays(mild_ellipse, q, p)
-    Q2, P2 = forward_arrays(g, q, p)
+    Q1, P1 = forward_chord(mild_ellipse, q, p)[:2]
+    Q2, P2 = forward_chord(g, q, p)[:2]
     assert circ_dist(Q1, Q2).max() < 1e-10
     assert np.abs(P1 - P2).max() < 1e-10
 
@@ -165,7 +185,7 @@ def test_grazing_limit(mild_ellipse):
     gaps = []
     for k in range(2, 8):
         p = 1 - 10.0 ** (-k)
-        Q, _ = forward_arrays(mild_ellipse, np.array([0.2]), np.array([p]))
+        Q, _ = forward_chord(mild_ellipse, np.array([0.2]), np.array([p]))[:2]
         gaps.append(float(Q[0] - 0.2))
     assert all(g > 0 for g in gaps)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -206,7 +226,7 @@ def test_native_solve_obeys_reflection_law(native_tables, kind, q, p):
     table = native_tables[kind]
     q = np.asarray(q)
     p = np.full_like(q, p)
-    Q, P = forward_arrays(table, q, p)
+    Q, P = forward_chord(table, q, p)[:2]
     assert np.all(Q > q) and np.all(Q < q + 1.0)
     out, back = reflection_defects(table, q, p, Q, P)
     assert out.max() <= 1e-11 and back.max() <= 1e-11
@@ -234,7 +254,7 @@ def test_value_arrays_seed_is_arc_length(s, Q, P):
     path = ho.support_interp_path(FourierSupportSpec(1.0), FourierSupportSpec(1.0, cos=[0.0, 0.05]))
     table = path.table(s)
     Qa, Pa = np.array([Q]), np.array([P])
-    _, qs = ho.HamiltonianField(path).value_arrays(s, Qa, Pa, return_seed=True)
+    _, qs, _ = ho.HamiltonianField(path).solve(s, Qa, Pa)
     # the backward chord from (Q, -P) lands on qs: forward from qs reaches (Q, P)
     assert np.all(qs > Qa) and np.all(qs < Qa + 1.0)
     d = table.position(Qa) - table.position(qs)
@@ -259,8 +279,10 @@ def test_trajectory_rows_obey_reflection_law(native_tables, kind, q, p, steps):
     assert np.array_equal(qs[0], np.mod(q, 1.0)) and np.array_equal(ps[0], p)
     if steps:
         # the first bounce is the single-bounce solve, bit for bit
-        Q1, P1 = (forward_arrays if steps > 0 else inverse_arrays)(table, q, p)
-        assert np.array_equal(qs[1], np.mod(Q1, 1.0)) and np.array_equal(ps[1], P1)
+        # (a backward bounce is the time reversal of a forward one)
+        sign = 1.0 if steps > 0 else -1.0
+        Q1, P1 = forward_chord(table, q, sign * p)[:2]
+        assert np.array_equal(qs[1], np.mod(Q1, 1.0)) and np.array_equal(ps[1], sign * P1)
     # a forward bounce takes row k to row k + 1, a backward one row k + 1 to row k
     src, dst = (qs[:-1], ps[:-1]), (qs[1:], ps[1:])
     if steps < 0:

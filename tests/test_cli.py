@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -110,6 +111,108 @@ def test_reconstruct_subcommand(tmp_path, capsys):
 
 def test_reconstruct_requires_input(capsys):
     assert main(["reconstruct"]) == 1
+    assert "one of the arguments --table --chords is required" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["map", "eval", "--table", "x.json"], "the following arguments are required: --q, --p"),
+        (["map", "eval", "--table", "x.json", "--q", "abc", "--p", "0"], "invalid float value"),
+        (["reconstruct", "--table", "a.json", "--chords", "b.json"], "not allowed with argument"),
+        (["nosuch"], "invalid choice"),
+    ],
+    ids=["missing", "type", "both-sources", "command"],
+)
+def test_usage_errors_are_input_errors(capsys, argv, message):
+    # argparse alone would raise SystemExit(2), the certificate-failure code
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert "usage: hb" in captured.err and "input error" in captured.err
+
+
+def test_help_returns_0(capsys):
+    assert main(["map", "eval", "--help"]) == 0
+    assert "--table" in capsys.readouterr().out
+
+
+def test_usage_error_process_exit_code(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hoferbilliards
+
+    env = dict(os.environ, PYTHONPATH=str(Path(hoferbilliards.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "hoferbilliards.cli", "map", "eval", "--table", "x.json"],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert run.returncode == 1 and "error" in json.loads(run.stdout)
+
+
+# every subcommand with its required arguments (values are never read: the
+# removed flags fail at parsing, the kept ones are checked by parsing alone)
+_COMMANDS = {
+    "table inspect": ["--table", "t.json"],
+    "table sample": ["--table", "t.json"],
+    "map eval": ["--table", "t.json", "--q", "0", "--p", "0"],
+    "map iterate": ["--table", "t.json", "--q", "0", "--p", "0"],
+    "map portrait": ["--table", "t.json"],
+    "hofer length": ["--path", "p.json"],
+    "hofer compare": ["--path", "p.json"],
+    "hofer hjresidual": ["--path", "p.json"],
+    "polygon family": ["--polygon", "g.json"],
+    "polygon cauchy": ["--polygon", "g.json"],
+    "polygon independence": ["--polygon", "g.json"],
+    "orbits find": ["--table", "t.json", "--period", "2"],
+    "orbits gap": ["--table", "t.json", "--table2", "t.json", "--period", "2"],
+    "orbits experiment": ["--table", "t.json", "--table2", "t.json", "--period", "2"],
+    "barcode compute": ["--table", "t.json"],
+    "barcode bottleneck": ["--barcode", "b.json", "--barcode2", "b.json"],
+    "barcode stability": ["--table", "t.json", "--table2", "t.json"],
+    "reconstruct": ["--table", "t.json"],
+    "verify all": [],
+}
+# flag -> (a value, its parsed form, the commands that read it)
+_FLAGS = {
+    "--seed": ("5", 5, {"map portrait", "hofer hjresidual", "orbits find", "orbits experiment", "verify all"}),
+    "--tol": ("0.25", 0.25, {"hofer compare", "polygon cauchy"}),
+    "--threads": ("3", 3, {"verify all"}),
+    "--out": ("o", "o", set(_COMMANDS)),
+}
+
+
+def _leaf_parsers(parser, prefix=()):
+    """{"group cmd": parser} of every subcommand, walking the argparse tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(prefix): parser}
+    return {c: p for name, sp in subs[0].choices.items() for c, p in _leaf_parsers(sp, prefix + (name,)).items()}
+
+
+def test_flag_table_covers_every_command():
+    from hoferbilliards.cli import build_parser
+
+    leaves = _leaf_parsers(build_parser())
+    assert sorted(leaves) == sorted(_COMMANDS)
+    # instances of the four shared flags over the 19 subcommands
+    flags = [o for sp in leaves.values() for a in sp._actions for o in a.option_strings if o in _FLAGS]
+    assert len(flags) == 27
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAGS))
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_flags_only_where_read(capsys, command, flag):
+    from hoferbilliards.cli import _parser
+
+    value, parsed, readers = _FLAGS[flag]
+    argv = command.split() + _COMMANDS[command] + [flag, value]
+    if command in readers:
+        assert getattr(_parser().parse_args(argv), flag[2:]) == parsed
+    else:
+        assert main(argv) == 1
+        assert "unrecognized arguments" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_exit_code_mapping_certificate_failure(tmp_path, capsys, monkeypatch):
@@ -209,14 +312,15 @@ def test_parser_is_built_once_and_requests_share_no_state(tmp_path, capsys, monk
         patch.setattr(cli, "build_parser", lambda real=cli.build_parser: seen.append("built") or real())
         poly = _write(tmp_path, "poly.json", _SQUARE)
         table = _write(tmp_path, "disc.json", {"type": "disc"})
-        assert main(["polygon", "family", "--polygon", poly, "--width", "0.003", "--seed", "9"]) == 0
+        out = str(tmp_path / "out")
+        assert main(["polygon", "family", "--polygon", poly, "--width", "0.003", "--out", out]) == 0
         assert main(["map", "eval", "--table", table, "--q", "0", "--p", "0.5"]) == 0
         assert main(["polygon", "family", "--polygon", poly]) == 0
     built, first, second, third = seen
     assert built == "built"
-    assert (first["width"], first["seed"]) == (0.003, 9)
-    assert second["seed"] == 0 and "width" not in second and "polygon" not in second
-    assert (third["width"], third["seed"]) == (None, 0) and "q" not in third
+    assert (first["width"], first["out"]) == (0.003, out)
+    assert second["out"] is None and "width" not in second and "polygon" not in second
+    assert (third["width"], third["out"]) == (None, None) and "q" not in third
     # the parser outlives the patch and dispatches to the restored command
     capsys.readouterr()
     assert main(["map", "eval", "--table", table, "--q", "0", "--p", "0.5"]) == 0
@@ -251,3 +355,17 @@ def test_inadmissible_specs_are_input_errors(tmp_path, capsys, command, flag, sp
     assert code == 1
     assert field in json.loads(captured.out.strip().splitlines()[-1])["error"]
     assert "input error" in captured.err
+
+
+@pytest.mark.parametrize("k", [255, 256, 300])
+def test_normal_perturbation_harmonics_below_256(tmp_path, capsys, k):
+    # f is sampled at 512 points: k = 300 would alias to the sup|f'| of k = 212
+    spec = {"type": "normal_perturbation", "f": {"cos": [0.0] * (k - 1) + [1e-6]}}
+    if k < 256:
+        assert load_path(spec).tag == "normal_perturbation"
+        return
+    with pytest.raises(SpecError, match="path.f"):
+        load_path(spec)
+    code = main(["hofer", "compare", "--path", _write(tmp_path, "spec.json", spec), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "path.f" in json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]

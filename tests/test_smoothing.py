@@ -6,7 +6,7 @@ import pytest
 
 from hoferbilliards import c0_distance, regular_polygon, unit_square
 from hoferbilliards import smoothing as sm
-from hoferbilliards.billiard import forward_arrays, map_jacobian
+from hoferbilliards.billiard import forward_chord, map_jacobian
 from hoferbilliards.curves import PolygonBoundary, PolygonSpec
 from hoferbilliards.errors import InvalidWidth, MarkInCorner
 from hoferbilliards.homotopy import path_geometric_length, simpson_nodes
@@ -297,8 +297,8 @@ def test_lift_supports_billiard_map(square_family):
     J = map_jacobian(lift, np.linspace(0, 1, 5, endpoint=False), np.full(5, 0.4))
     det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
     assert np.abs(det - 1).max() < 1e-6
-    Q1, P1 = forward_arrays(lift, np.array([0.3]), np.array([0.2]))
-    Q2, P2 = forward_arrays(lift, Q1, -P1)
+    Q1, P1 = forward_chord(lift, np.array([0.3]), np.array([0.2]))[:2]
+    Q2, P2 = forward_chord(lift, Q1, -P1)[:2]
     assert abs((Q2 - 0.3) % 1.0) < 1e-8 or abs((Q2 - 0.3) % 1.0 - 1.0) < 1e-8
 
 
