@@ -311,17 +311,35 @@ def cmd_barcode_compute(args):
     return OK
 
 
+def _json_field(obj, key, where, convert=float):
+    """``convert(obj[key])``; a missing or malformed field is a SpecError naming it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SpecError(f"{where}.{key}: missing field")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{where}.{key}: malformed field ({exc})") from exc
+
+
+def _death(value):
+    return float("inf") if value == "inf" else float(value)
+
+
 def cmd_barcode_bottleneck(args):
-    def parse(path):
+    def parse(path, name):
+        items = json.loads(Path(path).read_text())
+        if not isinstance(items, list):
+            raise SpecError(f"{name}: expected a list of bars")
         bars = {}
-        for item in json.loads(Path(path).read_text()):
-            d = int(item["degree"])
-            death = float("inf") if item["death"] == "inf" else float(item["death"])
-            bars.setdefault(d, []).append((float(item["birth"]), death))
+        for i, item in enumerate(items):
+            where = f"{name}[{i}]"
+            d = _json_field(item, "degree", where, int)
+            bar = (_json_field(item, "birth", where), _json_field(item, "death", where, _death))
+            bars.setdefault(d, []).append(bar)
         dim = max(bars) if bars else 0
         return pe.Barcode(dim, bars)
 
-    a, b = parse(args.barcode), parse(args.barcode2)
+    a, b = parse(args.barcode, "barcode"), parse(args.barcode2, "barcode2")
     val = pe.bottleneck_distance(a, b, args.degree)
     _emit({"degree": args.degree, "bottleneck": (None if val == float("inf") else val)})
     _note(f"bottleneck distance in degree {args.degree}: {val}")
@@ -345,11 +363,12 @@ def cmd_barcode_stability(args):
 def cmd_reconstruct(args):
     if args.chords:
         obj = json.loads(Path(args.chords).read_text())
+        array = functools.partial(np.asarray, dtype=float)
         data = dy.ChordData(
-            t=np.asarray(obj["t"], dtype=float),
-            from_start=np.asarray(obj["from_start"], dtype=float),
-            from_half=np.asarray(obj["from_half"], dtype=float),
-            anchor=float(obj["anchor"]),
+            t=_json_field(obj, "t", "chords", array),
+            from_start=_json_field(obj, "from_start", "chords", array),
+            from_half=_json_field(obj, "from_half", "chords", array),
+            anchor=_json_field(obj, "anchor", "chords"),
         )
         t, pts = dy.reconstruct_table(data)
         out = _outdir(args) / "reconstructed.csv"

@@ -5,10 +5,12 @@ The complex is cubical: a periodic n-grid of resolution m has (2m)^n cells,
 a cell being a product of vertices (even coordinates) and edges (odd
 coordinates).  The lower-star filtration assigns every cell the maximum of
 its vertex values; ties are broken by dimension and then lexicographic cell
-index, which makes the reduction deterministic while leaving the barcode
-unchanged.  Boundary reduction is over GF(2) with columns stored as Python
-integers (bitmasks over filtration ranks) and the standard clearing of
-columns that were already killed one dimension up.
+index, which fixes a total order of the cells.  The persistence pairing of a
+total order is unique, so the barcode does not depend on how it is found.
+Degrees 0 and n-1 are paired by union-find, over vertices and over top cells
+(Kaji, Sudo, Ahara, arXiv:2005.12692); the middle degrees 1..n-2 use a GF(2)
+boundary reduction with columns stored as Python integers (bitmasks over the
+rows), with clearing and compression (Bauer, Kerber, Reininghaus, 2014).
 """
 
 from __future__ import annotations
@@ -101,11 +103,64 @@ def _cell_values(values: np.ndarray):
     return out
 
 
+def _adjacent(flat: np.ndarray, side: int, strides, parity: int, k: int) -> np.ndarray:
+    """Neighbours of cells along their axes of one coordinate parity.
+
+    Parity 1 gives the 2k facets of cells with k odd coordinates, parity 0
+    the 2k cofacets of cells with k even ones; one numpy pass per axis, with
+    steps wrapping round the torus.
+    """
+    out = np.empty((flat.size, 2 * k), dtype=np.int64)
+    slot = np.zeros(flat.size, dtype=np.int64)
+    for stride in strides:
+        coord = (flat // stride) % side
+        sel = np.flatnonzero(coord % 2 == parity)
+        at, c = flat[sel], coord[sel]
+        out[sel, slot[sel]] = np.where(c > 0, at - stride, at + (side - 1) * stride)
+        out[sel, slot[sel] + 1] = np.where(c < side - 1, at + stride, at - (side - 1) * stride)
+        slot[sel] += 2
+    return out
+
+
+def _elder_merges(cells, a, b, size):
+    """Union-find by the elder rule over nodes 0..size-1.
+
+    Each cell in turn joins nodes a and b; when their components differ,
+    the one whose root (its smallest node) is larger dies, paired with the
+    cell.  Returns the dead roots and their cells, as integer arrays.
+    """
+    parent = list(range(size))
+    dead, killers = [], []
+    for c, u, v in zip(cells.tolist(), a.tolist(), b.tolist()):
+        while parent[u] != u:  # path halving
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if u < v:
+                u, v = v, u
+            parent[u] = v
+            dead.append(u)
+            killers.append(c)
+    return np.array(dead, dtype=np.int64), np.array(killers, dtype=np.int64)
+
+
 def sublevel_barcode(g: GridFunction, tie_break: str = "lex") -> Barcode:
     """Persistence barcode of the sublevel filtration of a torus grid function.
 
     Zero-length pairs are dropped; every essential class appears as an
     infinite bar, so degree-d infinite bars always number binomial(n, d).
+
+    Degree 0 is paired by union-find over vertices, edges taken in rank
+    order (elder rule: the root of higher rank dies with the edge that
+    merges it).  Degree n-1 is paired by the same union-find over top cells,
+    (n-1)-cells taken in decreasing rank: a component's root is its top cell
+    of highest rank, and the component with the lower root dies with the
+    (n-1)-cell that joins it.  Degrees 1..n-2 reduce GF(2) columns stored as
+    Python integers, skipping the columns of cells already paired one degree
+    up (clearing) and dropping the rows of edges that died in degree 0
+    (compression).  The persistence pairing of a fixed total order is
+    unique, so the bars do not depend on which of these computes them.
     """
     n, m = g.dim, g.resolution
     side = 2 * m
@@ -123,65 +178,72 @@ def sublevel_barcode(g: GridFunction, tie_break: str = "lex") -> Barcode:
         raise ValueError("tie_break must be 'lex' or 'revlex'")
     rank = np.empty(total, dtype=np.int64)
     rank[order] = np.arange(total)
+    dim_by_rank = dims[order]
+    strides = [side ** (n - 1 - a) for a in range(n)]
 
-    strides = np.array([side ** (n - 1 - a) for a in range(n)], dtype=np.int64)
+    def ranked(d):
+        """Ranks of the d-cells in increasing order, and their flat indices."""
+        r = np.flatnonzero(dim_by_rank == d)
+        return r, order[r]
 
-    def faces(flat: int):
-        out = []
-        rem = flat
-        idx = []
-        for a in range(n):
-            idx.append(rem // strides[a])
-            rem %= strides[a]
-        for a in range(n):
-            if idx[a] % 2 == 1:
-                lo = flat - strides[a]
-                hi = flat + strides[a] if idx[a] + 1 < side else flat - (side - 1) * strides[a]
-                out.append(lo)
-                out.append(hi)
-        return out
+    pairs: dict[int, tuple] = {}  # degree -> (birth ranks, death ranks)
 
-    cells_by_dim = [np.flatnonzero(dims == d) for d in range(n + 1)]
-    pairs = []  # (birth rank, death rank, degree)
-    killed = set()
-    cleared: set[int] = set()
-    for d in range(n, 0, -1):
+    # degree 0: edges in rank order merge vertex components
+    edges, flat = ranked(1)
+    ends = rank[_adjacent(flat, side, strides, 1, 1)]
+    pairs[0] = _elder_merges(edges, ends[:, 0], ends[:, 1], total)
+
+    # degree n-1: (n-1)-cells in decreasing rank merge top-cell components,
+    # the same merges on reversed ranks; for n = 1 this is the pass above
+    if n > 1:
+        walls, flat = ranked(n - 1)
+        sides = total - 1 - rank[_adjacent(flat, side, strides, 0, 1)]
+        dead, cells = _elder_merges(walls[::-1], sides[::-1, 0], sides[::-1, 1], total)
+        pairs[n - 1] = cells, total - 1 - dead
+    paired = np.zeros(total, dtype=bool)
+    for born, died in pairs.values():
+        paired[born] = True
+        paired[died] = True
+
+    # middle degrees: reduce the (d+1)-cells that are not births one degree
+    # up (clearing), over the d-cells not yet paired, which for d = 1 drops
+    # the edges that died in degree 0 (compression)
+    for d in range(n - 2, 0, -1):
+        rows = np.flatnonzero((dim_by_rank == d) & ~paired)
+        row_of = np.full(total, -1, dtype=np.int64)
+        row_of[rows] = np.arange(rows.size)
+        cols, flat = ranked(d + 1)
+        keep = ~paired[cols]
+        cols, flat = cols[keep], flat[keep]
+        facets = row_of[rank[_adjacent(flat, side, strides, 1, d + 1)]]
+        lows, deaths = [], []
         pivots: dict[int, int] = {}
-        pivot_cells: dict[int, int] = {}
-        cells = cells_by_dim[d]
-        for flat in cells[np.argsort(rank[cells])]:
-            flat = int(flat)
-            if flat in cleared:
-                continue
+        for c, faces in zip(cols.tolist(), facets.tolist()):
             col = 0
-            for f in faces(flat):
-                col ^= 1 << int(rank[f])
+            for f in faces:
+                if f >= 0:
+                    col ^= 1 << f
             while col:
                 low = col.bit_length() - 1
                 other = pivots.get(low)
                 if other is None:
                     pivots[low] = col
-                    pivot_cells[low] = flat
-                    pairs.append((low, int(rank[flat]), d - 1))
-                    killed.add(int(rank[flat]))
+                    lows.append(low)
+                    deaths.append(c)
                     break
                 col ^= other
-        # the (d-1)-cells that just died as pivots have zero-reducing
-        # columns of their own; skip them next pass
-        cleared = {int(order[low]) for low in pivots}
+        born, died = rows[np.array(lows, dtype=np.int64)], np.array(deaths, dtype=np.int64)
+        pairs[d] = born, died
+        paired[born] = True
+        paired[died] = True
 
-    born = {p[0] for p in pairs}
     value_by_rank = values[order]
-    dim_by_rank = dims[order]
     bars: dict[int, list] = {d: [] for d in range(n + 1)}
-    for birth_rank, death_rank, degree in pairs:
-        b = float(value_by_rank[birth_rank])
-        e = float(value_by_rank[death_rank])
-        if e > b:
-            bars[degree].append((b, e))
-    for r in range(total):
-        if r in born or r in killed:
-            continue
+    for degree, (born, died) in pairs.items():
+        b, e = value_by_rank[born], value_by_rank[died]
+        live = e > b
+        bars[degree] = list(zip(b[live].tolist(), e[live].tolist()))
+    for r in np.flatnonzero(~paired).tolist():
         bars[int(dim_by_rank[r])].append((float(value_by_rank[r]), inf))
     for d in bars:
         bars[d].sort(key=lambda be: (be[0], be[1]))

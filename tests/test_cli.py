@@ -114,6 +114,50 @@ def test_reconstruct_requires_input(capsys):
     assert "one of the arguments --table --chords is required" in json.loads(capsys.readouterr().out)["error"]
 
 
+GOOD_BAR = {"degree": 0, "birth": 0.0, "death": 1.0}
+
+
+@pytest.mark.parametrize(
+    "bars, message",
+    [
+        ([{"birth": 0.0, "death": 1.0}], "barcode[0].degree: missing field"),
+        ([GOOD_BAR, {"degree": 0, "death": 1.0}], "barcode[1].birth: missing field"),
+        ([{"degree": 0, "birth": 0.0}], "barcode[0].death: missing field"),
+        ([{"degree": 0, "birth": None, "death": 1.0}], "barcode[0].birth: malformed field"),
+        ([["degree", 0]], "barcode[0].degree: missing field"),
+        (GOOD_BAR, "barcode: expected a list of bars"),
+    ],
+    ids=["no-degree", "no-birth", "no-death", "null-birth", "bar-not-object", "not-a-list"],
+)
+def test_bottleneck_malformed_barcode_is_input_error(tmp_path, capsys, bars, message):
+    bad = _write(tmp_path, "bad.json", bars)
+    good = _write(tmp_path, "good.json", [GOOD_BAR])
+    assert main(["barcode", "bottleneck", "--barcode", bad, "--barcode2", good]) == 1
+    assert message in json.loads(capsys.readouterr().out)["error"]
+
+
+GOOD_CHORDS = {"t": [0.25, 0.75], "from_start": [1.0, 1.0], "from_half": [1.0, 1.0], "anchor": 1.4}
+
+
+@pytest.mark.parametrize("field", ["t", "from_start", "from_half", "anchor"])
+def test_reconstruct_chords_missing_field_is_input_error(tmp_path, capsys, field):
+    chords = _write(tmp_path, "chords.json", {k: v for k, v in GOOD_CHORDS.items() if k != field})
+    assert main(["reconstruct", "--chords", chords, "--out", str(tmp_path / "out")]) == 1
+    assert f"chords.{field}: missing field" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_reconstruct_chords_not_an_object_is_input_error(tmp_path, capsys):
+    chords = _write(tmp_path, "chords.json", [GOOD_CHORDS])
+    assert main(["reconstruct", "--chords", chords, "--out", str(tmp_path / "out")]) == 1
+    assert "chords.t: missing field" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_reconstruct_chords_roundtrip(tmp_path, capsys):
+    chords = _write(tmp_path, "chords.json", GOOD_CHORDS)
+    assert main(["reconstruct", "--chords", chords, "--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] == 4
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,9 +1,12 @@
-from math import inf
+from itertools import product
+from math import comb, inf
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hoferbilliards import rigid_motion
+from hoferbilliards import FourierSupportSpec, build_fourier_table, rigid_motion
 from hoferbilliards import persistence as pe
 from hoferbilliards.errors import ResolutionTooLarge
 
@@ -158,3 +161,141 @@ def test_grid_serialization_roundtrip(tmp_path, disc):
     g2 = pe.load_grid(path)
     assert g2.dim == 2 and g2.resolution == 16
     assert np.array_equal(g.values, g2.values)
+
+
+# ---------------------------------------------------------------------------
+# reference reduction: every column of every degree, nothing skipped
+# ---------------------------------------------------------------------------
+
+
+def reference_barcode(g, tie_break):
+    """Barcode by the plain GF(2) reduction of the whole boundary matrix.
+
+    Cells of the doubled grid are ordered by (lower-star value, dimension,
+    flat index ascending for "lex", descending for "revlex"); every column
+    of every degree is reduced in that order, with no union-find, clearing
+    or compression.
+    """
+    n, m = g.dim, g.resolution
+    side = 2 * m
+    cells = list(product(range(side), repeat=n))  # row-major, so flat index order
+
+    def vertices(cell):
+        spans = [(c // 2, (c // 2 + 1) % m) if c % 2 else (c // 2,) for c in cell]
+        return product(*spans)
+
+    value = [max(float(g.values[v]) for v in vertices(cell)) for cell in cells]
+    dim = [sum(c % 2 for c in cell) for cell in cells]
+    sign = 1 if tie_break == "lex" else -1
+    order = sorted(range(len(cells)), key=lambda i: (value[i], dim[i], sign * i))
+    rank = {cells[i]: r for r, i in enumerate(order)}
+
+    def boundary(cell):
+        col = 0
+        for a, c in enumerate(cell):
+            if c % 2:
+                for step in (-1, 1):
+                    face = cell[:a] + ((c + step) % side,) + cell[a + 1 :]
+                    col ^= 1 << rank[face]
+        return col
+
+    pivots = {}
+    pairs = []
+    for r, i in enumerate(order):
+        col = boundary(cells[i])
+        while col:
+            low = col.bit_length() - 1
+            if low not in pivots:
+                pivots[low] = col
+                pairs.append((low, r))
+                break
+            col ^= pivots[low]
+    paired = {r for pair in pairs for r in pair}
+    bars = {d: [] for d in range(n + 1)}
+    for birth, death in pairs:
+        b, e = value[order[birth]], value[order[death]]
+        if e > b:
+            bars[dim[order[birth]]].append((b, e))
+    for r, i in enumerate(order):
+        if r not in paired:
+            bars[dim[i]].append((value[i], inf))
+    return {d: sorted(bars[d]) for d in bars}
+
+
+# (n, m): resolutions up to 8 on the 3-torus and up to 16 below it
+GRIDS = st.sampled_from([1, 2, 3]).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, 8 if n == 3 else 16))
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    grid=GRIDS,
+    ties=st.booleans(),
+    tie_break=st.sampled_from(["lex", "revlex"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_barcode_matches_full_reduction(grid, ties, tie_break, seed):
+    n, m = grid
+    rng = np.random.default_rng(seed)
+    shape = (m,) * n
+    values = rng.integers(0, 4, shape).astype(float) if ties else rng.uniform(0, 1, shape)
+    g = pe.GridFunction(n, m, values)
+    bar = pe.sublevel_barcode(g, tie_break=tie_break)
+    assert bar.bars == reference_barcode(g, tie_break)
+    assert pe.betti_numbers(bar) == [comb(n, d) for d in range(n + 1)]
+
+
+def test_full_reduction_on_landscape_functionals(mild_ellipse):
+    for n, m in ((2, 12), (3, 6)):
+        g = pe.sample_orbit_functional(mild_ellipse, n, m)
+        for tie_break in ("lex", "revlex"):
+            assert pe.sublevel_barcode(g, tie_break).bars == reference_barcode(g, tie_break)
+
+
+# ---------------------------------------------------------------------------
+# properties of the bottleneck distance and of the barcodes
+# ---------------------------------------------------------------------------
+
+
+def _random_barcode(rng, essential):
+    bars = {}
+    for d, count in enumerate(essential):
+        births = rng.uniform(0, 1, int(rng.integers(0, 4)))
+        bars[d] = [(float(b), float(b + rng.uniform(0.001, 0.6))) for b in births]
+        bars[d] += [(float(b), inf) for b in rng.uniform(0, 1, count)]
+    return pe.Barcode(len(essential) - 1, bars)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bottleneck_is_a_metric(seed):
+    rng = np.random.default_rng(seed)
+    essential = (1, 2, 1)
+    a, b, c = (_random_barcode(rng, essential) for _ in range(3))
+    for d in range(3):
+        same = pe.Barcode(2, {k: list(v) for k, v in a.bars.items()})
+        assert pe.bottleneck_distance(a, same, d) == 0.0
+        ab = pe.bottleneck_distance(a, b, d)
+        assert ab == pe.bottleneck_distance(b, a, d)
+        ac = pe.bottleneck_distance(a, c, d)
+        cb = pe.bottleneck_distance(c, b, d)
+        assert ab <= ac + cb + 1e-12
+
+
+OVAL = build_fourier_table(FourierSupportSpec(1.0, cos=[0.0, 0.03, 0.01], sin=[0.0, 0.0, 0.012]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(
+    n=st.sampled_from([2, 3]),
+    angle=st.floats(-np.pi, np.pi),
+    dx=st.floats(-2.0, 2.0),
+    dy=st.floats(-2.0, 2.0),
+)
+def test_barcode_invariant_under_rigid_motion(n, angle, dx, dy):
+    m = 16 if n == 2 else 6
+    moved = pe.sublevel_barcode(pe.sample_orbit_functional(rigid_motion(OVAL, angle, (dx, dy)), n, m))
+    still = pe.sublevel_barcode(pe.sample_orbit_functional(OVAL, n, m))
+    for d in range(n + 1):
+        assert pe.bottleneck_distance(moved, still, d) <= 1e-12
