@@ -4,7 +4,10 @@ Used for every monotone 1-d inversion in the package: the bounce solve of
 the billiard map and arc-length / profile-length inversions.  The residual
 is assumed strictly monotone between the brackets, so the bisection
 fallback cannot stall.  Only the not-yet-converged components are
-re-evaluated, which matters on the 30k-point phase-space grids.
+re-evaluated, which matters on the 30k-point phase-space grids: the
+iterates, brackets and last residuals of the active components are kept
+as compact arrays, the brackets are updated with ``np.where``, and a
+component's iterate is written back to the result only when it finishes.
 """
 
 import numpy as np
@@ -42,42 +45,40 @@ def newton_bisect(fun, lo, hi, seed, increasing, maxiter=100):
     x = np.array(seed, dtype=float, copy=True)
     shape = x.shape
     x = np.atleast_1d(x).ravel()
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), shape).copy().ravel()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), shape).copy().ravel()
-    np.clip(x, lo, hi, out=x)
-
+    # the active components: flat indices, iterates, brackets and |residual|
+    # at the previous iterate; x receives each iterate when it finishes
+    la = np.broadcast_to(np.asarray(lo, dtype=float), shape).ravel().copy()
+    ha = np.broadcast_to(np.asarray(hi, dtype=float), shape).ravel().copy()
+    np.clip(x, la, ha, out=x)
     active = np.arange(x.size)
-    prev = np.inf  # |residual| of the active components at their previous iterate
+    xa = x.copy()
+    prev = np.full(x.size, np.inf)
     for it in range(maxiter):
-        r, dr = fun(x[active], active)
+        r, dr = fun(xa, active)
         ar = np.abs(r)
         tol_now = TOL if it < RELAX_AFTER else RELAX_TOL
         keep = ar > tol_now
-        if not keep.any():
-            active = active[:0]
-            break
+        if not keep.all():
+            x[active[~keep]] = xa[~keep]
+            if not keep.any():
+                active = active[:0]
+                break
+            active, xa, la, ha = active[keep], xa[keep], la[keep], ha[keep]
+            r, dr, ar, prev = r[keep], dr[keep], ar[keep], prev[keep]
         # rtsafe guard: a step that did not halve |residual| bisects next
-        stalled = (ar > 0.5 * prev)[keep]
-        prev = ar[keep]
-        act = active[keep]
-        r = r[keep]
-        dr = dr[keep]
-        xa = x[act]
-        pos = r > 0
-        if increasing:
-            hi[act[pos]] = xa[pos]
-            lo[act[~pos]] = xa[~pos]
-        else:
-            lo[act[pos]] = xa[pos]
-            hi[act[~pos]] = xa[~pos]
+        stalled = ar > 0.5 * prev
+        prev = ar
+        up = (r > 0) == increasing  # the iterate lies above the root
+        ha = np.where(up, xa, ha)
+        la = np.where(up, la, xa)
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = xa - r / dr
-        bad = stalled | ~np.isfinite(xn) | (xn <= lo[act]) | (xn >= hi[act])
-        xn[bad] = 0.5 * (lo[act][bad] + hi[act][bad])
-        x[act] = xn
-        active = act
+        # a step that leaves the open bracket (or is not finite) bisects
+        bad = stalled | ~((xn > la) & (xn < ha))
+        xa = np.where(bad, 0.5 * (la + ha), xn)
     if active.size:
-        r, _ = fun(x[active], active)
+        x[active] = xa
+        r, _ = fun(xa, active)
         worst = float(np.max(np.abs(r)))
         if worst > FAIL_TOL:
             raise SolverDidNotConverge(f"newton_bisect: no convergence, residual {worst:.3e}")

@@ -108,16 +108,22 @@ def forward_chord(table: TableCurve, q, p, seed=None, start=None):
     pos_q = np.atleast_2d(start[1]).reshape(-1, 2)
     tan_q = np.atleast_2d(start[2]).reshape(-1, 2)
     period = table.native_period
+    # the residual runs on split x/y components: plain elementwise products,
+    # no last-axis reductions inside the Newton loop
+    qx, qy = pos_q[:, 0].copy(), pos_q[:, 1].copy()
+    ax, ay = tan_q[:, 0].copy(), tan_q[:, 1].copy()
 
     def fun(t, idx):
         pos_t, tan_t, dq_dt = table.native_frame(t)
-        d = pos_t - pos_q[idx]
-        dist = np.linalg.norm(d, axis=-1)
-        u = d / dist[..., None]
-        tq = tan_q[idx]
-        pc = np.sum(u * tq, axis=-1)
-        PQ = np.sum(u * tan_t, axis=-1)
-        dr = (np.sum(tan_t * tq, axis=-1) - PQ * pc) / dist
+        tx, ty = tan_t[:, 0], tan_t[:, 1]
+        dx = pos_t[:, 0] - qx[idx]
+        dy = pos_t[:, 1] - qy[idx]
+        dist = np.sqrt(dx * dx + dy * dy)
+        ux, uy = dx / dist, dy / dist
+        cx, cy = ax[idx], ay[idx]
+        pc = ux * cx + uy * cy
+        PQ = ux * tx + uy * ty
+        dr = (tx * cx + ty * cy - PQ * pc) / dist
         return pc - pf[idx], dr * dq_dt
 
     delta = 1e-13 * period
@@ -133,9 +139,10 @@ def forward_chord(table: TableCurve, q, p, seed=None, start=None):
         increasing=False,
     )
     pos_Q, tan_Q, _ = table.native_frame(t)
-    u = pos_Q - pos_q
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    P = np.sum(u * tan_Q, axis=-1)
+    dx = pos_Q[:, 0] - qx
+    dy = pos_Q[:, 1] - qy
+    dist = np.sqrt(dx * dx + dy * dy)
+    P = dx / dist * tan_Q[:, 0] + dy / dist * tan_Q[:, 1]
     Q = table.q_of_native(t)
     return (
         Q.reshape(shape),

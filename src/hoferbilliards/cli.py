@@ -360,16 +360,24 @@ def cmd_barcode_stability(args):
 # ---------------------------------------------------------------------------
 
 
+def _sample_list(value):
+    """A non-empty flat list of numbers as a float array."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("expected a non-empty list of numbers")
+    return arr
+
+
 def cmd_reconstruct(args):
     if args.chords:
         obj = json.loads(Path(args.chords).read_text())
-        array = functools.partial(np.asarray, dtype=float)
-        data = dy.ChordData(
-            t=_json_field(obj, "t", "chords", array),
-            from_start=_json_field(obj, "from_start", "chords", array),
-            from_half=_json_field(obj, "from_half", "chords", array),
-            anchor=_json_field(obj, "anchor", "chords"),
-        )
+        t = _json_field(obj, "t", "chords", _sample_list)
+        samples = {}
+        for key in ("from_start", "from_half"):
+            samples[key] = _json_field(obj, key, "chords", _sample_list)
+            if samples[key].size != t.size:
+                raise SpecError(f"chords.{key}: {samples[key].size} samples, chords.t has {t.size}")
+        data = dy.ChordData(t=t, anchor=_json_field(obj, "anchor", "chords"), **samples)
         t, pts = dy.reconstruct_table(data)
         out = _outdir(args) / "reconstructed.csv"
         _write_csv(out, ["t", "x", "y"], [(t[i], pts[i, 0], pts[i, 1]) for i in range(len(t))])

@@ -172,10 +172,12 @@ def support_interp_path(a: FourierSupportSpec, b: FourierSupportSpec) -> TablePa
             (1 - s) * a.c0 + s * b.c0, (1 - s) * ca + s * cb, (1 - s) * sa + s * sb
         )
 
+    # rho is linear in the spec, so every checked slice blends two evaluations
     theta = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    rho_a, rho_b = a.rho(theta), b.rho(theta)
     for s in np.linspace(0.0, 1.0, 64):
-        spec = raw(s)
-        if spec.c0 <= 0.0 or spec.rho(theta).min() <= CURVATURE_FLOOR:
+        c0s = (1 - s) * a.c0 + s * b.c0
+        if c0s <= 0.0 or ((1 - s) * rho_a + s * rho_b).min() <= CURVATURE_FLOOR:
             raise CurvatureNotPositive(f"interpolated support not convex at s={s:.6f}", where=s)
 
     specs: dict[float, tuple[FourierSupportSpec, FourierSupportSpec]] = {}
@@ -204,13 +206,12 @@ def support_interp_path(a: FourierSupportSpec, b: FourierSupportSpec) -> TablePa
     def vel(s, q, t):
         norm, g = slice_specs(s)
         th = FourierTable(norm).theta_of_q(q) if t is None else np.asarray(t, dtype=float)
-        basis = g._basis(th)
-        gv = g.h(th, basis=basis)
-        gp = g.h(th, deriv=1, basis=basis)
-        gacc = g.arclength(th, basis=basis)
-        e_r = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        e_t = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-        return gv[..., None] * e_r + (gp - gacc)[..., None] * e_t
+        # g, g' and int_0^theta (g + g'') from one kernel evaluation on g
+        rows = g._terms(th)
+        gv = g.c0 + rows[0]
+        gt = rows[1] - (g.c0 * th + rows[3])
+        c, sn = rows[4], rows[5]
+        return np.stack([gv * c - gt * sn, gv * sn + gt * c], axis=-1)
 
     return TablePath(build, vel, tag="support_interp")
 

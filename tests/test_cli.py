@@ -152,6 +152,25 @@ def test_reconstruct_chords_not_an_object_is_input_error(tmp_path, capsys):
     assert "chords.t: missing field" in json.loads(capsys.readouterr().out)["error"]
 
 
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"from_start": [1.0]}, "chords.from_start: 1 samples, chords.t has 2"),
+        ({"from_half": [1.0, 1.0, 1.0]}, "chords.from_half: 3 samples, chords.t has 2"),
+        ({"t": [0.25, 0.5, 0.75]}, "chords.from_start: 2 samples, chords.t has 3"),
+        ({"t": [], "from_start": [], "from_half": []}, "chords.t: malformed field (expected a non-empty list"),
+        ({"from_half": []}, "chords.from_half: malformed field (expected a non-empty list"),
+        ({"t": [[0.25, 0.75]]}, "chords.t: malformed field (expected a non-empty list"),
+    ],
+    ids=["short-from-start", "long-from-half", "long-t", "all-empty", "empty-from-half", "nested-t"],
+)
+def test_reconstruct_chords_of_unequal_or_empty_lengths_are_input_errors(tmp_path, capsys, patch, message):
+    # numpy would otherwise fail on the broadcast or on a zero-size maximum
+    chords = _write(tmp_path, "chords.json", {**GOOD_CHORDS, **patch})
+    assert main(["reconstruct", "--chords", chords, "--out", str(tmp_path / "out")]) == 1
+    assert message in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_reconstruct_chords_roundtrip(tmp_path, capsys):
     chords = _write(tmp_path, "chords.json", GOOD_CHORDS)
     assert main(["reconstruct", "--chords", chords, "--out", str(tmp_path / "out")]) == 0

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hoferbilliards import (
     FourierSupportSpec,
+    FourierTable,
     SampledCurve,
     build_fourier_table,
     c0_distance,
@@ -247,6 +248,97 @@ def test_trig_series_keeps_shapes():
     assert series.with_derivative(0.25)[1].shape == ()
     assert series.evaluate(u, np.ones((series.k.size, 2))).shape == (3, 4, 2)
     assert series(u).ravel().tolist() == series(u.ravel()).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the support-function kernel against a direct per-harmonic sum
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _direct_support(spec, theta):
+    """Oracle: (h, h', h'', rho, arclength) summed harmonic by harmonic from cos(k theta), sin(k theta)."""
+    theta = np.asarray(theta, dtype=float)
+    h = np.full(theta.shape, float(spec.c0))
+    hp = np.zeros(theta.shape)
+    hpp = np.zeros(theta.shape)
+    arc = spec.c0 * theta
+    for k, (a, b) in enumerate(zip(spec.cos, spec.sin), start=1):
+        c, s = np.cos(k * theta), np.sin(k * theta)
+        h += a * c + b * s
+        hp += k * (b * c - a * s)
+        hpp -= k * k * (a * c + b * s)
+        arc += (1.0 - k * k) / k * (a * s + b * (1.0 - c))
+    return h, hp, hpp, h + hpp, arc
+
+
+def _kernel_spec(n):
+    rng = np.random.default_rng(n)
+    k = np.arange(1, n + 1)
+    return FourierSupportSpec(rng.uniform(0.5, 2.0), rng.normal(size=n) / k, rng.normal(size=n) / k), rng
+
+
+def _kernel_tol(spec):
+    """8 n eps (|c0| + sum_k k^2 (|cos_k| + |sin_k|)) for n harmonics.
+
+    The kernel's z^k carries k roundings and the oracle's cos(k theta) the
+    rounding of k theta, so both sides drift from the exact sum by O(n eps)
+    relative to the size of the k^2-weighted coefficients.
+    """
+    k = spec.harmonics
+    return 8 * k.size * EPS * (abs(spec.c0) + np.sum(k**2 * (np.abs(spec.cos) + np.abs(spec.sin))))
+
+
+THETA_SHAPES = {"scalar": (), "1d": (300,), "2d": (15, 20)}
+
+
+@pytest.mark.parametrize("shape", THETA_SHAPES.values(), ids=THETA_SHAPES.keys())
+@pytest.mark.parametrize("n", [1, 2, 4, 96])
+def test_support_kernel_matches_direct_sum(n, shape):
+    spec, rng = _kernel_spec(n)
+    theta = rng.uniform(-2 * np.pi, 4 * np.pi, shape)
+    h, hp, hpp, rho, arc = _direct_support(spec, theta)
+    tol = _kernel_tol(spec)
+    got = {
+        "h": (spec.h(theta), h),
+        "h'": (spec.h(theta, deriv=1), hp),
+        "h''": (spec.h(theta, deriv=2), hpp),
+        "rho": (spec.rho(theta), rho),
+        "arclength": (spec.arclength(theta), arc),
+        "sigma": (spec.sigma_rho(theta)[0], arc),
+        "sigma_rho": (spec.sigma_rho(theta)[1], rho),
+    }
+    for name, (value, expect) in got.items():
+        assert np.shape(value) == shape, name
+        assert np.abs(value - expect).max() <= tol, name
+    c, s = np.cos(theta), np.sin(theta)
+    point = np.stack([h * c - hp * s, h * s + hp * c], axis=-1)
+    assert spec.boundary_point(theta).shape == shape + (2,)
+    assert np.abs(spec.boundary_point(theta) - point).max() <= tol
+    pos, tan, dq = FourierTable(spec).native_frame(theta)
+    assert pos.shape == tan.shape == shape + (2,) and dq.shape == shape
+    assert np.abs(pos - point).max() <= tol
+    assert np.abs(tan - np.stack([-s, c], axis=-1)).max() <= 4 * EPS
+    assert np.abs(dq - rho).max() <= tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 96])
+def test_support_arclength_is_the_integral_of_rho(n):
+    spec, rng = _kernel_spec(n)
+    # Gauss-Legendre on pieces of at most 1/8 rad: 32 nodes integrate each
+    # piece's at most 12 rad of phase to roundoff
+    x, w = np.polynomial.legendre.leggauss(32)
+    for end in rng.uniform(-2 * np.pi, 4 * np.pi, 6):
+        cuts = np.linspace(0.0, end, int(abs(end) * 8) + 2)
+        mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
+        quad = float(np.sum(half[:, None] * w * spec.rho(mid[:, None] + half[:, None] * x)))
+        assert abs(float(spec.arclength(end)) - quad) <= _kernel_tol(spec) * (1.0 + abs(end))
+
+
+def test_support_h_rejects_a_third_derivative():
+    with pytest.raises(ValueError):
+        FourierSupportSpec(1.0, cos=[0.0, 0.1]).h(0.3, deriv=3)
 
 
 # ---------------------------------------------------------------------------
