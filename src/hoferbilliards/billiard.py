@@ -40,9 +40,6 @@ class AnnulusPoint:
         if not abs(self.p) < 1.0:
             raise ValueError(f"momentum must satisfy |p| < 1, got {self.p!r}")
 
-    def as_tuple(self):
-        return (self.q, self.p)
-
 
 def _check_offdiagonal(q, Q):
     if np.any(circ_dist(q, Q) < DIAGONAL_TOL):

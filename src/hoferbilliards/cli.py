@@ -549,6 +549,19 @@ class _UsageError(Exception):
     """A command line that argparse rejects; ``main`` reports it as an input error."""
 
 
+def _int_at_least(low: int):
+    """argparse type of an integer flag >= low: a smaller value is a usage error naming the flag."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse would exit with status 2, which hb reserves for certificate failures
@@ -603,8 +616,9 @@ def build_parser():
     g = sub.add_parser("hofer").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("length")
     common(sp, path=True)
-    sp.add_argument("--grid-q", type=int, default=1024)
-    sp.add_argument("--grid-p", type=int, default=127)
+    # hofer length solves a (grid-q // 4) x grid-p phase grid
+    sp.add_argument("--grid-q", type=_int_at_least(4), default=1024)
+    sp.add_argument("--grid-p", type=_int_at_least(1), default=127)
     sp.add_argument("--grid-s", type=int, default=65)
     sp.add_argument("--dump-field", action="store_true",
                     help="also sample the Hamiltonian field to CSV (s, Q, P, H)")

@@ -122,9 +122,6 @@ class TableCurve:
         """Curvature at native parameter t."""
         return self.curvature(t)
 
-    def marked_point(self):
-        return self.position(0.0)
-
 
 class DiscTable(TableCurve):
     """Circle of radius 1/(2*pi) centered at the origin, marked at angle 0."""
@@ -772,9 +769,3 @@ def c0_distance(a: TableCurve, b: TableCurve, grid: int = 4096) -> float:
     local = q[j] + np.linspace(-1.0, 1.0, 33) / grid
     gap2 = np.linalg.norm(a.position(local) - b.position(local), axis=-1)
     return max(float(gap.max()), float(gap2.max()))
-
-
-def curve_centroid(t: TableCurve, grid: int = 2048) -> np.ndarray:
-    """Arc-length centroid of the boundary curve."""
-    q = np.arange(grid) / grid
-    return t.position(q).mean(axis=0)

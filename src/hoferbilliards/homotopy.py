@@ -32,6 +32,10 @@ from .errors import BracketInverted, CurvatureNotPositive, NearGrazing, Perturba
 # s-step of the finite-difference velocity of a path without a velocity field
 _VELOCITY_DS = 1e-4
 
+# extrapolation weights of the s-predictor in hofer_length: the polynomial
+# through the last 1, 2 or 3 equally spaced nodes, at the next node
+_PREDICTOR = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
+
 
 def simpson_nodes(n: int):
     """Nodes and weights of the composite Simpson rule on [0, 1]; n odd."""
@@ -86,24 +90,27 @@ class TablePath:
         return (self.table(s + h).position(q) - self.table(s - h).position(q)) / (2.0 * h)
 
     def speed_max(self, s: float, q_nodes: int = 1024) -> float:
-        """Grid max of ||velocity|| over q with three local refinement passes.
+        """Grid max of ||velocity|| over the slice, with three refinement passes.
 
-        Each pass samples 17 points across a window around the best point so
-        far; the window starts at about one grid spacing on either side and
-        shrinks 8x per pass, to the spacing of the pass before.  With a
-        single pass, l_B at 512 nodes read up to 2e-7 (relative) below the
-        endpoint C^0 distance on random 4-harmonic paths, which inverted
-        ``bracket_dB``.  The passes run in the slice's native parameter t,
-        where q(t) is closed form, so arc length is inverted only at the
-        grid maximum.
+        The max does not depend on how the boundary is parametrized, so it is
+        sampled in the slice's native parameter t, where q(t) is closed form
+        and no arc length is inverted: ``q_nodes`` nodes t_j = P j / q_nodes,
+        P the native period.  Each pass samples 17 points across a window
+        around the best point so far; the window starts at one grid spacing
+        P / q_nodes on either side and shrinks 8x per pass, to the spacing
+        of the pass before.  Where the native parameter is q (the disc,
+        smoothed polygons) the nodes are q_j = j / q_nodes.  With a single
+        pass, l_B at 512 nodes read up to 2e-7 (relative) below the endpoint
+        C^0 distance on random 4-harmonic paths, which inverted
+        ``bracket_dB``.
         """
-        q = np.arange(q_nodes) / q_nodes
-        mag = np.linalg.norm(self.velocity(s, q), axis=-1)
-        j = int(np.argmax(mag))
-        best = float(mag[j])
         table = self.table(s)
-        center = table.native_of_q(q[j : j + 1])
-        half = 1.0 / (q_nodes * table.native_frame(center)[2])
+        period = table.native_period
+        t = period * (np.arange(q_nodes) / q_nodes)
+        mag = np.linalg.norm(self.velocity(s, table.q_of_native(t), t), axis=-1)
+        j = int(np.argmax(mag))
+        best, center = float(mag[j]), t[j]
+        half = period / q_nodes
         for _ in range(3):
             t = center + np.linspace(-1.0, 1.0, 17) * half
             mag2 = np.linalg.norm(self.velocity(s, table.q_of_native(t), t), axis=-1)
@@ -298,10 +305,12 @@ def path_geometric_length(
 ):
     """Simpson quadrature of max_q ||dgamma_s/ds|| over s in [0, 1].
 
-    The q-sweep is a grid max with three refinement passes, so the integrand and
-    hence the value approximate the true path length from below up to
-    quadrature error; ``with_error`` also returns the Simpson doubling
-    estimate |I_n - I_(n//2+1)|.
+    Each integrand value is ``TablePath.speed_max``: a grid max over
+    ``q_nodes`` nodes of the slice's native parameter with three refinement
+    passes.  A grid max never exceeds the true max, so the value
+    approximates the path length from below up to quadrature error;
+    ``with_error`` also returns the Simpson doubling estimate
+    |I_n - I_(n//2+1)|.
     """
     x, w = simpson_nodes(s_nodes)
     vals = np.array([path.speed_max(float(s), q_nodes) for s in x])
@@ -353,44 +362,42 @@ class HamiltonianField:
         return float(self.value_arrays(s, np.asarray(Q), np.asarray(P)))
 
 
-def _extreme_refine(hf: HamiltonianField, s, Qg, Pg, H, pmax, sign):
-    """One local refinement pass around the grid extreme of sign*H."""
-    flat = int(np.argmax(sign * H))
-    i, j = np.unravel_index(flat, H.shape)
-    dq = Qg[1] - Qg[0] if len(Qg) > 1 else 0.5
-    dp = Pg[1] - Pg[0] if len(Pg) > 1 else 0.1
-    ql = Qg[i] + np.linspace(-dq, dq, 9)
-    pl = np.clip(Pg[j] + np.linspace(-dp, dp, 9), -pmax, pmax)
-    QQ, PP = np.meshgrid(ql, pl, indexing="ij")
-    Hl = hf.value_arrays(s, QQ.ravel(), PP.ravel())
-    return float(np.max(sign * Hl) * sign)
-
-
 def hofer_oscillation(hf: HamiltonianField, s: float, q_grid: int = 256, p_grid: int = 127, seed=None):
     """(max H_s - min H_s over the (Q, P) grid, extremes locally refined, ts).
 
-    ``ts`` are the landing native parameters of the grid's inverse solves;
-    passed back as ``seed``, they warm-start the grid of a nearby s.
+    The grid is Q = j / q_grid by ``p_grid`` momenta in [-pmax, pmax],
+    pmax = 1 - 1/128.  Each extreme is refined on a 9x9 window spanning one
+    grid step on either side of it (momenta clipped to pmax); both windows
+    share one solve of 162 points, whose start data and velocities are
+    computed once at their 18 Q values.  ``ts`` are the landing native
+    parameters of the grid's inverse solves; ``hofer_length`` extrapolates
+    them along s to seed the grid of the next s-node.
     """
     pmax = 1.0 - 1.0 / 128.0
+    table = hf.path.table(s)
     Qg = np.arange(q_grid) / q_grid
     Pg = np.linspace(-pmax, pmax, p_grid)
-    t_g, pos_g, tan_g = native_start(hf.path.table(s), Qg)
-    vel_g = hf.path.velocity(s, Qg, t_g)
-    QQ, PP = np.meshgrid(Qg, Pg, indexing="ij")
-    start = tuple(np.repeat(x, p_grid, axis=0) for x in (t_g, pos_g, tan_g))
-    H, _, ts = hf.solve(
-        s,
-        QQ.ravel(),
-        PP.ravel(),
-        seed=seed,
-        start=start,
-        vel_Q=np.repeat(vel_g, p_grid, axis=0),
-    )
+
+    def sweep(Q, P, seed=None):
+        # P holds one row of momenta per Q; the start data and the velocity
+        # are computed once per Q and repeated along its row
+        m = P.shape[1]
+        t_Q, pos_Q, tan_Q = native_start(table, Q)
+        start = tuple(np.repeat(x, m, axis=0) for x in (t_Q, pos_Q, tan_Q))
+        vel_Q = np.repeat(hf.path.velocity(s, Q, t_Q), m, axis=0)
+        return hf.solve(s, np.repeat(Q, m), P.ravel(), seed=seed, start=start, vel_Q=vel_Q)
+
+    H, _, ts = sweep(Qg, np.broadcast_to(Pg, (q_grid, p_grid)), seed)
     H = H.reshape(q_grid, p_grid)
-    hi = max(float(H.max()), _extreme_refine(hf, s, Qg, Pg, H, pmax, +1.0))
-    lo = min(float(H.min()), _extreme_refine(hf, s, Qg, Pg, H, pmax, -1.0))
-    return hi - lo, ts
+    dq = Qg[1] - Qg[0] if q_grid > 1 else 0.5
+    dp = Pg[1] - Pg[0] if p_grid > 1 else 0.1
+    step = np.linspace(-1.0, 1.0, 9)
+    # the 9x9 windows around the max and the min, as 18 Q rows of 9 momenta
+    ij = [np.unravel_index(int(np.argmax(H)), H.shape), np.unravel_index(int(np.argmin(H)), H.shape)]
+    Ql = np.concatenate([Qg[i] + step * dq for i, _ in ij])
+    Pl = np.stack([np.clip(Pg[j] + step * dp, -pmax, pmax) for _, j in ij])
+    Hl = sweep(Ql, np.repeat(Pl, 9, axis=0))[0].reshape(2, 81)
+    return max(float(H.max()), float(Hl[0].max())) - min(float(H.min()), float(Hl[1].min())), ts
 
 
 def hofer_length(
@@ -399,15 +406,22 @@ def hofer_length(
     """Simpson quadrature of the Hamiltonian oscillation along the path.
 
     Approximates the Hofer length of this particular path (an upper bound
-    for the Hofer distance of its endpoints, up to grid error).  Consecutive
-    s-nodes warm-start each other's inverse solves in the native parameter.
+    for the Hofer distance of its endpoints, up to grid error).  The grid
+    solves of each s-node are seeded by a predictor along s (numerical
+    continuation, Allgower & Georg 1990, ch. 2): the polynomial through the
+    landing native parameters of the last 1, 2 or 3 nodes, evaluated at the
+    next, equally spaced node.  ``newton_bisect`` clips each seed into its
+    bracket, so a poor prediction costs iterations, not correctness.
     """
     hf = HamiltonianField(path)
     x, w = simpson_nodes(s_nodes)
     vals = np.empty(s_nodes)
-    seed = None
+    # landing ts of the last three nodes, the latest first
+    last: list[np.ndarray] = []
     for i, s in enumerate(x):
-        vals[i], seed = hofer_oscillation(hf, float(s), q_grid, p_grid, seed=seed)
+        seed = sum(c * t for c, t in zip(_PREDICTOR[len(last)], last)) if last else None
+        vals[i], ts = hofer_oscillation(hf, float(s), q_grid, p_grid, seed=seed)
+        last = [ts] + last[:2]
     return float(vals @ w)
 
 
@@ -467,7 +481,17 @@ def verify_comparison(
     lb_q_nodes: int = 1024,
     slack: float = 1e-2,
 ) -> ComparisonCertificate:
-    """Check l_H <= 4 l_B (1 + slack) for the given path."""
+    """Check l_H <= 4 l_B (1 + slack) for the given path.
+
+    What the check can detect: for every chord pair |<u, v(q) - v(Q)>| is
+    at most 2 max|v|, so max H_s - min H_s <= 4 max_q ||dgamma_s/ds||
+    holds whatever landing points the bounce solves return.  The ratio
+    therefore exceeds 4 (1 + slack) only through discretization: when the
+    l_B sweep or its Simpson rule reads low by more than the slack against
+    the l_H nodes.  A wrong bounce solve does not show here; the checks
+    that tie H to the billiard map are the Hamilton-Jacobi residual, the
+    round-table closed form and symplecticity.
+    """
     l_h = hofer_length(path, s_nodes, q_grid, p_grid)
     l_b = path_geometric_length(path, lb_s_nodes, lb_q_nodes)
     if l_b == 0.0:

@@ -195,6 +195,29 @@ def test_usage_errors_are_input_errors(capsys, argv, message):
     assert "usage: hb" in captured.err and "input error" in captured.err
 
 
+_ELLIPSE_PATH = {"type": "support_interp", "a": {"c0": 1.0}, "b": {"c0": 1.0, "cos": [0.0, 0.04]}}
+
+
+@pytest.mark.parametrize(
+    "flag, low, bad",
+    [("--grid-q", 4, ["3", "0", "-8"]), ("--grid-p", 1, ["0", "-3"])],
+    ids=["grid-q", "grid-p"],
+)
+def test_hofer_length_grid_below_its_minimum_is_a_usage_error(tmp_path, capsys, flag, low, bad):
+    # numpy would otherwise fail on a zero-size max or a negative sample count
+    path = _write(tmp_path, "p.json", _ELLIPSE_PATH)
+    for value in bad:
+        assert main(["hofer", "length", "--path", path, flag, value]) == 1
+        error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+        assert f"argument {flag}: must be at least {low}, got {value}" in error
+    # the smallest accepted grids run: one Q column of grid-p momenta, or one momentum
+    small = {"--grid-q": ["--grid-q", "4", "--grid-p", "3"], "--grid-p": ["--grid-q", "16", "--grid-p", "1"]}
+    argv = ["hofer", "length", "--path", path, "--grid-s", "3", "--out", str(tmp_path / "o")]
+    assert main(argv + small[flag]) == 0
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert result["l_B"] > 0.0 and result["l_H"] > 0.0
+
+
 def test_help_returns_0(capsys):
     assert main(["map", "eval", "--help"]) == 0
     assert "--table" in capsys.readouterr().out

@@ -15,7 +15,7 @@ from hoferbilliards import (
     unit_square,
 )
 from hoferbilliards._solve import newton_bisect
-from hoferbilliards.curves import EVAL_CHUNK, PolygonBoundary, PolygonSpec, _TrigSeries, curve_centroid
+from hoferbilliards.curves import EVAL_CHUNK, PolygonBoundary, PolygonSpec, TableCurve, _TrigSeries
 from hoferbilliards.smoothing import family_from_polygon
 from hoferbilliards.errors import CurvatureNotPositive
 
@@ -61,6 +61,12 @@ def test_unit_tangent_and_positive_curvature(mild_ellipse, disc):
 def test_position_periodicity(mild_ellipse):
     q = np.linspace(0, 1, 17)
     assert np.abs(mild_ellipse.position(q + 1) - mild_ellipse.position(q)).max() < 1e-10
+
+
+def curve_centroid(t: TableCurve, grid: int = 2048) -> np.ndarray:
+    """Arc-length centroid of the boundary curve."""
+    q = np.arange(grid) / grid
+    return t.position(q).mean(axis=0)
 
 
 def test_first_harmonic_translates():
