@@ -562,6 +562,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _simpson_count(text):
+    """argparse type of a Simpson node count: an odd integer >= 3, else a usage error."""
+    value = int(text)
+    if value < 3 or value % 2 == 0:
+        raise argparse.ArgumentTypeError(f"must be an odd integer >= 3, got {value}")
+    return value
+
+
+_simpson_count.__name__ = "int"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse would exit with status 2, which hb reserves for certificate failures
@@ -619,7 +630,7 @@ def build_parser():
     # hofer length solves a (grid-q // 4) x grid-p phase grid
     sp.add_argument("--grid-q", type=_int_at_least(4), default=1024)
     sp.add_argument("--grid-p", type=_int_at_least(1), default=127)
-    sp.add_argument("--grid-s", type=int, default=65)
+    sp.add_argument("--grid-s", type=_simpson_count, default=65)
     sp.add_argument("--dump-field", action="store_true",
                     help="also sample the Hamiltonian field to CSV (s, Q, P, H)")
     sp.set_defaults(fn="cmd_hofer_length")

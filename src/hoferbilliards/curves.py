@@ -555,7 +555,9 @@ class SampledCurve(TableCurve):
     EVAL_CHUNK points at a time.  The speed series has the frequencies of
     z, so each iterate of the arc-length Newton ``u_of_q`` evaluates its
     residual (the integrated speed weights c_k / (2 pi i k), less their
-    sum) and its derivative |z'| from one shared power matrix.
+    sum) and its derivative |z'| from one shared power matrix.  When the
+    samples move with a parameter s, ``fixed_q_rate`` gives d/ds of the
+    position at fixed q, again from one power matrix.
     """
 
     kind = "reconstructed_samples"
@@ -574,6 +576,7 @@ class SampledCurve(TableCurve):
         # raw arc length = raw_length u + sum_{k != 0} c_k/(2 pi i k) (z^k - 1);
         # the speed series shares the frequencies of z, so one power matrix
         # serves both columns of the arc-length Newton (this and z')
+        self._speed_coef = speed_series.coef
         self._arc_w = np.zeros_like(speed_series.coef)
         self._arc_w[k != 0] = speed_series.coef[k != 0] / (2j * np.pi * k[k != 0])
         self._arc_w0 = self._arc_w.sum()
@@ -581,6 +584,8 @@ class SampledCurve(TableCurve):
         self._curvature_w = np.stack([self._z.weights(1), self._z.weights(2)], axis=1)
         centroid = np.sum(z * speed) / np.sum(speed)
         self._center = centroid
+        # node data of the s-rate of a moving-sample family (``fixed_q_rate``)
+        self._nodes = (z, dz, speed)
         self._scale = 1.0 / self.raw_length
         if kind is not None:
             self.kind = kind
@@ -659,6 +664,53 @@ class SampledCurve(TableCurve):
 
     def native_curvature(self, u):
         return self._raw_curvature(u) * self.raw_length
+
+    def fixed_q_rate(self, u, sample_rate):
+        """d/ds of position(q) at fixed q, at native points u, when the samples move.
+
+        ``sample_rate`` holds the s-derivatives of the (m, 2) samples this
+        curve was built from; the result has shape u.shape + (2,).  The
+        derivative is that of what the constructor computes: the position is
+        c + lam (z(u) - c) with lam = 1/L and q = lam A(u), where A is the
+        closed-form integral of the interpolated speed samples, so A' is
+        that interpolant, not |z'(u)|.  With w the interpolant of the sample
+        rate, sig_j = |z'_j| and sig_j' = Re(conj(z'_j) w'_j) / sig_j on the
+        nodes, L' is the mean of sig', A' the closed-form integral of its
+        interpolant and c' the quotient rule on sum z sig / sum sig.  Then
+
+            gamma' = lam w + lam' (z - c) + (1 - lam) c' + lam z' u',
+            u' = (L'/L A - A_s) / A',
+
+        A_s the s-derivative of A at fixed u.  All six series share the
+        frequencies of z and are evaluated from one power matrix.
+        """
+        z_nodes, dz_nodes, speed = self._nodes
+        w_nodes = np.asarray(sample_rate[:, 0] + 1j * sample_rate[:, 1])
+        w = _TrigSeries(w_nodes)
+        dspeed = np.real(np.conj(dz_nodes) * w.on_grid(z_nodes.size, 1)) / speed
+        dspeed_series = _TrigSeries(dspeed.astype(complex))
+        k = dspeed_series.k
+        dlength = float(np.real(dspeed_series.coef[k == 0][0]))
+        darc_w = np.zeros_like(dspeed_series.coef)
+        darc_w[k != 0] = dspeed_series.coef[k != 0] / (2j * np.pi * k[k != 0])
+        dcenter = np.sum(w_nodes * speed + z_nodes * dspeed) - self._center * np.sum(dspeed)
+        dcenter /= np.sum(speed)
+        u = np.asarray(u, dtype=float)
+        cols = self._z.evaluate(
+            u,
+            np.stack(
+                [self._z.coef, self._z.weights(1), self._arc_w, self._speed_coef, w.coef, darc_w],
+                axis=1,
+            ),
+        )
+        z, dz, arc, speed_u, dz_ds, darc = np.moveaxis(cols, -1, 0)
+        arc = self.raw_length * u + np.real(arc - self._arc_w0)
+        darc = dlength * u + np.real(darc - darc_w.sum())
+        du = (dlength * self._scale * arc - darc) / np.real(speed_u)
+        lam = self._scale
+        dlam = -dlength * lam * lam
+        rate = lam * dz_ds + dlam * (z - self._center) + (1.0 - lam) * dcenter + lam * dz * du
+        return np.stack([np.real(rate), np.imag(rate)], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,6 @@ from .curves import (
 )
 from .errors import BracketInverted, CurvatureNotPositive, NearGrazing, PerturbationTooLarge
 
-# s-step of the finite-difference velocity of a path without a velocity field
-_VELOCITY_DS = 1e-4
-
 # extrapolation weights of the s-predictor in hofer_length: the polynomial
 # through the last 1, 2 or 3 equally spaced nodes, at the next node
 _PREDICTOR = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
@@ -50,18 +47,17 @@ def simpson_nodes(n: int):
 
 
 class TablePath:
-    """One-parameter family s in [0,1] of length-1 tables with s-derivative.
+    """One-parameter family s in [0,1] of length-1 tables with its s-velocity.
 
-    ``table_of_s`` builds the slice at s (cached); ``velocity_fn(s, q, t)``,
-    when given, evaluates dgamma_s/ds(q) analytically, where t is either None
-    or the slice's native parameter at q (a field that is closed form in t
-    then skips the arc-length inversion).  Without it, second-order finite
-    differences in s with step 1e-4 are used (one-sided at the endpoints).
+    ``table_of_s`` builds the slice at s (cached).  ``velocity_fn(s, t)``
+    evaluates dgamma_s/ds at fixed arc-length parameter q in closed form,
+    where t is the native parameter of ``table(s)`` at q; every path kind
+    supplies one, so no velocity is differenced in s.
     """
 
-    def __init__(self, table_of_s, velocity_fn=None, tag: str = "custom"):
+    def __init__(self, table_of_s, velocity_fn, tag: str = "custom"):
         self._build = table_of_s
-        self._velocity_fn = velocity_fn
+        self.velocity_fn = velocity_fn
         self.tag = tag
         self._cache: dict[float, TableCurve] = {}
 
@@ -76,44 +72,39 @@ class TablePath:
     def velocity(self, s: float, q, t=None):
         """dgamma_s/ds at fixed arc-length parameter q; shape q.shape + (2,).
 
-        ``t``, when known, is the native parameter of ``table(s)`` at q.
+        ``t``, when known, is the native parameter of ``table(s)`` at q, and
+        q is then not read; otherwise arc length is inverted here, the one
+        place that does so for a velocity.
         """
-        if self._velocity_fn is not None:
-            return self._velocity_fn(s, q, t)
-        h = _VELOCITY_DS
-        if s < h:
-            a, b, c = self.table(s), self.table(s + h), self.table(s + 2 * h)
-            return (-3.0 * a.position(q) + 4.0 * b.position(q) - c.position(q)) / (2.0 * h)
-        if s > 1.0 - h:
-            a, b, c = self.table(s), self.table(s - h), self.table(s - 2 * h)
-            return (3.0 * a.position(q) - 4.0 * b.position(q) + c.position(q)) / (2.0 * h)
-        return (self.table(s + h).position(q) - self.table(s - h).position(q)) / (2.0 * h)
+        if t is None:
+            t = self.table(s).native_of_q(q)
+        return self.velocity_fn(s, t)
 
     def speed_max(self, s: float, q_nodes: int = 1024) -> float:
         """Grid max of ||velocity|| over the slice, with three refinement passes.
 
         The max does not depend on how the boundary is parametrized, so it is
-        sampled in the slice's native parameter t, where q(t) is closed form
-        and no arc length is inverted: ``q_nodes`` nodes t_j = P j / q_nodes,
-        P the native period.  Each pass samples 17 points across a window
-        around the best point so far; the window starts at one grid spacing
-        P / q_nodes on either side and shrinks 8x per pass, to the spacing
-        of the pass before.  Where the native parameter is q (the disc,
-        smoothed polygons) the nodes are q_j = j / q_nodes.  With a single
-        pass, l_B at 512 nodes read up to 2e-7 (relative) below the endpoint
-        C^0 distance on random 4-harmonic paths, which inverted
-        ``bracket_dB``.
+        sampled in the slice's native parameter t, where ``velocity_fn``
+        reads t alone and no arc length is inverted: ``q_nodes`` nodes
+        t_j = P j / q_nodes, P the native period.  Each pass samples 17
+        points across a window around the best point so far; the window
+        starts at one grid spacing P / q_nodes on either side and shrinks 8x
+        per pass, to the spacing of the pass before.  Where the native
+        parameter is q (the disc, smoothed polygons) the nodes are
+        q_j = j / q_nodes.  With a single pass, l_B at 512 nodes read up to
+        2e-7 (relative) below the endpoint C^0 distance on random 4-harmonic
+        paths, which inverted ``bracket_dB``.
         """
         table = self.table(s)
         period = table.native_period
         t = period * (np.arange(q_nodes) / q_nodes)
-        mag = np.linalg.norm(self.velocity(s, table.q_of_native(t), t), axis=-1)
+        mag = np.linalg.norm(self.velocity_fn(s, t), axis=-1)
         j = int(np.argmax(mag))
         best, center = float(mag[j]), t[j]
         half = period / q_nodes
         for _ in range(3):
             t = center + np.linspace(-1.0, 1.0, 17) * half
-            mag2 = np.linalg.norm(self.velocity(s, table.q_of_native(t), t), axis=-1)
+            mag2 = np.linalg.norm(self.velocity_fn(s, t), axis=-1)
             k = int(np.argmax(mag2))
             best, center = max(best, float(mag2[k])), t[k]
             half /= 8.0
@@ -129,31 +120,10 @@ def translation_path(table: TableCurve, v) -> TablePath:
 
         return rigid_motion(table, 0.0, s * v)
 
-    def vel(s, q, t):
-        q = np.asarray(q, dtype=float)
-        return np.broadcast_to(v, q.shape + (2,)).copy()
+    def vel(s, t):
+        return np.broadcast_to(v, np.shape(t) + (2,)).copy()
 
     return TablePath(build, vel, tag="translation")
-
-
-def rigid_motion_path(table: TableCurve, angle: float, v=(0.0, 0.0)) -> TablePath:
-    """Isometry path g_s(gamma), g_s = rotation by s*angle plus s*v; Hofer-null."""
-    v = np.asarray(v, dtype=float)
-    angle = float(angle)
-
-    def build(s):
-        from .curves import rigid_motion
-
-        return rigid_motion(table, s * angle, s * v)
-
-    def vel(s, q, t):
-        # the slices share the base table's native parameter
-        pos = table.position(q) if t is None else table.native_frame(t)[0]
-        c, sn = np.cos(s * angle), np.sin(s * angle)
-        dr = angle * np.array([[-sn, -c], [c, -sn]])
-        return pos @ dr.T + v
-
-    return TablePath(build, vel, tag="rigid")
 
 
 def support_interp_path(a: FourierSupportSpec, b: FourierSupportSpec) -> TablePath:
@@ -210,9 +180,9 @@ def support_interp_path(a: FourierSupportSpec, b: FourierSupportSpec) -> TablePa
     def build(s):
         return FourierTable(slice_specs(s)[0])
 
-    def vel(s, q, t):
-        norm, g = slice_specs(s)
-        th = FourierTable(norm).theta_of_q(q) if t is None else np.asarray(t, dtype=float)
+    def vel(s, t):
+        g = slice_specs(s)[1]
+        th = np.asarray(t, dtype=float)
         # g, g' and int_0^theta (g + g'') from one kernel evaluation on g
         rows = g._terms(th)
         gv = g.c0 + rows[0]
@@ -249,8 +219,14 @@ def normal_perturbation_path(table: TableCurve, f_samples) -> NormalPerturbation
     interpolated spectrally.  Requires sup|f| * max-curvature <= 1/2 (the
     C^2-smallness hypothesis that keeps the renormalization well posed),
     else PerturbationTooLarge.  Each slice is a ``SampledCurve`` of 513
-    samples; positive curvature is checked on 9 slices, else
-    CurvatureNotPositive.
+    samples alpha_j + (s f_j) n_j, from base samples alpha, f and n taken
+    once; positive curvature is checked on the 9 slices s = j/8, built
+    through the path's slice cache, else CurvatureNotPositive.
+
+    The raw samples are affine in s with rate w = f n, so the velocity is
+    closed form: ``SampledCurve.fixed_q_rate`` differentiates the slice's
+    length normalization, centroid and arc-length reparametrization at
+    fixed q, at the native points u.
     """
     from .curves import _TrigSeries
 
@@ -270,16 +246,29 @@ def normal_perturbation_path(table: TableCurve, f_samples) -> NormalPerturbation
             "the renormalization estimates require a C^2-small perturbation"
         )
 
+    # the base samples, taken once: slice s is built from alpha + (s f) n
+    u = np.arange(513) / 513
+    alpha, fu, normal = table.position(u), np.real(f(u))[..., None], table.normal(u)
+    sample_rate = fu * normal
+
+    # the velocity reads the slices from here: reading them through the path
+    # would tie the path and its velocity into a reference cycle, which holds
+    # every slice until the cyclic garbage collector runs
+    slices: dict[float, SampledCurve] = {}
+
     def build(s):
-        def raw(u):
-            u = np.asarray(u, dtype=float)
-            return table.position(u) + float(s) * np.real(f(u))[..., None] * table.normal(u)
+        s = float(s)
+        hit = slices.get(s)
+        if hit is None:
+            hit = slices[s] = SampledCurve(alpha + s * fu * normal, kind="reconstructed_samples")
+        return hit
 
-        return SampledCurve.from_function(raw, samples=513, kind="reconstructed_samples")
+    def vel(s, t):
+        return build(s).fixed_q_rate(t, sample_rate)
 
+    path = TablePath(build, vel, tag="normal_perturbation")
     for s in np.linspace(0.0, 1.0, 9):
-        slc = build(s)
-        if slc.min_curvature <= 0.0:
+        if path.table(s).min_curvature <= 0.0:
             raise CurvatureNotPositive(
                 f"perturbed slice loses convexity at s={s:.4f}", where=float(s)
             )
@@ -287,7 +276,7 @@ def normal_perturbation_path(table: TableCurve, f_samples) -> NormalPerturbation
     constant = 2.0 + 6.4 * k_max
     bound = constant * (sup_f + sup_df)
     return NormalPerturbationPath(
-        path=TablePath(build, tag="normal_perturbation"),
+        path=path,
         bound=bound,
         constant=constant,
         sup_f=sup_f,

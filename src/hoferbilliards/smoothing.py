@@ -10,9 +10,12 @@ lambda(s) gamma_s with lambda = 1/L about the polygon centroid, which is
 then arc-length parametrized by construction.
 
 L(s) is affine: L(s) = L_K - s * sum(delta_i), with delta_i the per-corner
-length defect of the profile graph against the corner graph.  The module
-also certifies the Cauchy behaviour of the family as s -> 0 and the O(s)
-independence of the profile choice.
+length defect of the profile graph against the corner graph.  The
+s-derivative of the normalized slice at fixed q is closed form piece by
+piece (``SmoothingFamily.rate``); ``family_speed`` and ``restricted_path``
+read it, so no slice is differenced in s.  The module also certifies the
+Cauchy behaviour of the family as s -> 0 and the O(s) independence of the
+profile choice.
 
 The independence certificate blends the two families' corner profiles at
 the stencil points of a Simpson rule in the blend parameter t; building a
@@ -284,6 +287,13 @@ class SmoothingFamily:
                 "marked point lies inside a corner neighborhood at s = 1; "
                 "use a shifted mark and pass to the limit"
             )
+        # d/ds of the piece starts and of the mark's arc position; the piece
+        # lengths (see _piece_lengths) are affine in s
+        rates = np.empty(2 * n)
+        rates[0::2] = self.profile_arcs
+        rates[1::2] = -(self.cut + np.roll(self.cut, -1))
+        self._start_rates = np.concatenate([[0.0], np.cumsum(rates)])
+        self._mark_rate = float(self._start_rates[2 * j + 1] - self.cut[j])
         self._slices: weakref.WeakValueDictionary[float, _FamilyCurve] = weakref.WeakValueDictionary()
 
     @property
@@ -321,12 +331,32 @@ class SmoothingFamily:
         idx = np.clip(np.searchsorted(starts, arc, side="right") - 1, 0, 2 * self.n_corners - 1)
         return idx, arc - starts[idx]
 
+    def _offset_rate(self, s, q, idx):
+        """d/ds at fixed q of the offset ``_locate`` returns in piece idx."""
+        L = self.length_at(s)
+        qr = np.mod(q, 1.0)
+        raw = qr * L + self._mark_arc(s)
+        # the arc is raw - wraps L; the mark and the piece starts move affinely
+        wraps = np.round((raw - np.mod(raw, L)) / L)
+        return (qr - wraps) * -self.total_delta + self._mark_rate - self._start_rates[idx]
+
     def _eval(self, s, q, want):
-        """Vectorized piecewise evaluation; want in {'pos', 'tan', 'kappa'}."""
+        """Vectorized piecewise evaluation; want in {'pos', 'tan', 'kappa', 'rate'}.
+
+        'rate' is d/ds at fixed q of the normalized slice C + (pos - C) / L,
+        from the raw position and its rate in one pass: an edge point moves
+        along its edge, a corner point x = s xi(loc/s), y = s f(xi) with
+        d xi/d(arc) = 1/sqrt(1 + f'^2), the offsets move with the piece
+        starts and the mark, and L' = -sum(delta_i).
+        """
         q = np.asarray(q, dtype=float)
         shape = q.shape
         qf = np.atleast_1d(q).ravel()
         idx, loc = self._locate(s, qf)
+        if want == "rate":
+            dloc = self._offset_rate(s, qf, idx)
+            L = self.length_at(s)
+            lam, dlam = 1.0 / L, self.total_delta / (L * L)
         if want == "kappa":
             out = np.zeros(qf.size)
         else:
@@ -336,25 +366,39 @@ class SmoothingFamily:
             m = idx == piece
             i = piece // 2
             if piece % 2 == 1:
-                if want == "pos":
-                    start = V[i] + s * self.cut[i] * self.edge_dir[i]
-                    out[m] = start + loc[m, None] * self.edge_dir[i]
-                elif want == "tan":
+                if want == "tan":
                     out[m] = self.edge_dir[i]
+                elif want != "kappa":
+                    start = V[i] + s * self.cut[i] * self.edge_dir[i]
+                    pos = start + loc[m, None] * self.edge_dir[i]
+                    if want == "pos":
+                        out[m] = pos
+                    else:
+                        raw_rate = (self.cut[i] + dloc[m, None]) * self.edge_dir[i]
+                        out[m] = dlam * (pos - self.center) + lam * raw_rate
                 continue
             prof = self.profiles[i]
             xi = prof.xi_of_arc(loc[m] / s)
             if want == "kappa":
                 out[m] = prof.ddf(xi) / (s * (1.0 + prof.df(xi) ** 2) ** 1.5)
                 continue
-            if want == "pos":
-                x = s * xi
-                y = s * prof.f(xi)
-                out[m] = V[i] + x[:, None] * self.x_hat[i] + y[:, None] * self.y_hat[i]
-            else:
+            if want == "tan":
                 fp = prof.df(xi)
                 norm = np.sqrt(1.0 + fp * fp)
                 out[m] = (self.x_hat[i][None, :] + fp[:, None] * self.y_hat[i][None, :]) / norm[:, None]
+                continue
+            fx = prof.f(xi)
+            x = s * xi
+            y = s * fx
+            pos = V[i] + x[:, None] * self.x_hat[i] + y[:, None] * self.y_hat[i]
+            if want == "pos":
+                out[m] = pos
+                continue
+            fp = prof.df(xi)
+            # s times d xi/ds, with d(loc/s)/ds = (dloc - loc/s) / s
+            s_dxi = (dloc[m] - loc[m] / s) / np.sqrt(1.0 + fp * fp)
+            raw_rate = (xi + s_dxi)[:, None] * self.x_hat[i] + (fx + fp * s_dxi)[:, None] * self.y_hat[i]
+            out[m] = dlam * (pos - self.center) + lam * raw_rate
         if want == "kappa":
             return out.reshape(shape)
         return out.reshape(shape + (2,))
@@ -368,6 +412,14 @@ class SmoothingFamily:
 
     def raw_curvature(self, s, q):
         return self._eval(s, q, "kappa")
+
+    def rate(self, s, q):
+        """d/ds of the normalized slice ``curve(s).position(q)`` at fixed q.
+
+        The slice is C + lam (gamma_s - C) with lam = 1/L(s) and L affine in
+        s, so the rate is lam' (gamma_s - C) + lam d(gamma_s)/ds.
+        """
+        return self._eval(s, q, "rate")
 
     def curve(self, s: float) -> TableCurve:
         """Normalized slice: length-1, arc-length parametrized, convex."""
@@ -434,12 +486,9 @@ def family_from_polygon(
 
 
 def family_speed(fam: SmoothingFamily, s: float, q_nodes: int = 4096) -> float:
-    """max_q ||d(normalized gamma_s)/ds|| by arc-length-matched central differences."""
-    h = min(1e-4, s / 10.0)
+    """max_q ||d(normalized gamma_s)/ds|| over q = j / q_nodes, from the closed-form ``rate``."""
     q = np.arange(q_nodes) / q_nodes
-    a = fam._curve_unchecked(s + h).position(q)
-    b = fam._curve_unchecked(s - h).position(q)
-    return float(np.linalg.norm(a - b, axis=-1).max() / (2.0 * h))
+    return float(np.linalg.norm(fam.rate(s, q), axis=-1).max())
 
 
 @dataclass
@@ -591,14 +640,22 @@ def independence_slope(
 
 
 def restricted_path(fam: SmoothingFamily, s_lo: float, s_hi: float) -> TablePath:
-    """The family restricted to [s_lo, s_hi], reparametrized to [0, 1]."""
+    """The family restricted to [s_lo, s_hi], reparametrized to [0, 1].
+
+    The velocity is the family's closed-form ``rate`` times s_hi - s_lo; a
+    slice's native parameter is q itself.
+    """
     if not 0.0 < s_lo < s_hi <= 1.0:
         raise ValueError("need 0 < s_lo < s_hi <= 1")
+    width = s_hi - s_lo
 
     def build(u):
-        return fam._curve_unchecked(s_lo + u * (s_hi - s_lo))
+        return fam._curve_unchecked(s_lo + u * width)
 
-    return TablePath(build, tag="smoothing_restriction")
+    def vel(u, t):
+        return width * fam.rate(s_lo + u * width, t)
+
+    return TablePath(build, vel, tag="smoothing_restriction")
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,28 @@ def test_native_solve_obeys_reflection_law(native_tables, kind, q, p):
     assert out.max() <= 1e-11 and back.max() <= 1e-11
 
 
+@pytest.mark.parametrize("kind", ["disc", "mild_ellipse", "sampled"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(
+    q=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=8),
+    p=st.floats(-0.99, 0.99),
+    r=st.floats(-1.5, 1.5),
+)
+def test_bounce_equivariant_under_mark_shift(native_tables, kind, q, p, r):
+    # moving the mark by r relabels the boundary, q -> q - r: the bounce from
+    # q - r on the shifted table lands at the old landing less r, at the same
+    # momentum.  Both solves stop at a 1e-13 residual; seen up to 1.3e-15
+    from hoferbilliards import shift_mark
+
+    table = native_tables[kind]
+    q = np.asarray(q)
+    p = np.full_like(q, p)
+    Q, P = forward_chord(table, q, p)[:2]
+    Qr, Pr = forward_chord(shift_mark(table, r), q - r, p)[:2]
+    assert np.abs(Qr - (Q - r)).max() <= 1e-11
+    assert np.abs(Pr - P).max() <= 1e-11
+
+
 def test_native_solve_inverts_arc_length_once(mild_ellipse, monkeypatch):
     calls = []
     inner = FourierTable.theta_of_q

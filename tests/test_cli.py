@@ -218,6 +218,22 @@ def test_hofer_length_grid_below_its_minimum_is_a_usage_error(tmp_path, capsys, 
     assert result["l_B"] > 0.0 and result["l_H"] > 0.0
 
 
+@pytest.mark.parametrize("value", ["4", "1", "2", "0", "-5"])
+def test_hofer_length_grid_s_not_a_simpson_count_is_a_usage_error(tmp_path, capsys, value):
+    # the l_B Simpson rule needs an odd node count >= 3; the error names the flag
+    path = _write(tmp_path, "p.json", _ELLIPSE_PATH)
+    assert main(["hofer", "length", "--path", path, "--grid-s", value]) == 1
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert f"argument --grid-s: must be an odd integer >= 3, got {value}" in error
+
+
+def test_hofer_length_smallest_simpson_count_runs(tmp_path, capsys):
+    path = _write(tmp_path, "p.json", _ELLIPSE_PATH)
+    argv = ["hofer", "length", "--path", path, "--grid-s", "3", "--grid-q", "16", "--grid-p", "3"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["l_B"] > 0.0
+
+
 def test_help_returns_0(capsys):
     assert main(["map", "eval", "--help"]) == 0
     assert "--table" in capsys.readouterr().out

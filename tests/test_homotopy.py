@@ -61,8 +61,26 @@ def test_hamiltonian_translation_vanishes(disc):
     assert np.abs(H).max() < 1e-15
 
 
+def rigid_motion_path(table, angle, v=(0.0, 0.0)):
+    """Isometry path g_s(table), g_s = rotation by s*angle plus s*v: the Hofer-null oracle.
+
+    Every slice shares the base table's native parameter, so the velocity at
+    t is d g_s/ds applied to the base point at t.
+    """
+    from hoferbilliards import rigid_motion
+
+    v = np.asarray(v, dtype=float)
+
+    def vel(s, t):
+        c, sn = np.cos(s * angle), np.sin(s * angle)
+        dr = angle * np.array([[-sn, -c], [c, -sn]])
+        return table.native_frame(t)[0] @ dr.T + v
+
+    return ho.TablePath(lambda s: rigid_motion(table, s * angle, s * v), vel, tag="rigid")
+
+
 def test_hamiltonian_rigid_path_vanishes(mild_ellipse):
-    path = ho.rigid_motion_path(mild_ellipse, 0.8, (0.1, 0.3))
+    path = rigid_motion_path(mild_ellipse, 0.8, (0.1, 0.3))
     hf = ho.HamiltonianField(path)
     rng = np.random.default_rng(1)
     H = hf.value_arrays(0.6, rng.uniform(0, 1, 50), rng.uniform(-0.9, 0.9, 50))
@@ -200,6 +218,70 @@ def test_normal_perturbation_bound(disc):
     assert res.bound > 0
 
 
+# --- the closed-form normal-perturbation velocity ----------------------------
+
+# The oracle is the central-difference stencil in s at step 1e-4.  A slice
+# position carries a few 1e-16 of roundoff after the arc-length Newton,
+# which the stencil divides by 2 ds; the truncation ds^2/6 |d^3 gamma/ds^3|
+# is far smaller, since the raw samples are affine in s.  Seen: 1.4e-12 on
+# speeds of about 5e-3, so 1e-10 leaves room and is still 2e-8 of the speed.
+NP_STENCIL_DS = 1e-4
+NP_STENCIL_ATOL = 1e-10
+NP_OVAL = FourierSupportSpec(1.0, cos=[0.0, 0.03], sin=[0.0, 0.01])
+
+
+def _np_f():
+    # a mean, a first harmonic (the centroid moves) and two higher ones
+    u = np.arange(512) / 512
+    k = 2 * np.pi * u
+    return 0.004 + 0.003 * np.cos(k) + 0.002 * np.sin(2 * k) + 0.001 * np.cos(3 * k)
+
+
+@pytest.mark.parametrize("base", ["disc", "oval"])
+def test_normal_perturbation_velocity_matches_stencil(disc, base):
+    from hoferbilliards import build_fourier_table
+
+    table = disc if base == "disc" else build_fourier_table(NP_OVAL)
+    path = ho.normal_perturbation_path(table, _np_f()).path
+    q = (np.arange(96) + 0.37) / 96
+    h = NP_STENCIL_DS
+    for s in (0.0, 0.5, 1.0):
+        stencil = (path.table(s + h).position(q) - path.table(s - h).position(q)) / (2 * h)
+        assert np.abs(path.velocity(s, q) - stencil).max() <= NP_STENCIL_ATOL
+        # the native-parameter entry reads the same field
+        t = path.table(s).native_of_q(q)
+        assert np.array_equal(path.velocity_fn(s, t), path.velocity(s, q))
+
+
+def test_normal_perturbation_slices_match_fresh_samples(mild_ellipse):
+    # slice s is built from base samples taken once; a build from fresh
+    # samples of alpha + s f n gives the same bits
+    from hoferbilliards import SampledCurve
+    from hoferbilliards.curves import _TrigSeries
+
+    f_samples = _np_f()
+    path = ho.normal_perturbation_path(mild_ellipse, f_samples).path
+    f = _TrigSeries(f_samples.astype(complex))
+    q = np.linspace(0.0, 1.0, 33)
+    for s in (0.0, 0.125, 0.5, 0.8125, 1.0):
+        def raw(u):
+            return mild_ellipse.position(u) + float(s) * np.real(f(u))[..., None] * mild_ellipse.normal(u)
+
+        fresh = SampledCurve.from_function(raw, samples=513)
+        built = path.table(s)
+        for a, b in zip(built._nodes, fresh._nodes):
+            assert np.array_equal(a, b)
+        assert np.array_equal(built.position(q), fresh.position(q))
+
+
+def test_normal_perturbation_builds_nine_slices(disc):
+    # the convexity check builds the nine slices j/8 through the path's
+    # cache, and the coarse certificate grids read no other
+    npp = ho.normal_perturbation_path(disc, _np_f())
+    ho.verify_comparison(npp.path, s_nodes=3, q_grid=32, p_grid=15, lb_s_nodes=5, lb_q_nodes=128)
+    assert sorted(npp.path._cache) == [j / 8 for j in range(9)]
+
+
 def test_normal_perturbation_too_large(disc):
     with pytest.raises((PerturbationTooLarge, CurvatureNotPositive)):
         ho.normal_perturbation_path(disc, np.full(256, 0.5))
@@ -269,8 +351,8 @@ def test_native_grid_speed_on_identity_parameter_is_the_q_grid(disc):
     # the disc's native parameter is q: the nodes are q_j = j / q_nodes, and
     # a velocity field peaked between two nodes is found by the passes alone
     def peaked_at(center):
-        def vel(s, q, t):
-            return np.stack([np.cos(2 * np.pi * (np.asarray(q) - center)), np.zeros(np.shape(q))], axis=-1)
+        def vel(s, t):
+            return np.stack([np.cos(2 * np.pi * (np.asarray(t) - center)), np.zeros(np.shape(t))], axis=-1)
 
         return ho.TablePath(lambda s: disc, vel)
 
@@ -389,7 +471,7 @@ def test_hamiltonian_and_lengths_invariant_under_rigid_motion(a, b, angle, v):
     rot = np.array([[c, -sn], [sn, c]])
     moved = ho.TablePath(
         lambda s: rigid_motion(path.table(s), angle, v),
-        lambda s, q, t: path.velocity(s, q, t) @ rot.T,
+        lambda s, t: path.velocity_fn(s, t) @ rot.T,
     )
     Q, P = np.meshgrid(np.arange(16) / 16, np.linspace(-0.95, 0.95, 9), indexing="ij")
     for s in (0.0, 0.6):

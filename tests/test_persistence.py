@@ -299,3 +299,21 @@ def test_barcode_invariant_under_rigid_motion(n, angle, dx, dy):
     still = pe.sublevel_barcode(pe.sample_orbit_functional(OVAL, n, m))
     for d in range(n + 1):
         assert pe.bottleneck_distance(moved, still, d) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(k=st.integers(-40, 40), table=st.sampled_from(["oval", "sampled"]))
+def test_barcode_invariant_under_mark_shift(native_tables, k, table):
+    # a mark shift by k grid steps permutes the n = 2 grid cyclically, which
+    # leaves the sublevel barcode unchanged.  The shifted table reads its
+    # base at j/m + k/m, the same node up to one roundoff where the sum
+    # wraps past 1, so the bars agree to 1e-12
+    from hoferbilliards import shift_mark
+
+    base = OVAL if table == "oval" else native_tables["sampled"]
+    m = 16
+    still = pe.sublevel_barcode(pe.sample_orbit_functional(base, 2, m))
+    moved = pe.sublevel_barcode(pe.sample_orbit_functional(shift_mark(base, k / m), 2, m))
+    for d in range(3):
+        assert len(moved.degree(d)) == len(still.degree(d))
+        assert pe.bottleneck_distance(moved, still, d) <= 1e-12

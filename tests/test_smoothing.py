@@ -337,3 +337,51 @@ def test_curvature_lift_where_theta_newton_stalled():
     q = np.array([0.489013671875, 0.989013671875])
     assert np.abs(fourier.spec.arclength(fourier.theta_of_q(q)) - q).max() <= 1e-13
     assert c0_distance(lift, fam.curve(s), grid=4096) < 2 * eps
+
+
+# --- the closed-form s-rate against the central-difference stencil ---------
+
+# The stencil step is relative, ds = 1e-3 s, because the corner geometry
+# scales with s; on the restriction to [s/2, s] that is du = 2e-3.  Edge
+# points: the stencil divides position roundoff (a few 1e-16) by 2 du, so
+# 1e-14 / du bounds it with room; seen at most 5% of that.  Corner points:
+# the positions invert a piecewise-linear arc table (2049 nodes per
+# profile), whose cell slopes differ from 1/sqrt(1 + f'^2) by up to about
+# 3e-4 relative where f'' peaks; seen 3.7e-7, 2e-4 of the square's speed.
+# The rate is the smooth derivative, so corners get 1e-3 relative.
+STENCIL_REL_DS = 1e-3
+CORNER_RTOL = 1e-3
+
+
+def _random_pentagon(seed):
+    rng = np.random.default_rng(seed)
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, 5))
+    verts = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    edges = np.roll(verts, -1, axis=0) - verts
+    verts /= np.hypot(edges[:, 0], edges[:, 1]).sum()
+    # marked at the middle of the first edge
+    return PolygonSpec(verts, mark=0.5 * np.linalg.norm(verts[1] - verts[0]))
+
+
+@pytest.mark.parametrize("polygon", [unit_square(), _random_pentagon(3)], ids=["square", "pentagon"])
+@pytest.mark.parametrize("s", [1.0, 2.0**-4, 2.0**-8])
+def test_smoothing_rate_matches_stencil(polygon, s):
+    fam = sm.family_from_polygon(polygon)
+    # 2^15 nodes put points in every corner down to s = 2^-8
+    q = np.arange(2**15) / 2**15
+    # the restriction to [s/2, s] at its end u = 1, stepped in u
+    path = sm.restricted_path(fam, s / 2, s)
+    du = 2.0 * STENCIL_REL_DS
+    stencil = (path.table(1.0 + du).position(q) - path.table(1.0 - du).position(q)) / (2 * du)
+    err = np.linalg.norm(path.velocity(1.0, q) - stencil, axis=-1)
+    speed = np.linalg.norm(stencil, axis=-1).max()
+    corner = fam.raw_curvature(s, q) > 0.0
+    assert corner.sum() >= 5 and (~corner).sum() >= 5
+    assert err[~corner].max() <= 1e-14 / du
+    assert err[corner].max() <= CORNER_RTOL * speed
+    # family_speed: the grid max of the rate's norm, against the stencil's
+    ds = STENCIL_REL_DS * s
+    grid = np.arange(4096) / 4096
+    fd = (fam._curve_unchecked(s + ds).position(grid) - fam._curve_unchecked(s - ds).position(grid)) / (2 * ds)
+    fd_max = float(np.linalg.norm(fd, axis=-1).max())
+    assert abs(sm.family_speed(fam, s) - fd_max) <= CORNER_RTOL * fd_max
