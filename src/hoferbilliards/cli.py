@@ -656,8 +656,9 @@ def build_parser():
     common(sp)
     sp.add_argument("--polygon", required=True)
     sp.add_argument("--width", type=float, default=None)
-    sp.add_argument("--s0", type=float, default=1.0)
-    sp.add_argument("--levels", type=int, default=8)
+    sp.add_argument("--s0", type=float, default=1.0, help="top scale of the tail, in (0, 1]")
+    # two levels at least: the increment and closure checks each compare two values
+    sp.add_argument("--levels", type=_int_at_least(2), default=8)
     sp.add_argument("--tol", type=float, default=1e-3,
                     help="relative bound on the last corrected tail increment")
     sp.set_defaults(fn="cmd_polygon_cauchy")

@@ -17,12 +17,23 @@ read it, so no slice is differenced in s.  The module also certifies the
 Cauchy behaviour of the family as s -> 0 and the O(s) independence of the
 profile choice.
 
+Every slice quantity (position, tangent, curvature, s-rate) comes from one
+gathered kernel, ``SmoothingFamily._eval``, which takes a 1-D array of
+scales.  The edge points of all pieces and scales are one fancy-indexed
+expression; the corner points take one profile call per corner that holds
+any.  Each point sees the floating-point operations of a one-scale call in
+the same order, so batching the scales changes no bit.  `cauchy_tail` reads
+all its levels from one call.
+
 The independence certificate blends the two families' corner profiles at
-the stencil points of a Simpson rule in the blend parameter t; building a
-blended family (four arc-length tables) dominates its cost.  The blend does
-not depend on the scale, so one sweep over the t nodes serves every scale
-of `independence_slope` and builds 2 t_nodes + 2 families whatever the
-number of scales.  Each blended family is dropped as soon as its node is
+the stencil points of a Simpson rule in the blend parameter t.  The blend
+does not depend on the scale, so one sweep over the t nodes serves every
+scale of `independence_slope`: it builds 2 t_nodes + 2 blended families and
+evaluates each once, at all the scales together.  A blend's arc table reads
+the parents' f' on a grid that every t shares, computed once per corner and
+pair; the rest of a build, mostly the interpolant that inverts the arc
+length, is about half the certificate's cost, and the gathered positions
+the other half.  Each blended family is dropped as soon as its node is
 done.  A family holds its slices only weakly: a slice points back at its
 family, and a strong reference the other way would keep both alive until
 the cyclic garbage collector runs.
@@ -97,6 +108,12 @@ def standard_mollifier() -> _Mollifier:
 _ARC_GRID = 2049
 
 
+def _arc_tables(xi, dfx):
+    """Graph arc length from xi[0] on the grid xi, given f' there, and its inverse."""
+    arc = _cumulative(xi, np.sqrt(1.0 + dfx**2))
+    return xi, arc, PchipInterpolator(arc, xi)
+
+
 @dataclass
 class CornerProfile:
     """Smooth convex even function equal to slope*|x| for |x| >= width."""
@@ -107,13 +124,13 @@ class CornerProfile:
     df: object
     ddf: object
     _arc: tuple | None = field(default=None, repr=False)
+    # (weakref to the other parent, blend grid, self.df and other.df on it)
+    _blend_grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _tables(self):
         if self._arc is None:
             xi = np.linspace(-self.width, self.width, _ARC_GRID)
-            speed = np.sqrt(1.0 + self.df(xi) ** 2)
-            arc = _cumulative(xi, speed)
-            self._arc = (xi, arc, PchipInterpolator(arc, xi))
+            self._arc = _arc_tables(xi, self.df(xi))
         return self._arc
 
     @property
@@ -135,17 +152,37 @@ class CornerProfile:
             xi = np.clip(xi - resid / np.sqrt(1.0 + self.df(xi) ** 2), -self.width, self.width)
         return xi
 
+    def _parent_grid(self, other: "CornerProfile"):
+        """The grid of every blend with ``other`` and both parents' f' on it.
+
+        Computed once per pair; the one cached entry holds ``other`` only
+        weakly and no blend at all.
+        """
+        hit = self._blend_grid
+        if hit is None or hit[0]() is not other:
+            width = max(self.width, other.width)
+            xi = np.linspace(-width, width, _ARC_GRID)
+            hit = self._blend_grid = (weakref.ref(other), xi, self.df(xi), other.df(xi))
+        return hit[1:]
+
     def blend(self, other: "CornerProfile", t: float) -> "CornerProfile":
-        """Pointwise convex combination (1-t) self + t other; slopes must match."""
+        """Pointwise convex combination (1-t) self + t other; slopes must match.
+
+        The arc table reads the parents' f' on the shared grid, combined by
+        the same expression as the blend's own ``df``, so it is the table
+        that ``df`` would give.
+        """
         if abs(self.slope - other.slope) > 1e-12:
             raise ValueError("blending profiles with different slopes")
         t = float(t)
+        xi, da, db = self._parent_grid(other)
         return CornerProfile(
             slope=self.slope,
             width=max(self.width, other.width),
             f=lambda x: (1 - t) * self.f(x) + t * other.f(x),
             df=lambda x: (1 - t) * self.df(x) + t * other.df(x),
             ddf=lambda x: (1 - t) * self.ddf(x) + t * other.ddf(x),
+            _arc=_arc_tables(xi, (1 - t) * da + t * db),
         )
 
 
@@ -213,10 +250,7 @@ class _FamilyCurve(TableCurve):
         self.s = float(s)
 
     def position(self, q):
-        fam = self.family
-        pos = fam.raw_position(self.s, q)
-        lam = 1.0 / fam.length_at(self.s)
-        return fam.center + lam * (pos - fam.center)
+        return self.family._positions([self.s], q)[0]
 
     def tangent(self, q):
         return self.family.raw_tangent(self.s, q)
@@ -291,7 +325,9 @@ class SmoothingFamily:
         # lengths (see _piece_lengths) are affine in s
         rates = np.empty(2 * n)
         rates[0::2] = self.profile_arcs
-        rates[1::2] = -(self.cut + np.roll(self.cut, -1))
+        # distance along each edge consumed by its two corners at s = 1
+        self._edge_cut = self.cut + np.roll(self.cut, -1)
+        rates[1::2] = -self._edge_cut
         self._start_rates = np.concatenate([[0.0], np.cumsum(rates)])
         self._mark_rate = float(self._start_rates[2 * j + 1] - self.cut[j])
         self._slices: weakref.WeakValueDictionary[float, _FamilyCurve] = weakref.WeakValueDictionary()
@@ -309,39 +345,39 @@ class SmoothingFamily:
 
     # piece layout: [corner 0, edge 0, corner 1, edge 1, ...] with corner i
     # covering vertex i from M_i (on edge i-1) to N_i (on edge i)
-    def _piece_lengths(self, s: float):
-        n = self.n_corners
-        lengths = np.empty(2 * n)
-        lengths[0::2] = s * self.profile_arcs
-        cut_next = np.roll(self.cut, -1)
-        lengths[1::2] = self.edge_len - s * (self.cut + cut_next)
+    def _piece_lengths(self, s):
+        """Piece lengths at scale s, one row per scale when s is a 1-D array."""
+        s = np.asarray(s, dtype=float)[..., None]
+        lengths = np.empty(s.shape[:-1] + (2 * self.n_corners,))
+        lengths[..., 0::2] = s * self.profile_arcs
+        lengths[..., 1::2] = self.edge_len - s * self._edge_cut
         return lengths
 
-    def _mark_arc(self, s: float) -> float:
-        """Arc position of the mark from the cycle start (start of corner 0)."""
+    def _layout(self, s):
+        """Piece lengths and the mark's arc position from the cycle start
+        (start of corner 0), at scale s or at each scale of a 1-D array s.
+
+        Each scale sums its own row, so an array of scales gives the bits of
+        one call per scale.
+        """
         j = self.mark_edge
         lengths = self._piece_lengths(s)
-        return float(lengths[: 2 * j + 1].sum() + self.mark_offset - s * self.cut[j])
+        rows = lengths.reshape(-1, 2 * self.n_corners)
+        head = np.array([row[: 2 * j + 1].sum() for row in rows]).reshape(np.shape(s))
+        return lengths, head + self.mark_offset - s * self.cut[j]
 
-    def _locate(self, s, q):
-        L = self.length_at(s)
-        lengths = self._piece_lengths(s)
-        starts = np.concatenate([[0.0], np.cumsum(lengths)])
-        arc = np.mod(np.mod(np.asarray(q, dtype=float), 1.0) * L + self._mark_arc(s), L)
-        idx = np.clip(np.searchsorted(starts, arc, side="right") - 1, 0, 2 * self.n_corners - 1)
-        return idx, arc - starts[idx]
+    def _eval(self, scales, q, want):
+        """Gathered piecewise evaluation; want in {'pos', 'tan', 'kappa', 'rate'}.
 
-    def _offset_rate(self, s, q, idx):
-        """d/ds at fixed q of the offset ``_locate`` returns in piece idx."""
-        L = self.length_at(s)
-        qr = np.mod(q, 1.0)
-        raw = qr * L + self._mark_arc(s)
-        # the arc is raw - wraps L; the mark and the piece starts move affinely
-        wraps = np.round((raw - np.mod(raw, L)) / L)
-        return (qr - wraps) * -self.total_delta + self._mark_rate - self._start_rates[idx]
-
-    def _eval(self, s, q, want):
-        """Vectorized piecewise evaluation; want in {'pos', 'tan', 'kappa', 'rate'}.
+        Evaluates every scale of the 1-D array ``scales`` at every q in one
+        pass: the result has shape (len(scales),) + q.shape, plus a last
+        axis of 2 except for 'kappa'.  Every point is first evaluated as an
+        edge point, all pieces and scales in one fancy-indexed expression
+        per coordinate; the corner points are then overwritten by one
+        profile call per corner that holds any, gathered across the scales.
+        Each point goes through the floating-point operations of a
+        one-scale call in the same order, so the bits do not depend on the
+        batch.
 
         'rate' is d/ds at fixed q of the normalized slice C + (pos - C) / L,
         from the raw position and its rate in one pass: an edge point moves
@@ -349,69 +385,98 @@ class SmoothingFamily:
         d xi/d(arc) = 1/sqrt(1 + f'^2), the offsets move with the piece
         starts and the mark, and L' = -sum(delta_i).
         """
+        s = np.asarray(scales, dtype=float)
         q = np.asarray(q, dtype=float)
-        shape = q.shape
-        qf = np.atleast_1d(q).ravel()
-        idx, loc = self._locate(s, qf)
+        n = self.n_corners
+        L = self.length_at(s)[:, None]
+        lengths, mark = self._layout(s)
+        starts = np.zeros((s.size, 2 * n + 1))
+        np.cumsum(lengths, axis=1, out=starts[:, 1:])
+        qr = np.mod(q.ravel(), 1.0)
+        raw = qr * L + mark[:, None]
+        arc = np.mod(raw, L)
+        idx = np.stack([np.searchsorted(row, a, side="right") for row, a in zip(starts, arc)])
+        idx = np.clip(idx - 1, 0, 2 * n - 1)
+        loc = arc - np.take_along_axis(starts, idx, axis=1)
         if want == "rate":
-            dloc = self._offset_rate(s, qf, idx)
-            L = self.length_at(s)
+            # the arc is raw - wraps L; the mark and the piece starts move affinely
+            wraps = np.round((raw - arc) / L)
+            dloc = (qr - wraps) * -self.total_delta + self._mark_rate - self._start_rates[idx]
             lam, dlam = 1.0 / L, self.total_delta / (L * L)
-        if want == "kappa":
-            out = np.zeros(qf.size)
-        else:
-            out = np.empty((qf.size, 2))
+        # every point as an edge point first: piece idx lies on edge idx // 2
+        # when idx is odd, and the corner points are overwritten below
         V = self.polygon.vertices
-        for piece in np.unique(idx):
-            m = idx == piece
-            i = piece // 2
-            if piece % 2 == 1:
+        i = idx // 2
+        if want == "kappa":
+            out = np.zeros(idx.shape)
+        else:
+            out = np.empty(idx.shape + (2,))
+            # the start of each edge at each scale, and its flat index
+            edge_start = V + (s[:, None] * self.cut)[..., None] * self.edge_dir
+            key = i + n * np.arange(s.size)[:, None]
+            for c in (0, 1):
+                d = self.edge_dir[:, c][i]
                 if want == "tan":
-                    out[m] = self.edge_dir[i]
-                elif want != "kappa":
-                    start = V[i] + s * self.cut[i] * self.edge_dir[i]
-                    pos = start + loc[m, None] * self.edge_dir[i]
-                    if want == "pos":
-                        out[m] = pos
-                    else:
-                        raw_rate = (self.cut[i] + dloc[m, None]) * self.edge_dir[i]
-                        out[m] = dlam * (pos - self.center) + lam * raw_rate
-                continue
+                    out[..., c] = d
+                    continue
+                pos = edge_start[..., c].ravel()[key] + loc * d
+                if want == "pos":
+                    out[..., c] = pos
+                else:
+                    out[..., c] = dlam * (pos - self.center[c]) + lam * ((self.cut[i] + dloc) * d)
+        flat = out.reshape((idx.size,) + out.shape[2:])
+        idx, loc = idx.ravel(), loc.ravel()
+        corners = np.flatnonzero(idx % 2 == 0)
+        corner_of = idx[corners] // 2
+        for i in np.flatnonzero(np.bincount(corner_of, minlength=n)):
+            m = corners[corner_of == i]
             prof = self.profiles[i]
-            xi = prof.xi_of_arc(loc[m] / s)
+            k = m // qr.size
+            sc = s[k]
+            u = loc[m] / sc
+            xi = prof.xi_of_arc(u)
             if want == "kappa":
-                out[m] = prof.ddf(xi) / (s * (1.0 + prof.df(xi) ** 2) ** 1.5)
+                flat[m] = prof.ddf(xi) / (sc * (1.0 + prof.df(xi) ** 2) ** 1.5)
                 continue
             if want == "tan":
                 fp = prof.df(xi)
                 norm = np.sqrt(1.0 + fp * fp)
-                out[m] = (self.x_hat[i][None, :] + fp[:, None] * self.y_hat[i][None, :]) / norm[:, None]
+                flat[m] = (self.x_hat[i][None, :] + fp[:, None] * self.y_hat[i][None, :]) / norm[:, None]
                 continue
             fx = prof.f(xi)
-            x = s * xi
-            y = s * fx
+            x = sc * xi
+            y = sc * fx
             pos = V[i] + x[:, None] * self.x_hat[i] + y[:, None] * self.y_hat[i]
             if want == "pos":
-                out[m] = pos
+                flat[m] = pos
                 continue
             fp = prof.df(xi)
             # s times d xi/ds, with d(loc/s)/ds = (dloc - loc/s) / s
-            s_dxi = (dloc[m] - loc[m] / s) / np.sqrt(1.0 + fp * fp)
+            s_dxi = (dloc.ravel()[m] - u) / np.sqrt(1.0 + fp * fp)
             raw_rate = (xi + s_dxi)[:, None] * self.x_hat[i] + (fx + fp * s_dxi)[:, None] * self.y_hat[i]
-            out[m] = dlam * (pos - self.center) + lam * raw_rate
-        if want == "kappa":
-            return out.reshape(shape)
-        return out.reshape(shape + (2,))
+            flat[m] = dlam[k] * (pos - self.center) + lam[k] * raw_rate
+        return out.reshape(s.shape + q.shape + out.shape[2:])
+
+    def _positions(self, scales, q):
+        """Normalized slice positions at every scale of the 1-D ``scales``.
+
+        Row k is ``curve(scales[k]).position(q)``, from one gathered kernel
+        call; the scales are not checked.
+        """
+        scales = np.asarray(scales, dtype=float)
+        lam = 1.0 / self.length_at(scales)
+        pos = self._eval(scales, q, "pos")
+        return self.center + lam.reshape((-1,) + (1,) * (pos.ndim - 1)) * (pos - self.center)
 
     def raw_position(self, s, q):
         """gamma_s(q): constant-speed parametrization, speed L(s), mark at S."""
-        return self._eval(s, q, "pos")
+        return self._eval([s], q, "pos")[0]
 
     def raw_tangent(self, s, q):
-        return self._eval(s, q, "tan")
+        return self._eval([s], q, "tan")[0]
 
     def raw_curvature(self, s, q):
-        return self._eval(s, q, "kappa")
+        return self._eval([s], q, "kappa")[0]
 
     def rate(self, s, q):
         """d/ds of the normalized slice ``curve(s).position(q)`` at fixed q.
@@ -419,12 +484,11 @@ class SmoothingFamily:
         The slice is C + lam (gamma_s - C) with lam = 1/L(s) and L affine in
         s, so the rate is lam' (gamma_s - C) + lam d(gamma_s)/ds.
         """
-        return self._eval(s, q, "rate")
+        return self._eval([s], q, "rate")[0]
 
     def curve(self, s: float) -> TableCurve:
         """Normalized slice: length-1, arc-length parametrized, convex."""
-        if not 0.0 < s <= 1.0:
-            raise ValueError("scale must lie in (0, 1]")
+        _check_scales(s)
         return self._curve_unchecked(s)
 
     def _curve_unchecked(self, s: float) -> TableCurve:
@@ -445,10 +509,10 @@ class SmoothingFamily:
         n = self.n_corners
         if not s * self.cut[edge] < offset < self.edge_len[edge] - s * self.cut[(edge + 1) % n]:
             raise ValueError("point is inside a corner neighborhood")
-        lengths = self._piece_lengths(s)
+        lengths, mark = self._layout(s)
         arc = lengths[: 2 * edge + 1].sum() + offset - s * self.cut[edge]
         L = self.length_at(s)
-        return float(np.mod(arc - self._mark_arc(s), L) / L)
+        return float(np.mod(arc - mark, L) / L)
 
     def edge_speed_bound(self) -> float:
         """Uniform on-edge bound 2 L_K sum(delta) / (L_K - sum(delta))."""
@@ -487,8 +551,21 @@ def family_from_polygon(
 
 def family_speed(fam: SmoothingFamily, s: float, q_nodes: int = 4096) -> float:
     """max_q ||d(normalized gamma_s)/ds|| over q = j / q_nodes, from the closed-form ``rate``."""
+    return float(_family_speeds(fam, [s], q_nodes)[0])
+
+
+def _family_speeds(fam: SmoothingFamily, scales, q_nodes: int):
+    """`family_speed` at every scale of the 1-D ``scales``, from one gathered rate call."""
     q = np.arange(q_nodes) / q_nodes
-    return float(np.linalg.norm(fam.rate(s, q), axis=-1).max())
+    return np.linalg.norm(fam._eval(scales, q, "rate"), axis=-1).max(axis=-1)
+
+
+def _check_scales(scales):
+    """Raise ValueError unless every scale lies in (0, 1], where the family is defined."""
+    scales = np.asarray(scales, dtype=float)
+    if not np.all((scales > 0.0) & (scales <= 1.0)):
+        raise ValueError("scale must lie in (0, 1]")
+    return scales
 
 
 @dataclass
@@ -518,9 +595,10 @@ class CauchyTailReport:
 
 
 def cauchy_tail(fam: SmoothingFamily, s0: float, levels: int = 8, q_nodes: int = 4096) -> CauchyTailReport:
-    """Approximate int_0^s0 family_speed ds on the dyadic grid s0 * 2^-k."""
+    """Approximate int_0^s0 family_speed ds on the dyadic grid s0 * 2^-k, 0 < s0 <= 1."""
+    _check_scales(s0)
     nodes = s0 * 0.5 ** np.arange(levels + 1)
-    speeds = np.array([family_speed(fam, float(s), q_nodes) for s in nodes])
+    speeds = _family_speeds(fam, nodes, q_nodes)
     inc = 0.5 * (speeds[:-1] + speeds[1:]) * (nodes[:-1] - nodes[1:])
     partial = np.concatenate([[0.0], np.cumsum(inc)])
     corrected = partial + nodes * speeds
@@ -574,11 +652,11 @@ def _ordered_families(fam_a: SmoothingFamily, fam_b: SmoothingFamily):
 def _independence_gaps(fam_a, fam_b, scales, t_nodes, q_nodes):
     """Independence gap at every scale from one sweep over the blend nodes
     (see `profile_independence_gap` for the cost and the memory)."""
+    scales = _check_scales(scales)
     tq, tw = simpson_nodes(t_nodes)
     q = np.arange(q_nodes) / q_nodes
     h = 1.0 / (4.0 * (t_nodes - 1))
-    scales = [float(s) for s in scales]
-    totals = [0.0] * len(scales)
+    totals = np.zeros(len(scales))
     for t, w in zip(tq, tw):
         # one-sided second-order stencils at the ends, central inside
         if t < h:
@@ -588,10 +666,9 @@ def _independence_gaps(fam_a, fam_b, scales, t_nodes, q_nodes):
         else:
             ts, stencil = (t + h, t - h), lambda p: p[0] - p[1]
         fams = [_family_with_blend(fam_a, fam_b, tt) for tt in ts]
-        for k, s in enumerate(scales):
-            d = stencil([_FamilyCurve(f, s).position(q) for f in fams]) / (2 * h)
-            totals[k] += w * float(np.linalg.norm(d, axis=-1).max())
-    return np.array(totals)
+        d = stencil([f._positions(scales, q) for f in fams]) / (2 * h)
+        totals += w * np.linalg.norm(d, axis=-1).max(axis=-1)
+    return totals
 
 
 def profile_independence_gap(
@@ -609,10 +686,14 @@ def profile_independence_gap(
 
     Cost: the t derivative takes a 2- or 3-point stencil at each of the
     ``t_nodes`` Simpson nodes, 2 t_nodes + 2 blended families in all (36 at
-    the default 17), each building four arc-length tables.  The same sweep
-    serves every scale of `independence_slope`, so a call with six scales
-    builds no more families than a call with one.  Each blended family is
-    freed by reference counting once its node is done.
+    the default 17).  Each builds one arc-length table per corner from the
+    parents' f' on a shared grid, cached per corner and pair, and is
+    evaluated by one gathered kernel call at all the scales.  The same
+    sweep serves every scale of `independence_slope`, so a call with six
+    scales builds no more families, and makes no more kernel calls, than a
+    call with one.  Each blended family is freed by reference counting once
+    its node is done; only the parent grids, two arrays of 2049 floats per
+    corner, outlive it.
     """
     lower, upper, _ = _ordered_families(fam_a, fam_b)
     return _independence_gaps(lower, upper, [s], t_nodes, q_nodes)[0]

@@ -402,6 +402,27 @@ def test_independence_certificate_failure_exits_2(tmp_path, capsys, monkeypatch)
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "1"])
+def test_polygon_cauchy_levels_below_two_is_a_usage_error(tmp_path, capsys, value):
+    # below one level the closure check indexed past the tail; at one the
+    # increment check compared nothing and passed
+    poly = _write(tmp_path, "poly.json", _SQUARE)
+    assert main(["polygon", "cauchy", "--polygon", poly, "--levels", value, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert f"argument --levels: must be at least 2, got {value}" in error
+    assert "Traceback" not in captured.err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1.5", "0", "-1", "nan"])
+def test_polygon_cauchy_scale_outside_the_unit_interval_is_an_input_error(tmp_path, capsys, value):
+    poly = _write(tmp_path, "poly.json", _SQUARE)
+    assert main(["polygon", "cauchy", "--polygon", poly, "--s0", value, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "scale must lie in (0, 1]" in json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert "input error" in captured.err and not (tmp_path / "out" / "cauchy.csv").exists()
+
+
 def test_parser_is_built_once_and_requests_share_no_state(tmp_path, capsys, monkeypatch):
     import hoferbilliards.cli as cli
 

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoferbilliards import c0_distance, regular_polygon, unit_square
 from hoferbilliards import smoothing as sm
@@ -209,6 +211,61 @@ def test_independence_gaps_match_per_scale_loop_bitwise(width_pair):
     assert sm.profile_independence_gap(fam_hi, fam_lo, 0.0625, t_nodes=5, q_nodes=256) == ref[1]
 
 
+@pytest.mark.parametrize("t", [0.0, 1 / 64, 0.5, 1 - 1 / 64, 1.0], ids=["0", "h", "half", "1-h", "1"])
+def test_blend_tables_match_tables_from_the_closures(t):
+    # h = 1/64 is the stencil step of the default 17 blend nodes
+    lower, upper = sm.make_profile(1.3, 0.005), sm.make_profile(1.3, 0.01)
+    blend = lower.blend(upper, t)
+    # a profile from the blend's closures alone tabulates its own df
+    ref = sm.CornerProfile(blend.slope, blend.width, blend.f, blend.df, blend.ddf)
+    for got, want in zip(blend._tables()[:2], ref._tables()[:2]):
+        assert got.tobytes() == want.tobytes()
+    arcs = np.linspace(-1e-3, ref.arc_length + 1e-3, 1001)
+    assert blend.xi_of_arc(arcs).tobytes() == ref.xi_of_arc(arcs).tobytes()
+    assert blend.arc_length == ref.arc_length and blend.delta == ref.delta
+
+
+def test_blends_read_each_parents_df_once_per_pair():
+    lower, upper, third = sm.make_profile(1.3, 0.005), sm.make_profile(1.3, 0.01), sm.make_profile(1.3, 0.008)
+    sizes = []
+
+    def counted(df):
+        def wrapped(x):
+            sizes.append(np.size(x))
+            return df(x)
+
+        return wrapped
+
+    lower.df, upper.df, third.df = counted(lower.df), counted(upper.df), counted(third.df)
+    for t in (0.0, 0.25, 0.5, 1.0):
+        lower.blend(upper, t)
+    assert sizes == [sm._ARC_GRID, sm._ARC_GRID]
+    # a new pair gets its own grid, on the wider of its two widths
+    lower.blend(third, 0.5)
+    assert sizes == [sm._ARC_GRID] * 4
+    assert lower._parent_grid(third)[0][-1] == 0.008
+
+
+def test_parent_grid_cache_keeps_no_blend_alive(width_pair):
+    fam_a, fam_b = width_pair
+    gc.collect()
+    gc.disable()
+    try:
+        fam = sm._family_with_blend(fam_a, fam_b, 0.5)
+        refs = [weakref.ref(fam)] + [weakref.ref(p) for p in fam.profiles]
+        del fam
+        assert all(ref() is None for ref in refs)
+        # the cache names the other parent, and only weakly
+        assert all(p._blend_grid[0]() is o for p, o in zip(fam_a.profiles, fam_b.profiles))
+        lower, upper = sm.make_profile(1.0, 0.005), sm.make_profile(1.0, 0.01)
+        lower.blend(upper, 0.5)
+        other = weakref.ref(upper)
+        del upper
+        assert other() is None and lower._blend_grid[0]() is None
+    finally:
+        gc.enable()
+
+
 @pytest.fixture
 def blend_log(monkeypatch):
     """Weak references to every blended family built through the module."""
@@ -257,6 +314,20 @@ def test_independence_slope_default_scales(width_pair):
     _, gaps = sm.independence_slope(fam_a, fam_b, t_nodes=3, q_nodes=128)
     assert len(gaps) == len(sm.INDEPENDENCE_SCALES)
     assert gaps[-1] == sm.profile_independence_gap(fam_a, fam_b, sm.INDEPENDENCE_SCALES[-1], t_nodes=3, q_nodes=128)
+
+
+@pytest.mark.parametrize("s0", [1.5, 0.0, -1.0, float("nan")])
+def test_cauchy_tail_rejects_a_scale_outside_the_unit_interval(square_family, s0):
+    with pytest.raises(ValueError, match=r"scale must lie in \(0, 1\]"):
+        sm.cauchy_tail(square_family, s0, q_nodes=64)
+
+
+@pytest.mark.parametrize("scales, bad", [((0.5, 1.5), 1.5), ((0.25, 0.0), 0.0), ((-0.125, 0.0625), -0.125)])
+def test_independence_rejects_a_scale_outside_the_unit_interval(width_pair, scales, bad):
+    with pytest.raises(ValueError, match=r"scale must lie in \(0, 1\]"):
+        sm.independence_slope(*width_pair, scales=scales, t_nodes=3, q_nodes=64)
+    with pytest.raises(ValueError, match=r"scale must lie in \(0, 1\]"):
+        sm.profile_independence_gap(*width_pair, bad, t_nodes=3, q_nodes=64)
 
 
 def test_width_error_message_formats_plain_floats():
@@ -385,3 +456,111 @@ def test_smoothing_rate_matches_stencil(polygon, s):
     fd = (fam._curve_unchecked(s + ds).position(grid) - fam._curve_unchecked(s - ds).position(grid)) / (2 * ds)
     fd_max = float(np.linalg.norm(fd, axis=-1).max())
     assert abs(sm.family_speed(fam, s) - fd_max) <= CORNER_RTOL * fd_max
+
+
+# --- the gathered kernel against the per-piece loop it replaced -------------
+
+
+def _eval_by_piece(fam, s, q, want):
+    """One scale, one masked evaluation per piece: the kernel before it was gathered."""
+    q = np.asarray(q, dtype=float)
+    shape = q.shape
+    qf = np.atleast_1d(q).ravel()
+    n = fam.n_corners
+    lengths = np.empty(2 * n)
+    lengths[0::2] = s * fam.profile_arcs
+    lengths[1::2] = fam.edge_len - s * (fam.cut + np.roll(fam.cut, -1))
+    j = fam.mark_edge
+    mark = float(lengths[: 2 * j + 1].sum() + fam.mark_offset - s * fam.cut[j])
+    L = fam.length_at(s)
+    starts = np.concatenate([[0.0], np.cumsum(lengths)])
+    qr = np.mod(qf, 1.0)
+    raw = qr * L + mark
+    arc = np.mod(raw, L)
+    idx = np.clip(np.searchsorted(starts, arc, side="right") - 1, 0, 2 * n - 1)
+    loc = arc - starts[idx]
+    if want == "rate":
+        wraps = np.round((raw - np.mod(raw, L)) / L)
+        dloc = (qr - wraps) * -fam.total_delta + fam._mark_rate - fam._start_rates[idx]
+        lam, dlam = 1.0 / L, fam.total_delta / (L * L)
+    out = np.zeros(qf.size) if want == "kappa" else np.empty((qf.size, 2))
+    V = fam.polygon.vertices
+    for piece in np.unique(idx):
+        m = idx == piece
+        i = piece // 2
+        if piece % 2 == 1:
+            if want == "tan":
+                out[m] = fam.edge_dir[i]
+            elif want != "kappa":
+                pos = V[i] + s * fam.cut[i] * fam.edge_dir[i] + loc[m, None] * fam.edge_dir[i]
+                if want == "pos":
+                    out[m] = pos
+                else:
+                    raw_rate = (fam.cut[i] + dloc[m, None]) * fam.edge_dir[i]
+                    out[m] = dlam * (pos - fam.center) + lam * raw_rate
+            continue
+        prof = fam.profiles[i]
+        xi = prof.xi_of_arc(loc[m] / s)
+        if want == "kappa":
+            out[m] = prof.ddf(xi) / (s * (1.0 + prof.df(xi) ** 2) ** 1.5)
+            continue
+        if want == "tan":
+            fp = prof.df(xi)
+            norm = np.sqrt(1.0 + fp * fp)
+            out[m] = (fam.x_hat[i][None, :] + fp[:, None] * fam.y_hat[i][None, :]) / norm[:, None]
+            continue
+        fx = prof.f(xi)
+        pos = V[i] + (s * xi)[:, None] * fam.x_hat[i] + (s * fx)[:, None] * fam.y_hat[i]
+        if want == "pos":
+            out[m] = pos
+            continue
+        fp = prof.df(xi)
+        s_dxi = (dloc[m] - loc[m] / s) / np.sqrt(1.0 + fp * fp)
+        raw_rate = (xi + s_dxi)[:, None] * fam.x_hat[i] + (fx + fp * s_dxi)[:, None] * fam.y_hat[i]
+        out[m] = dlam * (pos - fam.center) + lam * raw_rate
+    out = out.reshape(shape if want == "kappa" else shape + (2,))
+    return out, idx
+
+
+@st.composite
+def _rotated_polygons(draw):
+    """Perimeter-1 n-gons, 3 <= n <= 7, near regular and rotated, marked inside an edge."""
+    n = draw(st.integers(3, 7))
+    turn = draw(st.floats(0.0, 2.0 * np.pi))
+    jitter = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)))
+    ang = turn + 2.0 * np.pi * (np.arange(n) + jitter) / n
+    verts = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    lens = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=-1)
+    verts /= lens.sum()
+    lens /= lens.sum()
+    edge = draw(st.integers(0, n - 1))
+    mark = lens[:edge].sum() + draw(st.floats(0.3, 0.7)) * lens[edge]
+    return PolygonSpec(verts, mark=float(mark))
+
+
+KERNEL_SCALES = np.array([1.0, 0.37, 2.0**-6, 2.0**-11])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(polygon=_rotated_polygons(), q_nodes=st.sampled_from([64, 256, 1024]))
+def test_gathered_kernel_matches_per_piece_oracle_bitwise(polygon, q_nodes):
+    fam = sm.family_from_polygon(polygon)
+    grid = np.arange(q_nodes) / q_nodes
+    # every piece start at every scale, the mark, and the last double below 1
+    edges = []
+    for s in KERNEL_SCALES:
+        lengths = fam._piece_lengths(s)
+        starts = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
+        L = fam.length_at(s)
+        edges.append(np.mod(starts - fam._layout(s)[1], L) / L)
+    special = np.concatenate(edges + [[0.0, np.nextafter(1.0, 0.0)]])
+    empty_corner = False
+    for q in (grid, special):
+        for want in ("pos", "tan", "kappa", "rate"):
+            got = fam._eval(KERNEL_SCALES, q, want)
+            for k, s in enumerate(KERNEL_SCALES):
+                ref, idx = _eval_by_piece(fam, s, q, want)
+                assert got[k].tobytes() == ref.tobytes(), (want, s)
+                empty_corner |= q is grid and bool(set(range(0, 2 * fam.n_corners, 2)) - set(idx.tolist()))
+    # the smallest scale leaves some corner without a grid node
+    assert empty_corner
