@@ -226,8 +226,8 @@ def cmd_polygon_cauchy(args):
         ["s", "family_speed", "tail_partial", "tail_corrected"],
         list(zip(tail.nodes, tail.speeds, tail.partial_sums, tail.corrected)),
     )
-    increments_ok = bool(np.all(np.diff(tail.increments) < 0))
-    final_ok = bool(abs(tail.corrected[-1] - tail.corrected[-2]) < args.tol * tail.value)
+    increments_ok = tail.increments_decreasing()
+    final_ok = tail.closes(args.tol)
     _emit({"value": tail.value, "increments_decreasing": increments_ok,
            "final_increment_small": final_ok, "file": str(out)})
     _note(f"cauchy tail {tail.value:.6g} (converged: {increments_ok and final_ok})")
@@ -241,7 +241,7 @@ def cmd_polygon_independence(args):
     slope, gaps = sm.independence_slope(fam_a, fam_b)
     out = _outdir(args) / "independence.csv"
     _write_csv(out, ["s", "gap"], list(zip(sm.INDEPENDENCE_SCALES, gaps)))
-    passed = bool(0.9 <= slope <= 1.1)
+    passed = sm.slope_is_linear(slope)
     _emit({"slope": slope, "pass": passed, "file": str(out)})
     _note(f"profile-independence log-log slope {slope:.4f} (pass: {passed})")
     return OK if passed else CERT_FAIL
@@ -378,20 +378,18 @@ def cmd_reconstruct(args):
             if samples[key].size != t.size:
                 raise SpecError(f"chords.{key}: {samples[key].size} samples, chords.t has {t.size}")
         data = dy.ChordData(t=t, anchor=_json_field(obj, "anchor", "chords"), **samples)
-        t, pts = dy.reconstruct_table(data)
-        out = _outdir(args) / "reconstructed.csv"
-        _write_csv(out, ["t", "x", "y"], [(t[i], pts[i, 0], pts[i, 1]) for i in range(len(t))])
-        _emit({"points": len(t), "file": str(out)})
-        _note(f"reconstructed {len(t)} boundary points -> {out}")
-        return OK
-    table = load_table(args.table)
-    err = dy.reconstruction_roundtrip_error(table, samples=args.samples)
-    data = dy.table_chord_data(table, samples=args.samples)
+        result = {}
+    else:
+        table = load_table(args.table)
+        data = dy.table_chord_data(table, samples=args.samples)
+        result = {"max_aligned_error": dy.reconstruction_roundtrip_error(table, samples=args.samples)}
     t, pts = dy.reconstruct_table(data)
     out = _outdir(args) / "reconstructed.csv"
     _write_csv(out, ["t", "x", "y"], [(t[i], pts[i, 0], pts[i, 1]) for i in range(len(t))])
-    _emit({"points": len(t), "max_aligned_error": err, "file": str(out)})
-    _note(f"round-trip reconstruction error {err:.3e}")
+    _emit({"points": len(t), "file": str(out), **result})
+    _note(f"reconstructed {len(t)} boundary points -> {out}")
+    if result:
+        _note(f"round-trip reconstruction error {result['max_aligned_error']:.3e}")
     return OK
 
 
@@ -488,9 +486,9 @@ def cmd_verify_all(args):
     _write_csv(outdir / "independence.csv", ["s", "gap"], list(zip(sm.INDEPENDENCE_SCALES, gaps)))
     smoothing_ok = (
         affine_resid < 1e-9
-        and bool(np.all(np.diff(tail.increments) < 0))
-        and abs(tail.corrected[-1] - tail.corrected[-2]) < 1e-3 * tail.value
-        and 0.9 <= slope <= 1.1
+        and tail.increments_decreasing()
+        and tail.closes(1e-3)
+        and sm.slope_is_linear(slope)
     )
     record("polygon_smoothing", smoothing_ok,
            {"affine_residual": affine_resid, "tail": tail.value, "slope": slope})
@@ -602,7 +600,7 @@ def build_parser():
     sp.set_defaults(fn="cmd_table_inspect")
     sp = g.add_parser("sample")
     common(sp, table=True)
-    sp.add_argument("--grid-q", type=int, default=1024)
+    sp.add_argument("--grid-q", type=_int_at_least(1), default=1024)
     sp.set_defaults(fn="cmd_table_sample")
 
     g = sub.add_parser("map").add_subparsers(dest="cmd", required=True)
@@ -620,7 +618,7 @@ def build_parser():
     sp = g.add_parser("portrait")
     common(sp, table=True)
     seed(sp)
-    sp.add_argument("--seeds", type=int, default=40)
+    sp.add_argument("--seeds", type=_int_at_least(1), default=40)
     sp.add_argument("--steps", type=int, default=200)
     sp.set_defaults(fn="cmd_map_portrait")
 
@@ -643,7 +641,7 @@ def build_parser():
     common(sp, path=True)
     seed(sp)
     sp.add_argument("--s", type=float, default=0.5)
-    sp.add_argument("--points", type=int, default=100)
+    sp.add_argument("--points", type=_int_at_least(1), default=100)
     sp.set_defaults(fn="cmd_hofer_hjresidual")
 
     g = sub.add_parser("polygon").add_subparsers(dest="cmd", required=True)
@@ -674,27 +672,29 @@ def build_parser():
     common(sp, table=True)
     seed(sp)
     sp.add_argument("--period", type=int, required=True)
-    sp.add_argument("--seeds", type=int, default=32)
+    # random seeds on top of the rotational ones, which are always tried
+    sp.add_argument("--seeds", type=_int_at_least(0), default=32)
     sp.set_defaults(fn="cmd_orbits_find")
     sp = g.add_parser("gap")
     common(sp, table=True, table2=True)
     sp.add_argument("--period", type=int, required=True)
-    sp.add_argument("--grid-q", type=int, default=64)
+    sp.add_argument("--grid-q", type=_int_at_least(1), default=64)
     sp.set_defaults(fn="cmd_orbits_gap")
     sp = g.add_parser("experiment")
     common(sp, table=True, table2=True)
     seed(sp)
     sp.add_argument("--period", type=int, required=True)
     sp.add_argument("--radius", type=float, default=0.05)
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seeds", type=int, default=16)
+    # the orbit's phase point is the first sample
+    sp.add_argument("--samples", type=_int_at_least(1), default=200)
+    sp.add_argument("--seeds", type=_int_at_least(0), default=16)
     sp.set_defaults(fn="cmd_orbits_experiment")
 
     g = sub.add_parser("barcode").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("compute")
     common(sp, table=True)
     sp.add_argument("--period", type=int, default=2)
-    sp.add_argument("--resolution", type=int, default=64)
+    sp.add_argument("--resolution", type=_int_at_least(1), default=64)
     sp.add_argument("--dump-grid", action="store_true",
                     help="also write the sampled grid (JSON header + raw doubles)")
     sp.set_defaults(fn="cmd_barcode_compute")
@@ -707,7 +707,7 @@ def build_parser():
     sp = g.add_parser("stability")
     common(sp, table=True, table2=True)
     sp.add_argument("--period", type=int, default=2)
-    sp.add_argument("--resolution", type=int, default=64)
+    sp.add_argument("--resolution", type=_int_at_least(1), default=64)
     sp.set_defaults(fn="cmd_barcode_stability")
 
     sp = sub.add_parser("reconstruct")
@@ -715,7 +715,8 @@ def build_parser():
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--table", help="table spec JSON file (round-trip mode)")
     source.add_argument("--chords", help="chord data JSON file")
-    sp.add_argument("--samples", type=int, default=256)
+    # the uniform grid j/samples must hold a point besides the anchors 0 and 1/2
+    sp.add_argument("--samples", type=_int_at_least(3), default=256)
     sp.set_defaults(fn="cmd_reconstruct", cmd="reconstruct")
 
     g = sub.add_parser("verify").add_subparsers(dest="cmd", required=True)

@@ -8,11 +8,18 @@ form: ``native_frame(t)`` returns (position, unit tangent, dq/dt) and
 ``native_curvature(t)`` the curvature without inverting arc length,
 ``q_of_native`` maps t to q in closed form and ``native_of_q`` is the
 (possibly iterative) inverse.  Both maps are lifts: t advances by
-``native_period`` when q advances by 1.  The bounce solve of
+``native_period`` when q advances by 1.  A table states its geometry once,
+in t; ``TableCurve`` composes the arc-length API from it, so
+``position(q)`` is ``native_frame(native_of_q(q))[0]``, ``tangent(q)`` its
+second entry and ``curvature(q)`` ``native_curvature(native_of_q(q))``.
+Only the tables whose native parameter is q itself (polygons and smoothed
+slices) define the q-methods, where a position alone is cheaper than a
+frame, and state the native ones through them.  The bounce solve of
 :mod:`hoferbilliards.billiard` runs in t and hands its landing t to the
 next bounce, so arc length is inverted only at the start points of a
-trajectory; the orbit Newton of :mod:`hoferbilliards.dynamics` inverts it
-once per iterate.  Concrete representations:
+trajectory; the orbit search of :mod:`hoferbilliards.dynamics` inverts it
+once per Newton iterate and once more per converged candidate.  Concrete
+representations:
 
 * ``DiscTable`` -- the round table of radius 1/(2*pi), all queries closed
   form; its native parameter is q itself.
@@ -32,8 +39,8 @@ once per iterate.  Concrete representations:
   points from powers of e^(2 pi i u) filled by doubling, in blocks of
   EVAL_CHUNK points (about 17 MB of powers per block at 513 modes, however
   large the batch); on a uniform grid u = j/n by one inverse FFT.
-* smoothed polygon boundaries live in :mod:`hoferbilliards.smoothing`; like
-  polygons they use q as their native parameter.
+* ``PolygonBoundary`` and the smoothed polygon slices of
+  :mod:`hoferbilliards.smoothing` use q as their native parameter.
 """
 
 from __future__ import annotations
@@ -81,10 +88,14 @@ class TableCurve:
     ``strictly_convex`` marks membership in the class accepted by the
     billiard ball map.
 
-    The native parametrization defaults to the identity t = q with
-    dq/dt = 1; subclasses whose geometry is closed form in another
-    parameter override ``native_of_q``, ``q_of_native``, ``native_frame``,
-    ``native_curvature`` and ``native_period``.
+    A subclass states its geometry once, in its native parameter:
+    ``native_frame`` and ``native_curvature``, with ``native_of_q``,
+    ``q_of_native`` and ``native_period`` when t is not q itself (the
+    default is the identity t = q).  The arc-length API is composed here
+    from them, one inversion ``native_of_q`` per call.  Tables whose native
+    parameter is q may define the q-methods instead and state the native
+    ones through them; there is no default in either direction, so a
+    subclass that defines neither side raises NotImplementedError.
     """
 
     kind = "abstract"
@@ -93,13 +104,13 @@ class TableCurve:
     native_period = 1.0
 
     def position(self, q):
-        raise NotImplementedError
+        return self.native_frame(self.native_of_q(q))[0]
 
     def tangent(self, q):
-        raise NotImplementedError
+        return self.native_frame(self.native_of_q(q))[1]
 
     def curvature(self, q):
-        raise NotImplementedError
+        return self.native_curvature(self.native_of_q(q))
 
     def normal(self, q):
         """Outward unit normal (tangent rotated by -90 degrees)."""
@@ -115,12 +126,11 @@ class TableCurve:
 
     def native_frame(self, t):
         """(position, unit tangent, dq/dt) at native parameter t."""
-        t = np.asarray(t, dtype=float)
-        return self.position(t), self.tangent(t), np.ones(t.shape)
+        raise NotImplementedError
 
     def native_curvature(self, t):
         """Curvature at native parameter t."""
-        return self.curvature(t)
+        raise NotImplementedError
 
 
 class DiscTable(TableCurve):
@@ -135,22 +145,14 @@ class DiscTable(TableCurve):
         """Support-function view of the disc (constant h = radius)."""
         return FourierSupportSpec(self.radius)
 
-    def position(self, q):
-        ang = TWO_PI * np.asarray(q, dtype=float)
-        return self.radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
-    def tangent(self, q):
-        ang = TWO_PI * np.asarray(q, dtype=float)
-        return np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
-
-    def curvature(self, q):
-        return np.full(np.shape(np.asarray(q, dtype=float)), TWO_PI)
-
     def native_frame(self, t):
         ang = TWO_PI * np.asarray(t, dtype=float)
         c, s = np.cos(ang), np.sin(ang)
         pos = self.radius * np.stack([c, s], axis=-1)
         return pos, np.stack([-s, c], axis=-1), np.ones(ang.shape)
+
+    def native_curvature(self, t):
+        return np.full(np.shape(t), TWO_PI)
 
 
 def disc_table() -> DiscTable:
@@ -167,8 +169,8 @@ class FourierSupportSpec:
     the body and do not affect curvature or length.
 
     Every evaluator (``h`` up to h'' = (rho - c0) - (h - c0), ``rho``,
-    ``arclength``, ``sigma_rho``, ``boundary_point`` and
-    ``FourierTable.native_frame``) reads one kernel, ``_terms``.
+    ``arclength``, ``sigma_rho`` and ``FourierTable.native_frame``) reads
+    one kernel, ``_terms``.
     """
 
     c0: float
@@ -267,12 +269,8 @@ class FourierSupportSpec:
         rows = self._terms(theta)
         return self.c0 * theta + rows[3], self.c0 + rows[2]
 
-    def boundary_point(self, theta):
-        """Boundary point h*e_r + h'*e_t at outward normal angle theta."""
-        return self._frame(theta)[0]
-
     def _frame(self, theta):
-        """(boundary point, unit tangent, rho) at theta from one kernel evaluation."""
+        """(boundary point h e_r + h' e_t, unit tangent, rho) at theta from one kernel evaluation."""
         rows = self._terms(theta)
         h = self.c0 + rows[0]
         hp = rows[1]
@@ -291,8 +289,8 @@ class FourierTable(TableCurve):
 
     The native parameter is the outward normal angle theta: q(theta) is the
     closed-form cumulative arc length ``spec.arclength``, dq/dtheta the
-    radius of curvature ``spec.rho`` and the boundary point
-    ``spec.boundary_point``.  Only ``theta_of_q`` solves a Newton problem.
+    radius of curvature ``spec.rho`` and the frame ``spec._frame``.  Only
+    ``theta_of_q`` solves a Newton problem.
     """
 
     kind = "fourier_support"
@@ -321,16 +319,6 @@ class FourierTable(TableCurve):
             increasing=True,
         )
         return theta + TWO_PI * wind
-
-    def position(self, q):
-        return self.spec.boundary_point(self.theta_of_q(q))
-
-    def tangent(self, q):
-        theta = self.theta_of_q(q)
-        return np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-
-    def curvature(self, q):
-        return 1.0 / self.spec.rho(self.theta_of_q(q))
 
     def native_of_q(self, q):
         return self.theta_of_q(q)
@@ -373,15 +361,6 @@ class MarkShiftedTable(TableCurve):
         self.strictly_convex = base.strictly_convex
         self.native_period = base.native_period
 
-    def position(self, q):
-        return self.base.position(np.asarray(q, dtype=float) + self.shift)
-
-    def tangent(self, q):
-        return self.base.tangent(np.asarray(q, dtype=float) + self.shift)
-
-    def curvature(self, q):
-        return self.base.curvature(np.asarray(q, dtype=float) + self.shift)
-
     def native_of_q(self, q):
         return self.base.native_of_q(np.asarray(q, dtype=float) + self.shift)
 
@@ -411,15 +390,6 @@ class RigidMotionTable(TableCurve):
         self.kind = base.kind
         self.strictly_convex = base.strictly_convex
         self.native_period = base.native_period
-
-    def position(self, q):
-        return self.base.position(q) @ self._rot.T + self.offset
-
-    def tangent(self, q):
-        return self.base.tangent(q) @ self._rot.T
-
-    def curvature(self, q):
-        return self.base.curvature(q)
 
     def native_of_q(self, q):
         return self.base.native_of_q(q)
@@ -630,19 +600,6 @@ class SampledCurve(TableCurve):
         both = self._z.evaluate(u, self._curvature_w)
         return _signed_curvature(both[..., 0], both[..., 1])
 
-    def position(self, q):
-        u = self.u_of_q(q)
-        z = self._center + self._scale * (self._z(u) - self._center)
-        return np.stack([np.real(z), np.imag(z)], axis=-1)
-
-    def tangent(self, q):
-        dz = self._z(self.u_of_q(q), deriv=1)
-        t = dz / np.abs(dz)
-        return np.stack([np.real(t), np.imag(t)], axis=-1)
-
-    def curvature(self, q):
-        return self._raw_curvature(self.u_of_q(q)) * self.raw_length
-
     def native_of_q(self, q):
         q = np.asarray(q, dtype=float)
         # u_of_q inverts q mod 1; the raw parameter winds with period 1 as well
@@ -802,6 +759,12 @@ class PolygonBoundary(TableCurve):
 
     def curvature(self, q):
         return np.zeros(np.shape(np.asarray(q, dtype=float)))
+
+    def native_frame(self, t):
+        return self.position(t), self.tangent(t), np.ones(np.shape(t))
+
+    def native_curvature(self, t):
+        return self.curvature(t)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,8 @@ def _orbit_frame(table: TableCurve, qs):
 
     One arc-length inversion: positions and tangents come from
     ``native_frame`` and curvatures from ``native_curvature`` at the tuple's
-    native parameters, so the gradient and the Hessian can share them.
+    native parameters, so the gradient, the Hessian, the action and the
+    phase point can share them.
     """
     qs = np.asarray(qs, dtype=float)
     t = table.native_of_q(qs)
@@ -83,25 +84,26 @@ def orbit_gradient(table: TableCurve, qs):
 
 
 def orbit_hessian(table: TableCurve, qs):
-    """Analytic Hessian of the functional, assembled chord by chord."""
+    """Analytic Hessian of the functional: each chord adds to two diagonal entries and one pair."""
     return _hessian(*_orbit_frame(table, qs))
 
 
 def _hessian(u, dist, tan, kappa):
-    n = dist.size
     # gamma'' = kappa * (tangent rotated by +90)
     gpp = kappa[:, None] * np.stack([-tan[:, 1], tan[:, 0]], axis=-1)
-    H = np.zeros((n, n))
-    for i in range(n):
-        j = (i + 1) % n
-        ui = u[i]
-        p = float(ui @ tan[i])
-        P = float(ui @ tan[j])
-        H[i, i] += (1 - p * p) / dist[i] - float(ui @ gpp[i])
-        H[j, j] += (1 - P * P) / dist[i] + float(ui @ gpp[j])
-        cross = -(float(tan[i] @ tan[j]) - p * P) / dist[i]
-        H[i, j] += cross
-        H[j, i] += cross
+    # chord i joins bounce i to bounce j = i + 1 (mod n)
+    tan_j, gpp_j = np.roll(tan, -1, axis=0), np.roll(gpp, -1, axis=0)
+    p = np.vecdot(u, tan)
+    P = np.vecdot(u, tan_j)
+    own = (1 - p * p) / dist - np.vecdot(u, gpp)
+    nxt = (1 - P * P) / dist + np.vecdot(u, gpp_j)
+    cross = -(np.vecdot(tan, tan_j) - p * P) / dist
+    i = np.arange(dist.size)
+    j = np.roll(i, -1)
+    H = np.diag(own + np.roll(nxt, 1))
+    # two separate updates: at n = 2 both chords land on the same entries
+    H[i, j] += cross
+    H[j, i] += cross
     return H
 
 
@@ -134,21 +136,19 @@ class PeriodicOrbitCandidate:
 def orbit_phase_point(table: TableCurve, qs):
     """Outgoing phase point (q_1, p) of the first bounce of the tuple."""
     qs = np.asarray(qs, dtype=float)
-    _, u, _ = _chords(table, qs)
-    p = float(u[0] @ table.tangent(qs[0]))
-    return float(np.mod(qs[0], 1.0)), p
+    u, _, tan, _ = _orbit_frame(table, qs)
+    return float(np.mod(qs[0], 1.0)), float(u[0] @ tan[0])
 
 
-def _phase_validation(table: TableCurve, qs):
+def _phase_validation(table: TableCurve, qs, p):
     """Max phase-space deviation of the tuple from a bounce trajectory.
 
-    The n bounces from the tuple's phase point must visit q_2, ..., q_n and
-    close up at q_1; a trajectory that grazes the boundary scores inf.
+    The n bounces from the tuple's phase point (q_1, p) must visit q_2, ...,
+    q_n and close up at q_1; a trajectory that grazes the boundary scores
+    inf.
     """
-    qs = np.asarray(qs, dtype=float)
-    q, p = orbit_phase_point(table, qs)
     try:
-        traj, _ = trajectory_arrays(table, q, p, qs.size)
+        traj, _ = trajectory_arrays(table, np.mod(qs[0], 1.0), p, qs.size)
     except NearGrazing:
         return np.inf
     return float(circ_dist(traj[1:], np.roll(qs, -1)).max())
@@ -210,10 +210,14 @@ def find_periodic_orbits(
     """Multi-start Newton search for period-n orbits on the parameter torus.
 
     Seeds combine rotational tuples q_i = q0 + i k/n (k coprime to n) with
-    uniform random tuples.  Converged candidates are deduplicated modulo
-    cyclic shift and reversal (and common rotation for degenerate families)
-    and accepted only when the critical residual is below 1e-10 and the
-    tuple closes up as a phase-space trajectory within 1e-8.
+    uniform random tuples.  A converged candidate is read from one frame at
+    its tuple (one arc-length inversion): the Hessian, the action and the
+    outgoing momentum of its first bounce.  Duplicates of an accepted class
+    (modulo cyclic shift and reversal, and common rotation for degenerate
+    families) are rejected before the phase validation, so only a new
+    class pays for a trajectory.  A candidate is accepted only when the
+    critical residual is below 1e-10 and the tuple closes up as a
+    phase-space trajectory within 1e-8.
     """
     if n < 2:
         raise ValueError("period must be at least 2")
@@ -239,26 +243,27 @@ def find_periodic_orbits(
             continue
         if circ_dist(qs, np.roll(qs, -1)).min() < 1e-9:
             continue
-        H = orbit_hessian(table, qs)
-        eig = np.linalg.eigvalsh(H)
+        frame = _orbit_frame(table, qs)
+        u, dist, tan, _ = frame
+        eig = np.linalg.eigvalsh(_hessian(*frame))
         degenerate = bool(np.abs(eig).min() < 1e-6 * max(1.0, np.abs(eig).max()))
-        phase_err = _phase_validation(table, qs)
         winding = int(np.rint(np.sum(np.mod(np.diff(np.concatenate([qs, qs[:1]])), 1.0))))
         cand = PeriodicOrbitCandidate(
             qs=tuple(float(v) for v in qs),
             n=n,
-            action=orbit_functional(table, qs),
+            action=float(dist.sum()),
             residual=residual,
-            accepted=bool(residual < ACCEPT_RESIDUAL and phase_err < PHASE_TOL),
+            accepted=False,
             degenerate_family=degenerate,
-            phase_error=float(phase_err),
+            phase_error=np.inf,
             winding=winding,
         )
-        if not cand.accepted:
-            continue
         if any(_same_orbit(cand, other) for other in found):
             continue
-        found.append(cand)
+        cand.phase_error = _phase_validation(table, qs, float(u[0] @ tan[0]))
+        cand.accepted = bool(residual < ACCEPT_RESIDUAL and cand.phase_error < PHASE_TOL)
+        if cand.accepted:
+            found.append(cand)
     found.sort(key=lambda c: (c.action, c.qs))
     return found
 

@@ -258,6 +258,12 @@ class _FamilyCurve(TableCurve):
     def curvature(self, q):
         return self.family.raw_curvature(self.s, q) * self.family.length_at(self.s)
 
+    def native_frame(self, t):
+        return self.position(t), self.tangent(t), np.ones(np.shape(t))
+
+    def native_curvature(self, t):
+        return self.curvature(t)
+
 
 class SmoothingFamily:
     """Polygon plus one corner profile per vertex, generating gamma_s, s in (0, 1]."""
@@ -584,6 +590,14 @@ class CauchyTailReport:
     corrected: np.ndarray
     value: float
 
+    def increments_decreasing(self) -> bool:
+        """Each trapezoid increment is smaller than the one above it."""
+        return bool(np.all(np.diff(self.increments) < 0))
+
+    def closes(self, tol: float) -> bool:
+        """The last corrected step is below ``tol`` times the tail value."""
+        return bool(abs(self.corrected[-1] - self.corrected[-2]) < tol * self.value)
+
     def to_json(self):
         return {
             "nodes": self.nodes.tolist(),
@@ -613,6 +627,11 @@ def cauchy_tail(fam: SmoothingFamily, s0: float, levels: int = 8, q_nodes: int =
 
 
 INDEPENDENCE_SCALES = (0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125)
+
+
+def slope_is_linear(slope: float) -> bool:
+    """The independence certificate's window: a log-log slope in [0.9, 1.1] reads as O(s)."""
+    return bool(0.9 <= slope <= 1.1)
 
 
 def _family_with_blend(base: SmoothingFamily, other: SmoothingFamily, t: float) -> SmoothingFamily:

@@ -234,6 +234,48 @@ def test_hofer_length_smallest_simpson_count_runs(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["l_B"] > 0.0
 
 
+# count flags with their smallest value that runs; numpy used to take a
+# smaller one silently (a header-only CSV, torus Betti numbers [0, 0, 0])
+# or fail with a message that named no flag, or a traceback
+_COUNT_FLAGS = {
+    "table-sample-grid-q": (["table", "sample", "--table", "{disc}"], "--grid-q", 1),
+    "map-portrait-seeds": (["map", "portrait", "--table", "{disc}", "--steps", "2"], "--seeds", 1),
+    "hofer-hjresidual-points": (["hofer", "hjresidual", "--path", "{translation}"], "--points", 1),
+    "orbits-find-seeds": (["orbits", "find", "--table", "{disc}", "--period", "2"], "--seeds", 0),
+    "orbits-gap-grid-q": (
+        ["orbits", "gap", "--table", "{disc}", "--table2", "{ellipse}", "--period", "2"], "--grid-q", 1),
+    "orbits-experiment-samples": (
+        ["orbits", "experiment", "--table", "{disc}", "--table2", "{ellipse}", "--period", "2",
+         "--seeds", "0"], "--samples", 1),
+    "orbits-experiment-seeds": (
+        ["orbits", "experiment", "--table", "{disc}", "--table2", "{ellipse}", "--period", "2",
+         "--samples", "4"], "--seeds", 0),
+    "barcode-compute-resolution": (["barcode", "compute", "--table", "{disc}"], "--resolution", 1),
+    "barcode-stability-resolution": (
+        ["barcode", "stability", "--table", "{disc}", "--table2", "{ellipse}"], "--resolution", 1),
+    "reconstruct-samples": (["reconstruct", "--table", "{ellipse}"], "--samples", 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_COUNT_FLAGS))
+def test_count_flag_below_its_minimum_is_a_usage_error(tmp_path, capsys, case):
+    argv, flag, low = _COUNT_FLAGS[case]
+    files = {
+        "disc": _write(tmp_path, "disc.json", {"type": "disc"}),
+        "ellipse": _write(tmp_path, "ellipse.json", {"type": "fourier_support", "c0": 1.0, "cos": [0.0, 0.03]}),
+        "translation": _write(tmp_path, "path.json", {"type": "translation", "table": {"type": "disc"}, "v": [0.05, 0.0]}),
+    }
+    out = tmp_path / "out"
+    argv = [a.format(**files) for a in argv] + ["--out", str(out)]
+    for value in sorted(v for v in {low - 1, 0, -3} if v < low):
+        assert main(argv + [flag, str(value)]) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.out.strip().splitlines()[-1])["error"]
+        assert f"argument {flag}: must be at least {low}, got {value}" in error
+        assert "Traceback" not in captured.err and not out.exists()
+    assert main(argv + [flag, str(low)]) == 0
+
+
 def test_help_returns_0(capsys):
     assert main(["map", "eval", "--help"]) == 0
     assert "--table" in capsys.readouterr().out

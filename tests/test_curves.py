@@ -154,6 +154,54 @@ def test_native_frame_matches_arc_length_frame(native_tables, kind, q):
     assert np.abs(dq_dt - fd).max() < 1e-6 * np.abs(fd).max()
 
 
+# q-API oracles that read no native frame: difference quotients in q.  The
+# smoothed slice places its corner points by inverting a piecewise-linear
+# table of the profile's arc length (CornerProfile.xi_of_arc), so there its
+# tangent matches the difference quotient of its position only to about
+# 2e-5 at this step, and its curvature that of its tangent angle to 7e-6.
+Q_API_KINDS = NATIVE_KINDS + ["smoothed_slice"]
+FD_STEP = 1e-5
+FD_TANGENT_TOL = {"smoothed_slice": 5e-5}
+FD_CURVATURE_TOL = {"smoothed_slice": 2e-5}
+
+
+def _q_api_table(native_tables, kind):
+    if kind == "smoothed_slice":
+        return family_from_polygon(unit_square()).curve(0.5)
+    return native_tables[kind]
+
+
+@pytest.mark.parametrize("kind", Q_API_KINDS)
+def test_position_difference_is_the_unit_tangent(native_tables, kind):
+    table = _q_api_table(native_tables, kind)
+    q = np.linspace(-2.0, 3.0, 4001)
+    d = (table.position(q + FD_STEP) - table.position(q - FD_STEP)) / (2 * FD_STEP)
+    tol = FD_TANGENT_TOL.get(kind, 1e-8)
+    assert np.abs(np.linalg.norm(d, axis=-1) - 1.0).max() < tol
+    assert np.abs(d - table.tangent(q)).max() < tol
+
+
+@pytest.mark.parametrize("kind", Q_API_KINDS)
+def test_tangent_angle_difference_is_the_curvature(native_tables, kind):
+    table = _q_api_table(native_tables, kind)
+    q = np.linspace(-2.0, 3.0, 4001)
+    ahead, behind = table.tangent(q + FD_STEP), table.tangent(q - FD_STEP)
+    turn = np.angle((ahead[:, 0] + 1j * ahead[:, 1]) / (behind[:, 0] + 1j * behind[:, 1]))
+    kappa = table.curvature(q)
+    tol = FD_CURVATURE_TOL.get(kind, 3e-8)
+    assert np.abs(turn / (2 * FD_STEP) - kappa).max() < tol * np.abs(kappa).max()
+
+
+class _Bare(TableCurve):
+    """A table that states neither its q-geometry nor its native geometry."""
+
+
+@pytest.mark.parametrize("method", ["position", "tangent", "curvature", "native_frame", "native_curvature"])
+def test_table_without_geometry_raises_not_implemented(method):
+    with pytest.raises(NotImplementedError):
+        getattr(_Bare(), method)(np.array([0.25]))
+
+
 def test_native_period_is_one_turn(native_tables):
     for table in native_tables.values():
         t = table.native_of_q(np.array([0.2]))
@@ -320,8 +368,6 @@ def test_support_kernel_matches_direct_sum(n, shape):
         assert np.abs(value - expect).max() <= tol, name
     c, s = np.cos(theta), np.sin(theta)
     point = np.stack([h * c - hp * s, h * s + hp * c], axis=-1)
-    assert spec.boundary_point(theta).shape == shape + (2,)
-    assert np.abs(spec.boundary_point(theta) - point).max() <= tol
     pos, tan, dq = FourierTable(spec).native_frame(theta)
     assert pos.shape == tan.shape == shape + (2,) and dq.shape == shape
     assert np.abs(pos - point).max() <= tol

@@ -7,6 +7,8 @@ from hoferbilliards import smoothing as sm
 from hoferbilliards.curves import FourierTable, circ_dist, unit_square
 from hoferbilliards.errors import DiagonalPoint, InconsistentChords
 
+NATIVE_KINDS = ["disc", "mild_ellipse", "sampled", "mark_shifted", "rigid"]
+
 DIAMETER_ACTION = 2 / np.pi
 TRIANGLE_ACTION = 3 * np.sqrt(3) / (2 * np.pi)
 
@@ -70,6 +72,38 @@ def test_hessian_matches_gradient_differences(native_tables, kind):
         assert np.abs(H - fd).max() < 1e-6 * max(1.0, np.abs(H).max())
 
 
+def _hessian_loop(u, dist, tan, kappa):
+    """Oracle for the vectorized ``_hessian``: the same sums, assembled chord by chord."""
+    n = dist.size
+    gpp = kappa[:, None] * np.stack([-tan[:, 1], tan[:, 0]], axis=-1)
+    H = np.zeros((n, n))
+    for i in range(n):
+        j = (i + 1) % n
+        ui = u[i]
+        p = float(ui @ tan[i])
+        P = float(ui @ tan[j])
+        H[i, i] += (1 - p * p) / dist[i] - float(ui @ gpp[i])
+        H[j, j] += (1 - P * P) / dist[i] + float(ui @ gpp[j])
+        cross = -(float(tan[i] @ tan[j]) - p * P) / dist[i]
+        H[i, j] += cross
+        H[j, i] += cross
+    return H
+
+
+@pytest.mark.parametrize("kind", NATIVE_KINDS)
+def test_hessian_matches_chord_loop_bit_for_bit(native_tables, kind):
+    table = native_tables[kind]
+    rng = np.random.default_rng(8)
+    for n in range(2, 7):
+        for _ in range(6):
+            # jittered n-gon tuples: neighbours at least 0.4/n apart, in any cyclic order
+            qs = np.mod(rng.uniform() + (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n, 1.0)
+            if n > 2 and rng.uniform() < 0.5:
+                qs = rng.permutation(qs)
+            frame = dy._orbit_frame(table, qs)
+            assert np.array_equal(dy._hessian(*frame), _hessian_loop(*frame))
+
+
 def test_orbit_newton_inverts_arc_length_once_per_iterate(mild_ellipse, monkeypatch):
     calls, hessians = [], []
     inner, inner_hessian = FourierTable.native_of_q, dy._hessian
@@ -89,6 +123,90 @@ def test_orbit_newton_inverts_arc_length_once_per_iterate(mild_ellipse, monkeypa
     # every iterate but the last takes one Newton step with the shared frame
     assert len(hessians) >= 2
     assert calls == [3] * (len(hessians) + 1)
+
+
+def _converged_results(monkeypatch):
+    """Record every ``_newton_orbit`` result, tagging arc-length inversions made inside it."""
+    results, inside = [], []
+    inner = dy._newton_orbit
+
+    def recorded(table, qs0):
+        inside.append(True)
+        try:
+            res = inner(table, qs0)
+        finally:
+            inside.pop()
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(dy, "_newton_orbit", recorded)
+    return results, inside
+
+
+def _is_candidate(res):
+    """The search's filter: a converged, non-diagonal tuple."""
+    if res is None:
+        return False
+    qs, residual = res
+    return residual <= dy.ACCEPT_RESIDUAL and circ_dist(qs, np.roll(qs, -1)).min() >= 1e-9
+
+
+def test_orbit_search_inverts_arc_length_once_per_candidate(mild_ellipse, monkeypatch):
+    results, inside = _converged_results(monkeypatch)
+    outside = []
+    inner = FourierTable.theta_of_q
+
+    def counted(self, q):
+        if not inside:
+            outside.append(np.size(q))
+        return inner(self, q)
+
+    monkeypatch.setattr(FourierTable, "theta_of_q", counted)
+    found = dy.find_periodic_orbits(mild_ellipse, 3, seed_count=12, rng=2)
+    candidates = sum(map(_is_candidate, results))
+    # duplicates of an accepted class are the common case, and skip validation
+    assert candidates > 2 * len(found) > 0
+    # one frame per candidate, one trajectory start per accepted class (the
+    # search used five inversions per candidate before sharing the frame)
+    assert len(outside) <= candidates + len(found)
+
+
+def _validate_then_deduplicate(table, n, results):
+    """Oracle: every candidate rebuilt from the public q-API, validated, then deduplicated."""
+    found = []
+    for res in results:
+        if not _is_candidate(res):
+            continue
+        qs, residual = res
+        eig = np.linalg.eigvalsh(dy.orbit_hessian(table, qs))
+        _, p = dy.orbit_phase_point(table, qs)
+        phase_err = dy._phase_validation(table, qs, p)
+        cand = dy.PeriodicOrbitCandidate(
+            qs=tuple(float(v) for v in qs),
+            n=n,
+            action=dy.orbit_functional(table, qs),
+            residual=residual,
+            accepted=bool(residual < dy.ACCEPT_RESIDUAL and phase_err < dy.PHASE_TOL),
+            degenerate_family=bool(np.abs(eig).min() < 1e-6 * max(1.0, np.abs(eig).max())),
+            phase_error=float(phase_err),
+            winding=int(np.rint(np.sum(np.mod(np.diff(np.concatenate([qs, qs[:1]])), 1.0)))),
+        )
+        if cand.accepted and not any(dy._same_orbit(cand, other) for other in found):
+            found.append(cand)
+    found.sort(key=lambda c: (c.action, c.qs))
+    return found
+
+
+@pytest.mark.parametrize("kind", NATIVE_KINDS)
+def test_orbit_search_matches_validate_then_deduplicate_oracle(native_tables, kind, monkeypatch):
+    table = native_tables[kind]
+    results, _ = _converged_results(monkeypatch)
+    for n in (2, 3):
+        results.clear()
+        found = dy.find_periodic_orbits(table, n, seed_count=6, rng=n)
+        assert found
+        oracle = _validate_then_deduplicate(table, n, results)
+        assert [c.to_json() for c in found] == [c.to_json() for c in oracle]
 
 
 def test_disc_orbits(disc):
