@@ -378,18 +378,19 @@ def cmd_reconstruct(args):
             if samples[key].size != t.size:
                 raise SpecError(f"chords.{key}: {samples[key].size} samples, chords.t has {t.size}")
         data = dy.ChordData(t=t, anchor=_json_field(obj, "anchor", "chords"), **samples)
-        result = {}
     else:
         table = load_table(args.table)
+        err = dy.reconstruction_roundtrip_error(table, samples=args.samples)
         data = dy.table_chord_data(table, samples=args.samples)
-        result = {"max_aligned_error": dy.reconstruction_roundtrip_error(table, samples=args.samples)}
     t, pts = dy.reconstruct_table(data)
     out = _outdir(args) / "reconstructed.csv"
     _write_csv(out, ["t", "x", "y"], [(t[i], pts[i, 0], pts[i, 1]) for i in range(len(t))])
-    _emit({"points": len(t), "file": str(out), **result})
-    _note(f"reconstructed {len(t)} boundary points -> {out}")
-    if result:
-        _note(f"round-trip reconstruction error {result['max_aligned_error']:.3e}")
+    if args.chords:
+        _emit({"points": len(t), "file": str(out)})
+        _note(f"reconstructed {len(t)} boundary points -> {out}")
+    else:
+        _emit({"points": len(t), "max_aligned_error": err, "file": str(out)})
+        _note(f"round-trip reconstruction error {err:.3e}")
     return OK
 
 

@@ -169,8 +169,8 @@ class FourierSupportSpec:
     the body and do not affect curvature or length.
 
     Every evaluator (``h`` up to h'' = (rho - c0) - (h - c0), ``rho``,
-    ``arclength``, ``sigma_rho`` and ``FourierTable.native_frame``) reads
-    one kernel, ``_terms``.
+    ``arclength``, ``sigma_rho``, ``boundary_point`` and
+    ``FourierTable.native_frame``) reads one kernel, ``_terms``.
     """
 
     c0: float
@@ -269,8 +269,12 @@ class FourierSupportSpec:
         rows = self._terms(theta)
         return self.c0 * theta + rows[3], self.c0 + rows[2]
 
+    def boundary_point(self, theta):
+        """Boundary point h*e_r + h'*e_t at outward normal angle theta."""
+        return self._frame(theta)[0]
+
     def _frame(self, theta):
-        """(boundary point h e_r + h' e_t, unit tangent, rho) at theta from one kernel evaluation."""
+        """(boundary point, unit tangent, rho) at theta from one kernel evaluation."""
         rows = self._terms(theta)
         h = self.c0 + rows[0]
         hp = rows[1]
@@ -289,8 +293,8 @@ class FourierTable(TableCurve):
 
     The native parameter is the outward normal angle theta: q(theta) is the
     closed-form cumulative arc length ``spec.arclength``, dq/dtheta the
-    radius of curvature ``spec.rho`` and the frame ``spec._frame``.  Only
-    ``theta_of_q`` solves a Newton problem.
+    radius of curvature ``spec.rho`` and the boundary point
+    ``spec.boundary_point``.  Only ``theta_of_q`` solves a Newton problem.
     """
 
     kind = "fourier_support"

@@ -12,7 +12,7 @@ rigid motion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,7 +50,11 @@ def _chords(table: TableCurve, qs, pos=None):
 
 def orbit_functional(table: TableCurve, qs) -> float:
     """Total chord length of the closed tuple; cyclic-shift invariant."""
-    return float(_chords(table, qs)[2].sum(axis=-1))
+    return _action(_chords(table, qs)[2])
+
+
+def _action(dist) -> float:
+    return float(dist.sum(axis=-1))
 
 
 def _orbit_frame(table: TableCurve, qs):
@@ -137,15 +141,19 @@ def orbit_phase_point(table: TableCurve, qs):
     """Outgoing phase point (q_1, p) of the first bounce of the tuple."""
     qs = np.asarray(qs, dtype=float)
     u, _, tan, _ = _orbit_frame(table, qs)
-    return float(np.mod(qs[0], 1.0)), float(u[0] @ tan[0])
+    return float(np.mod(qs[0], 1.0)), _outgoing_momentum(u, tan)
+
+
+def _outgoing_momentum(u, tan) -> float:
+    """Tangential momentum u_1 . t_1 of the first chord leaving the first bounce."""
+    return float(u[0] @ tan[0])
 
 
 def _phase_validation(table: TableCurve, qs, p):
     """Max phase-space deviation of the tuple from a bounce trajectory.
 
-    The n bounces from the tuple's phase point (q_1, p) must visit q_2, ...,
-    q_n and close up at q_1; a trajectory that grazes the boundary scores
-    inf.
+    The n bounces from the tuple's phase point must visit q_2, ..., q_n and
+    close up at q_1; a trajectory that grazes the boundary scores inf.
     """
     try:
         traj, _ = trajectory_arrays(table, np.mod(qs[0], 1.0), p, qs.size)
@@ -210,13 +218,11 @@ def find_periodic_orbits(
     """Multi-start Newton search for period-n orbits on the parameter torus.
 
     Seeds combine rotational tuples q_i = q0 + i k/n (k coprime to n) with
-    uniform random tuples.  A converged candidate is read from one frame at
-    its tuple (one arc-length inversion): the Hessian, the action and the
-    outgoing momentum of its first bounce.  Duplicates of an accepted class
-    (modulo cyclic shift and reversal, and common rotation for degenerate
-    families) are rejected before the phase validation, so only a new
-    class pays for a trajectory.  A candidate is accepted only when the
-    critical residual is below 1e-10 and the tuple closes up as a
+    uniform random tuples.  A converged candidate's Hessian, action and phase
+    point come from one frame (one arc-length inversion).  Duplicates modulo
+    cyclic shift and reversal (and common rotation for degenerate families)
+    are rejected before the phase validation; the rest are accepted only when
+    the critical residual is below 1e-10 and the tuple closes up as a
     phase-space trajectory within 1e-8.
     """
     if n < 2:
@@ -243,15 +249,14 @@ def find_periodic_orbits(
             continue
         if circ_dist(qs, np.roll(qs, -1)).min() < 1e-9:
             continue
-        frame = _orbit_frame(table, qs)
-        u, dist, tan, _ = frame
-        eig = np.linalg.eigvalsh(_hessian(*frame))
+        u, dist, tan, kappa = _orbit_frame(table, qs)
+        eig = np.linalg.eigvalsh(_hessian(u, dist, tan, kappa))
         degenerate = bool(np.abs(eig).min() < 1e-6 * max(1.0, np.abs(eig).max()))
         winding = int(np.rint(np.sum(np.mod(np.diff(np.concatenate([qs, qs[:1]])), 1.0))))
         cand = PeriodicOrbitCandidate(
             qs=tuple(float(v) for v in qs),
             n=n,
-            action=float(dist.sum()),
+            action=_action(dist),
             residual=residual,
             accepted=False,
             degenerate_family=degenerate,
@@ -260,10 +265,9 @@ def find_periodic_orbits(
         )
         if any(_same_orbit(cand, other) for other in found):
             continue
-        cand.phase_error = _phase_validation(table, qs, float(u[0] @ tan[0]))
-        cand.accepted = bool(residual < ACCEPT_RESIDUAL and cand.phase_error < PHASE_TOL)
-        if cand.accepted:
-            found.append(cand)
+        phase_error = _phase_validation(table, qs, _outgoing_momentum(u, tan))
+        if residual < ACCEPT_RESIDUAL and phase_error < PHASE_TOL:
+            found.append(replace(cand, accepted=True, phase_error=phase_error))
     found.sort(key=lambda c: (c.action, c.qs))
     return found
 

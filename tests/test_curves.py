@@ -368,6 +368,8 @@ def test_support_kernel_matches_direct_sum(n, shape):
         assert np.abs(value - expect).max() <= tol, name
     c, s = np.cos(theta), np.sin(theta)
     point = np.stack([h * c - hp * s, h * s + hp * c], axis=-1)
+    assert spec.boundary_point(theta).shape == shape + (2,)
+    assert np.abs(spec.boundary_point(theta) - point).max() <= tol
     pos, tan, dq = FourierTable(spec).native_frame(theta)
     assert pos.shape == tan.shape == shape + (2,) and dq.shape == shape
     assert np.abs(pos - point).max() <= tol
