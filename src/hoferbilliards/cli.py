@@ -726,7 +726,7 @@ def build_parser():
     seed(sp)
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                     help="worker threads of the comparison certificates")
-    sp.add_argument("--paths", type=int, default=4, help="random comparison paths")
+    sp.add_argument("--paths", type=_int_at_least(1), default=4, help="random comparison paths")
     sp.set_defaults(fn="cmd_verify_all")
 
     return p

@@ -276,6 +276,18 @@ def test_count_flag_below_its_minimum_is_a_usage_error(tmp_path, capsys, case):
     assert main(argv + [flag, str(low)]) == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_all_without_a_random_path_is_a_usage_error(tmp_path, capsys, value):
+    # with no random path, verify all used to certify the two translation
+    # paths alone and print PASS
+    out = tmp_path / "va"
+    assert main(["verify", "all", "--seed", "7", "--paths", value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert f"argument --paths: must be at least 1, got {value}" in error
+    assert "PASS" not in captured.out + captured.err and not out.exists()
+
+
 def test_help_returns_0(capsys):
     assert main(["map", "eval", "--help"]) == 0
     assert "--table" in capsys.readouterr().out

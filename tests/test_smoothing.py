@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from hoferbilliards import c0_distance, regular_polygon, unit_square
 from hoferbilliards import smoothing as sm
@@ -218,11 +219,78 @@ def test_blend_tables_match_tables_from_the_closures(t):
     blend = lower.blend(upper, t)
     # a profile from the blend's closures alone tabulates its own df
     ref = sm.CornerProfile(blend.slope, blend.width, blend.f, blend.df, blend.ddf)
-    for got, want in zip(blend._tables()[:2], ref._tables()[:2]):
+    for got, want in zip(blend._tables(), ref._tables()):
         assert got.tobytes() == want.tobytes()
     arcs = np.linspace(-1e-3, ref.arc_length + 1e-3, 1001)
     assert blend.xi_of_arc(arcs).tobytes() == ref.xi_of_arc(arcs).tobytes()
     assert blend.arc_length == ref.arc_length and blend.delta == ref.delta
+
+
+def _xi_of_arc_by_newton(profile, arc):
+    """Oracle: the inversion before the direct one, a pchip inverse of the
+    arc table as the seed and two Newton steps with the exact derivative
+    1/sqrt(1 + f'^2) on the piecewise-linear forward table."""
+    xi_grid, arc_grid = profile._tables()
+    w = profile.width
+    xi = np.clip(PchipInterpolator(arc_grid, xi_grid)(np.clip(arc, 0.0, arc_grid[-1])), -w, w)
+    for _ in range(2):
+        resid = np.interp(xi, xi_grid, arc_grid) - arc
+        xi = np.clip(xi - resid / np.sqrt(1.0 + profile.df(xi) ** 2), -w, w)
+    return xi
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    slope=st.floats(0.1, 10.0),
+    width=st.floats(1e-4, 0.1),
+    t=st.floats(0.0, 1.0),
+    u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+)
+def test_xi_of_arc_inverts_the_arc_table(slope, width, t, u):
+    profile = sm.make_profile(slope, width).blend(sm.make_profile(slope, 2.0 * width), t)
+    w, length = profile.width, profile.arc_length
+    xi_grid, arc_grid = profile._tables()
+    arcs = np.sort(np.concatenate([np.asarray(u) * length, np.linspace(0.0, length, 257)]))
+    xi = profile.xi_of_arc(arcs)
+    assert np.all(np.abs(xi) <= w) and np.all(np.diff(xi) >= 0.0)
+    # the root of the forward table, to a few ulps of the arc length
+    assert np.abs(np.interp(xi, xi_grid, arc_grid) - arcs).max() <= 4.0 * np.spacing(length)
+    # arcs outside [0, arc_length] clamp to the end nodes
+    assert profile.xi_of_arc(np.array([-1e-3 * length, -0.0, length, 1.001 * length])).tolist() == [-w, -w, w, w]
+    # the Newton leaves its own residual near the apex, where f'' is largest
+    # and two steps do not converge; the cells rise at least as fast as xi,
+    # so that residual bounds the distance between the two roots
+    ref = _xi_of_arc_by_newton(profile, arcs)
+    ref_resid = np.abs(np.interp(ref, xi_grid, arc_grid) - arcs)
+    assert np.all(np.abs(xi - ref) <= ref_resid + 1e-14 * w)
+
+
+@pytest.mark.parametrize("width", [0.005, 0.01])
+def test_xi_of_arc_matches_newton_on_the_unit_square(width):
+    # the square's corners at the widths that verify all and landscape use;
+    # the Newton's unconverged apex cells leave 1.3e-14 * width
+    profile = sm.make_profile(1.0, width)
+    arcs = np.linspace(0.0, profile.arc_length, 200001)
+    assert np.abs(profile.xi_of_arc(arcs) - _xi_of_arc_by_newton(profile, arcs)).max() <= 2e-14 * width
+
+
+def test_independence_slope_builds_no_interpolant(monkeypatch):
+    sm.standard_mollifier()
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(np.size(args[0]))
+        return PchipInterpolator(*args, **kwargs)
+
+    monkeypatch.setattr(sm, "PchipInterpolator", counted)
+    # the counter sees the mollifier's three tables
+    sm._Mollifier(65)
+    assert built == [65] * 3
+    famA = sm.family_from_polygon(unit_square(), width=0.01)
+    famB = sm.family_from_polygon(unit_square(), width=0.005)
+    sm.independence_slope(famA, famB, t_nodes=5, q_nodes=256)
+    # an inverse table per corner of both families and the 12 blends was 56
+    assert built == [65] * 3
 
 
 def test_blends_read_each_parents_df_once_per_pair():
