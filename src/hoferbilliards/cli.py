@@ -399,12 +399,13 @@ def cmd_reconstruct(args):
 # ---------------------------------------------------------------------------
 
 
-def _random_admissible_spec(rng, harmonics=4, amplitude=0.03):
+def _random_admissible_spec(rng):
+    """A random 4-harmonic support spec with coefficients in [-0.03, 0.03] and rho > 0.02."""
     while True:
         spec = FourierSupportSpec(
             1.0,
-            cos=rng.uniform(-amplitude, amplitude, harmonics),
-            sin=rng.uniform(-amplitude, amplitude, harmonics),
+            cos=rng.uniform(-0.03, 0.03, 4),
+            sin=rng.uniform(-0.03, 0.03, 4),
         )
         theta = np.linspace(0, 2 * np.pi, 512, endpoint=False)
         if spec.rho(theta).min() > 0.02:
@@ -451,7 +452,7 @@ def cmd_verify_all(args):
     def certify(path):
         return ho.verify_comparison(path, s_nodes=9, q_grid=128, p_grid=63, lb_s_nodes=33, lb_q_nodes=512)
 
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         certs = list(pool.map(certify, paths))
     _write_json(outdir / "comparison.json", [c.to_json() for c in certs])
     record("comparison_certificates", all(c.passed for c in certs),
@@ -724,7 +725,7 @@ def build_parser():
     sp = g.add_parser("all")
     common(sp)
     seed(sp)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    sp.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
                     help="worker threads of the comparison certificates")
     sp.add_argument("--paths", type=_int_at_least(1), default=4, help="random comparison paths")
     sp.set_defaults(fn="cmd_verify_all")
@@ -754,7 +755,8 @@ def main(argv=None):
     try:
         return fn(args)
     except (SpecError, OSError, ValueError) as exc:
-        # InvalidWidth and MarkInCorner are ValueErrors: bad widths and marks
+        # InvalidWidth, MarkInCorner and ResolutionTooLarge are ValueErrors:
+        # bad widths and marks, and grids over the cell budget
         _emit({"error": str(exc)})
         _note(f"input error: {exc}")
         return INPUT_ERROR

@@ -32,7 +32,7 @@ representations:
   its powers filled row by row and one matmul against weights built once
   per spec.
 * ``SampledCurve`` -- spectral (trigonometric-interpolation) representation of
-  a smooth closed curve given by samples or a callable; used for perturbed
+  a smooth closed curve given by uniform samples; used for perturbed
   and reconstructed tables.  The native parameter is the raw sample
   parameter u, with closed-form cumulative arc length.  Its series are
   evaluated without a dense (points x modes) exp matrix: at arbitrary
@@ -567,15 +567,6 @@ class SampledCurve(TableCurve):
         self.min_curvature = float(kappa.min() * self.raw_length)
         self.strictly_convex = bool(self.min_curvature > CURVATURE_FLOOR)
 
-    @classmethod
-    def from_function(cls, fn, samples: int = 1024, kind: str | None = None):
-        grid = np.arange(samples) / samples
-        return cls(np.asarray(fn(grid), dtype=float), kind=kind)
-
-    @classmethod
-    def from_points(cls, points: np.ndarray, kind: str = "reconstructed_samples"):
-        return cls(np.asarray(points, dtype=float), kind=kind)
-
     def _arclength(self, u):
         """Cumulative raw arc length from parameter 0, closed form in coefficients."""
         u = np.asarray(u, dtype=float)
@@ -685,6 +676,11 @@ class PolygonSpec:
 
     ``mark`` is the boundary arc-length parameter of the marked point,
     measured counterclockwise from vertices[0].
+
+    The checks compute the edge layout once: edge i runs from vertex i to
+    vertex i + 1 (mod n) as ``edges[i]``, with ``edge_lengths``, unit
+    ``edge_dirs`` and arc-length ``edge_starts`` (n + 1, the last the
+    perimeter); the boundary and the smoothing family read them.
     """
 
     vertices: np.ndarray
@@ -698,26 +694,27 @@ class PolygonSpec:
         cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
         if np.any(cross <= 0.0):
             raise ValueError("vertices must be strictly convex in counterclockwise order")
-        per = float(np.sum(np.hypot(e[:, 0], e[:, 1])))
+        lengths = np.hypot(e[:, 0], e[:, 1])
+        per = float(np.sum(lengths))
         if abs(per - 1.0) > 1e-10:
             raise ValueError(f"perimeter must be 1, got {per!r}")
         self.mark = float(np.mod(self.mark, 1.0))
+        self.edges = e
+        self.edge_lengths = lengths
+        self.edge_dirs = e / lengths[:, None]
+        self.edge_starts = np.concatenate([[0.0], np.cumsum(lengths)])
 
-    @property
-    def edge_lengths(self):
-        e = np.roll(self.vertices, -1, axis=0) - self.vertices
-        return np.hypot(e[:, 0], e[:, 1])
+    def _edge_at(self, t):
+        """(t mod 1, index of the edge holding arc length t from vertices[0])."""
+        t = np.mod(np.asarray(t, dtype=float), 1.0)
+        idx = np.clip(np.searchsorted(self.edge_starts, t, side="right") - 1, 0, len(self.edges) - 1)
+        return t, idx
 
     def boundary_point(self, t):
         """Point at arc length t (mod 1) counterclockwise from vertices[0]."""
-        t = np.mod(np.asarray(t, dtype=float), 1.0)
-        lengths = self.edge_lengths
-        cums = np.concatenate([[0.0], np.cumsum(lengths)])
-        idx = np.clip(np.searchsorted(cums, t, side="right") - 1, 0, len(lengths) - 1)
-        local = (t - cums[idx]) / lengths[idx]
-        a = self.vertices[idx]
-        b = self.vertices[(idx + 1) % len(lengths)]
-        return a + local[..., None] * (b - a)
+        t, idx = self._edge_at(t)
+        local = (t - self.edge_starts[idx]) / self.edge_lengths[idx]
+        return self.vertices[idx] + local[..., None] * self.edges[idx]
 
 
 def unit_square(mark: float = 0.125) -> PolygonSpec:
@@ -754,12 +751,7 @@ class PolygonBoundary(TableCurve):
         return self.spec.boundary_point(np.asarray(q, dtype=float) + self.spec.mark)
 
     def tangent(self, q):
-        t = np.mod(np.asarray(q, dtype=float) + self.spec.mark, 1.0)
-        lengths = self.spec.edge_lengths
-        cums = np.concatenate([[0.0], np.cumsum(lengths)])
-        idx = np.clip(np.searchsorted(cums, t, side="right") - 1, 0, len(lengths) - 1)
-        e = np.roll(self.spec.vertices, -1, axis=0) - self.spec.vertices
-        return (e / lengths[:, None])[idx]
+        return self.spec.edge_dirs[self.spec._edge_at(np.asarray(q, dtype=float) + self.spec.mark)[1]]
 
     def curvature(self, q):
         return np.zeros(np.shape(np.asarray(q, dtype=float)))

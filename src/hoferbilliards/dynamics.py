@@ -87,12 +87,8 @@ def orbit_gradient(table: TableCurve, qs):
     return _gradient(u, tan)
 
 
-def orbit_hessian(table: TableCurve, qs):
-    """Analytic Hessian of the functional: each chord adds to two diagonal entries and one pair."""
-    return _hessian(*_orbit_frame(table, qs))
-
-
 def _hessian(u, dist, tan, kappa):
+    """Analytic Hessian of the functional: each chord adds to two diagonal entries and one pair."""
     # gamma'' = kappa * (tangent rotated by +90)
     gpp = kappa[:, None] * np.stack([-tan[:, 1], tan[:, 0]], axis=-1)
     # chord i joins bounce i to bounce j = i + 1 (mod n)
@@ -270,70 +266,6 @@ def find_periodic_orbits(
             found.append(replace(cand, accepted=True, phase_error=phase_error))
     found.sort(key=lambda c: (c.action, c.qs))
     return found
-
-
-def _iterate_batch(table: TableCurve, pts: np.ndarray, n: int):
-    """n-fold lifted bounce map of a batch of (q, p) rows.
-
-    Every forward bounce advances q by (Q - q) mod 1 in (0, 1), which
-    restores the lift from the reduced trajectory.
-    """
-    try:
-        qs, ps = trajectory_arrays(table, pts[:, 0], pts[:, 1], n)
-    except NearGrazing as exc:
-        raise FloatingPointError("batch leaves the solvable annulus") from exc
-    if not np.all(np.abs(ps[-1]) < 1 - 1e-9):
-        raise FloatingPointError("batch leaves the solvable annulus")
-    Q = pts[:, 0] + np.mod(np.diff(qs, axis=0), 1.0).sum(axis=0)
-    return np.stack([Q, ps[-1]], axis=-1)
-
-
-def phase_fixed_points(table: TableCurve, n: int, seed_count: int = 24, rng=None) -> list[tuple]:
-    """Fixed points of the n-fold bounce map by Newton in phase space.
-
-    Independent of the torus search; used as its validation oracle.  A start
-    converges when the fixed-point defect falls below 1e-11.  Returns
-    deduplicated (q, p) pairs.
-    """
-    rng = np.random.default_rng(rng)
-    starts = [np.array([rng.uniform(), rng.uniform(-0.8, 0.8)]) for _ in range(seed_count)]
-    h = 1e-7
-    stencil = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    out = []
-    for x in starts:
-        ok = False
-        for _ in range(40):
-            try:
-                ys = _iterate_batch(table, x[None, :] + stencil, n)
-            except (FloatingPointError, ArithmeticError):
-                break
-            G = ys[0] - (x + stencil[0])
-            G[0] -= np.rint(G[0])
-            if np.abs(G).max() < 1e-11:
-                ok = True
-                break
-            J = np.empty((2, 2))
-            J[:, 0] = (ys[1] - ys[2]) / (2 * h)
-            J[:, 1] = (ys[3] - ys[4]) / (2 * h)
-            J -= np.eye(2)
-            step, *_ = np.linalg.lstsq(J, -G, rcond=None)
-            norm = np.abs(step).max()
-            if norm > 0.1:
-                step *= 0.1 / norm
-            x = x + step
-            x[0] = np.mod(x[0], 1.0)
-            x[1] = np.clip(x[1], -0.995, 0.995)
-        if not ok:
-            continue
-        q, p = float(np.mod(x[0], 1.0)), float(x[1])
-        if all(circ_dist(q, q2) + abs(p - p2) > 1e-6 for q2, p2 in out):
-            out.append((q, p))
-    return out
-
-
-def tuple_from_phase_point(table: TableCurve, q: float, p: float, n: int):
-    """Bounce parameters visited over n iterations from (q, p)."""
-    return trajectory_arrays(table, q, p, n - 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +472,7 @@ def table_chord_data(table: TableCurve, samples: int = 256) -> ChordData:
     )
 
 
-def reconstruct_table(chords: ChordData, slack: float = 1e-9):
+def reconstruct_table(chords: ChordData):
     """Recover boundary points from two-anchor chord data, up to rigid motion.
 
     Anchors are placed at S = (0, 0) and R = (anchor, 0); each t determines
@@ -548,7 +480,8 @@ def reconstruct_table(chords: ChordData, slack: float = 1e-9):
     basis (point - S, R - S) is negative for t < 1/2 and positive for
     t > 1/2 (counterclockwise traversal).  Returns (t, points) including the
     pinned anchor parameters 0 and 1/2.  Raises InconsistentChords when the
-    circles fail to intersect beyond ``slack``.
+    circles fail to intersect by more than 1e-9 relative to the squared
+    chord scale.
     """
     d = float(chords.anchor)
     r1 = chords.from_start
@@ -558,7 +491,7 @@ def reconstruct_table(chords: ChordData, slack: float = 1e-9):
         raise InconsistentChords("chord lengths must be positive off the anchors")
     x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     y2 = r1 * r1 - x * x
-    if np.any(y2 < -slack * max(1.0, float(np.abs(r1).max()) ** 2)):
+    if np.any(y2 < -1e-9 * max(1.0, float(np.abs(r1).max()) ** 2)):
         raise InconsistentChords("chord circles fail to intersect")
     y = np.sqrt(np.maximum(y2, 0.0))
     sign = np.where(t < 0.5, -1.0, 1.0)
@@ -595,4 +528,4 @@ def reconstructed_table(chords: ChordData) -> TableCurve:
     gaps = np.diff(np.concatenate([t, [1.0]]))
     if np.abs(gaps - gaps[0]).max() > 1e-9:
         raise ValueError("reconstructed_table needs a uniform parameter grid")
-    return SampledCurve.from_points(pts, kind="reconstructed_samples")
+    return SampledCurve(pts, kind="reconstructed_samples")

@@ -61,5 +61,5 @@ class StabilityViolated(HoferBilliardsError):
     """Barcode moved more than the functional gap allows; numerics bug."""
 
 
-class ResolutionTooLarge(HoferBilliardsError):
-    """Requested grid exceeds the configured cell budget."""
+class ResolutionTooLarge(HoferBilliardsError, ValueError):
+    """Requested grid exceeds the configured cell budget (an input error)."""

@@ -208,9 +208,6 @@ class NormalPerturbationPath:
     sup_f: float
     sup_df: float
 
-    def __iter__(self):
-        return iter((self.path, self.bound))
-
 
 def normal_perturbation_path(table: TableCurve, f_samples) -> NormalPerturbationPath:
     """Path gamma_s = alpha + s f n, renormalized to length 1 and reparametrized.
@@ -289,26 +286,17 @@ def normal_perturbation_path(table: TableCurve, f_samples) -> NormalPerturbation
 # ---------------------------------------------------------------------------
 
 
-def path_geometric_length(
-    path: TablePath, s_nodes: int = 65, q_nodes: int = 1024, with_error: bool = False
-):
+def path_geometric_length(path: TablePath, s_nodes: int = 65, q_nodes: int = 1024) -> float:
     """Simpson quadrature of max_q ||dgamma_s/ds|| over s in [0, 1].
 
     Each integrand value is ``TablePath.speed_max``: a grid max over
     ``q_nodes`` nodes of the slice's native parameter with three refinement
     passes.  A grid max never exceeds the true max, so the value
-    approximates the path length from below up to quadrature error;
-    ``with_error`` also returns the Simpson doubling estimate
-    |I_n - I_(n//2+1)|.
+    approximates the path length from below up to quadrature error.
     """
     x, w = simpson_nodes(s_nodes)
     vals = np.array([path.speed_max(float(s), q_nodes) for s in x])
-    full = float(vals @ w)
-    if not with_error:
-        return full
-    xc, wc = simpson_nodes(s_nodes // 2 + 1)
-    coarse = float(vals[::2] @ wc)
-    return full, abs(full - coarse)
+    return float(vals @ w)
 
 
 class HamiltonianField:
@@ -346,9 +334,6 @@ class HamiltonianField:
     def value_arrays(self, s: float, Q, P):
         """Vectorized H_s on arrays; |P| <= 1 - 1e-6 required."""
         return self.solve(s, Q, P)[0]
-
-    def value(self, s: float, Q: float, P: float) -> float:
-        return float(self.value_arrays(s, np.asarray(Q), np.asarray(P)))
 
 
 def hofer_oscillation(hf: HamiltonianField, s: float, q_grid: int = 256, p_grid: int = 127, seed=None):
@@ -412,26 +397,6 @@ def hofer_length(
         vals[i], ts = hofer_oscillation(hf, float(s), q_grid, p_grid, seed=seed)
         last = [ts] + last[:2]
     return float(vals @ w)
-
-
-def generating_rate_integral(path: TablePath, s_nodes: int = 33, pair_grid: int = 256) -> float:
-    """int_0^1 sup_(q,Q) |dF_s/ds| ds over an off-diagonal pair grid."""
-    x, w = simpson_nodes(s_nodes)
-    qg = np.arange(pair_grid) / pair_grid
-    vals = []
-    for s in x:
-        table = path.table(float(s))
-        pos = table.position(qg)
-        vel = path.velocity(float(s), qg)
-        d = pos[None, :, :] - pos[:, None, :]
-        dist = np.linalg.norm(d, axis=-1)
-        np.fill_diagonal(dist, 1.0)
-        u = d / dist[..., None]
-        dv = vel[None, :, :] - vel[:, None, :]
-        rate = np.abs(np.sum(u * dv, axis=-1))
-        np.fill_diagonal(rate, 0.0)
-        vals.append(float(rate.max()))
-    return float(np.asarray(vals) @ w)
 
 
 # ---------------------------------------------------------------------------

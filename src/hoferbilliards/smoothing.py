@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .curves import TWO_PI, FourierSupportSpec, PolygonSpec, TableCurve, build_fourier_table, shift_mark
+from .curves import TWO_PI, FourierSupportSpec, PolygonSpec, TableCurve, build_fourier_table, rigid_motion, shift_mark
 from .errors import InvalidWidth, MarkInCorner
 from .homotopy import TablePath, simpson_nodes
 
@@ -250,10 +250,10 @@ class _FamilyCurve(TableCurve):
         return self.family._positions([self.s], q)[0]
 
     def tangent(self, q):
-        return self.family.raw_tangent(self.s, q)
+        return self.family._eval([self.s], q, "tan")[0]
 
     def curvature(self, q):
-        return self.family.raw_curvature(self.s, q) * self.family.length_at(self.s)
+        return self.family._eval([self.s], q, "kappa")[0] * self.family.length_at(self.s)
 
     def native_frame(self, t):
         return self.position(t), self.tangent(t), np.ones(np.shape(t))
@@ -272,9 +272,8 @@ class SmoothingFamily:
         n = len(V)
         if len(profiles) != n:
             raise ValueError("need one profile per vertex")
-        edges = np.roll(V, -1, axis=0) - V
-        self.edge_len = np.hypot(edges[:, 0], edges[:, 1])
-        self.edge_dir = edges / self.edge_len[:, None]
+        self.edge_len = polygon.edge_lengths
+        self.edge_dir = polygon.edge_dirs
         # corner frames: x along the bisector of the edge directions, y inward
         slopes = []
         self.x_hat = np.empty_like(V)
@@ -314,7 +313,7 @@ class SmoothingFamily:
         self.profile_arcs = np.array([p.arc_length for p in profiles])
         self.center = V.mean(axis=0)
         # locate the mark on the polygon boundary
-        cums = np.concatenate([[0.0], np.cumsum(self.edge_len)])
+        cums = polygon.edge_starts
         t = polygon.mark * self.base_length
         j = int(np.clip(np.searchsorted(cums, t, side="right") - 1, 0, n - 1))
         self.mark_edge = j
@@ -471,16 +470,6 @@ class SmoothingFamily:
         pos = self._eval(scales, q, "pos")
         return self.center + lam.reshape((-1,) + (1,) * (pos.ndim - 1)) * (pos - self.center)
 
-    def raw_position(self, s, q):
-        """gamma_s(q): constant-speed parametrization, speed L(s), mark at S."""
-        return self._eval([s], q, "pos")[0]
-
-    def raw_tangent(self, s, q):
-        return self._eval([s], q, "tan")[0]
-
-    def raw_curvature(self, s, q):
-        return self._eval([s], q, "kappa")[0]
-
     def rate(self, s, q):
         """d/ds of the normalized slice ``curve(s).position(q)`` at fixed q.
 
@@ -490,11 +479,11 @@ class SmoothingFamily:
         return self._eval([s], q, "rate")[0]
 
     def curve(self, s: float) -> TableCurve:
-        """Normalized slice: length-1, arc-length parametrized, convex."""
-        _check_scales(s)
-        return self._curve_unchecked(s)
+        """Normalized slice: length-1, arc-length parametrized, convex.
 
-    def _curve_unchecked(self, s: float) -> TableCurve:
+        Raises ValueError unless s lies in (0, 1].
+        """
+        _check_scales(s)
         # a slice is only (family, s), so the family holds its live slices
         # weakly: a slice alive elsewhere is handed out again, and a strong
         # reference back from the family would tie both into a cycle
@@ -504,46 +493,23 @@ class SmoothingFamily:
             hit = self._slices[s] = _FamilyCurve(self, s)
         return hit
 
-    def edge_point_parameter(self, s: float, edge: int, offset: float) -> float:
-        """Parameter of the plane point at ``offset`` along edge ``edge``.
-
-        The point must lie outside the corner neighborhoods at scale s.
-        """
-        n = self.n_corners
-        if not s * self.cut[edge] < offset < self.edge_len[edge] - s * self.cut[(edge + 1) % n]:
-            raise ValueError("point is inside a corner neighborhood")
-        lengths, mark = self._layout(s)
-        arc = lengths[: 2 * edge + 1].sum() + offset - s * self.cut[edge]
-        L = self.length_at(s)
-        return float(np.mod(arc - mark, L) / L)
-
     def edge_speed_bound(self) -> float:
         """Uniform on-edge bound 2 L_K sum(delta) / (L_K - sum(delta))."""
         return 2.0 * self.base_length * self.total_delta / (self.base_length - self.total_delta)
 
 
-def family_from_polygon(
-    polygon: PolygonSpec,
-    width: float | None = None,
-    profiles: list[CornerProfile] | None = None,
-) -> SmoothingFamily:
-    """Build the smoothing family; profiles default to mollified corners.
+def family_from_polygon(polygon: PolygonSpec, width: float | None = None) -> SmoothingFamily:
+    """Build the smoothing family with a mollified profile at every corner.
 
     The default width is min(0.01, shortest edge / 4), which keeps the
     corner neighborhoods disjoint for every s <= 1.
     """
-    V = polygon.vertices
-    edges = np.roll(V, -1, axis=0) - V
-    lens = np.hypot(edges[:, 0], edges[:, 1])
-    dirs = edges / lens[:, None]
-    if profiles is None:
-        if width is None:
-            width = min(0.01, float(lens.min()) / 4.0)
-        if width <= 0.0:
-            raise InvalidWidth(f"profile width must be positive, got {float(width)!r}")
-        profiles = [
-            make_profile(corner_slope(dirs[i - 1], dirs[i]), width) for i in range(len(V))
-        ]
+    dirs = polygon.edge_dirs
+    if width is None:
+        width = min(0.01, float(polygon.edge_lengths.min()) / 4.0)
+    if width <= 0.0:
+        raise InvalidWidth(f"profile width must be positive, got {float(width)!r}")
+    profiles = [make_profile(corner_slope(dirs[i - 1], dirs[i]), width) for i in range(len(dirs))]
     return SmoothingFamily(polygon, profiles)
 
 
@@ -747,7 +713,7 @@ def restricted_path(fam: SmoothingFamily, s_lo: float, s_hi: float) -> TablePath
     width = s_hi - s_lo
 
     def build(u):
-        return fam._curve_unchecked(s_lo + u * width)
+        return fam.curve(s_lo + u * width)
 
     def vel(u, t):
         return width * fam.rate(s_lo + u * width, t)
@@ -760,8 +726,15 @@ def restricted_path(fam: SmoothingFamily, s_lo: float, s_hi: float) -> TablePath
 # ---------------------------------------------------------------------------
 
 
-def _support_samples(curve: TableCurve, center, n_theta: int = 2048, n_q: int = 8192):
+# the lift samples a slice's support function at _LIFT_ANGLES normal angles,
+# each the max over _LIFT_POINTS boundary points with a parabolic refinement
+_LIFT_ANGLES = 2048
+_LIFT_POINTS = 8192
+
+
+def _support_samples(curve: TableCurve, center):
     """Support function of the curve about ``center`` on a uniform angle grid."""
+    n_theta, n_q = _LIFT_ANGLES, _LIFT_POINTS
     q = np.arange(n_q) / n_q
     pts = curve.position(q) - center
     theta = TWO_PI * np.arange(n_theta) / n_theta
@@ -779,7 +752,7 @@ def _support_samples(curve: TableCurve, center, n_theta: int = 2048, n_q: int = 
         denom = np.maximum(np.abs(y0 - 2 * y1 + y2), 1e-30)
         corr = np.where(denom > 1e-28, (y0 - y2) ** 2 / (8 * denom), 0.0)
         h[start : start + block] = y1 + corr
-    return theta, h
+    return h
 
 
 def _jackson_coefficients(order: int, n: int):
@@ -801,28 +774,24 @@ def positive_curvature_lift(fam: SmoothingFamily, s: float, eps: float) -> Table
     of radius eps/2 is added before renormalizing to length 1, giving a
     radius-of-curvature floor of about eps/2 / (1 + pi eps).  The C^0
     distance to the slice stays below 2 eps; eps = 0 returns the slice
-    unchanged.
+    unchanged.  Raises ValueError unless s lies in (0, 1] and eps >= 0.
     """
-    curve = fam._curve_unchecked(s)
+    curve = fam.curve(s)
     if eps == 0.0:
         return curve
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     center = fam.center
-    n_theta = 2048
-    theta, h = _support_samples(curve, center, n_theta=n_theta)
+    h = _support_samples(curve, center)
     order = int(min(420, max(48, 0.9 / eps)))
-    jack = _jackson_coefficients(order, n_theta)
-    coef = np.fft.fft(h) / n_theta * jack
+    jack = _jackson_coefficients(order, _LIFT_ANGLES)
+    coef = np.fft.fft(h) / _LIFT_ANGLES * jack
     keep = 2 * order
     c0 = float(np.real(coef[0])) + eps / 2.0
-    k = np.arange(1, keep + 1)
     cos = 2.0 * np.real(coef[1 : keep + 1])
     sin = -2.0 * np.imag(coef[1 : keep + 1])
     built = build_fourier_table(FourierSupportSpec(c0, cos, sin))
     # the built table lives about the origin in the support frame; move it back
-    from .curves import rigid_motion
-
     table = rigid_motion(built, 0.0, center)
     # re-anchor the mark at the point nearest the slice's marked point
     target = curve.position(0.0)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from hoferbilliards import FourierSupportSpec, build_fourier_table, disc_table
+from hoferbilliards.billiard import trajectory_arrays
+from hoferbilliards.curves import TableCurve, circ_dist
+from hoferbilliards.errors import NearGrazing
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +52,77 @@ def native_tables(disc, mild_ellipse):
     return {
         "disc": disc,
         "mild_ellipse": mild_ellipse,
-        "sampled": SampledCurve.from_function(bumpy, samples=129),
+        "sampled": SampledCurve(bumpy(np.arange(129) / 129)),
         "mark_shifted": shift_mark(oval, 0.37),
         "rigid": rigid_motion(oval, 1.1, (0.4, -0.2)),
     }
+
+
+# --- phase-space orbit oracle ------------------------------------------------
+# Independent of the torus search of dynamics.find_periodic_orbits: a Newton
+# iteration on the n-fold bounce map itself, its Jacobian by a 5-point
+# finite-difference stencil.  Acceptance criterion 8 and test_dynamics read it.
+
+
+def _iterate_batch(table: TableCurve, pts: np.ndarray, n: int):
+    """n-fold lifted bounce map of a batch of (q, p) rows.
+
+    Every forward bounce advances q by (Q - q) mod 1 in (0, 1), which
+    restores the lift from the reduced trajectory.
+    """
+    try:
+        qs, ps = trajectory_arrays(table, pts[:, 0], pts[:, 1], n)
+    except NearGrazing as exc:
+        raise FloatingPointError("batch leaves the solvable annulus") from exc
+    if not np.all(np.abs(ps[-1]) < 1 - 1e-9):
+        raise FloatingPointError("batch leaves the solvable annulus")
+    Q = pts[:, 0] + np.mod(np.diff(qs, axis=0), 1.0).sum(axis=0)
+    return np.stack([Q, ps[-1]], axis=-1)
+
+
+def phase_fixed_points(table: TableCurve, n: int, seed_count: int = 24, rng=None) -> list[tuple]:
+    """Fixed points of the n-fold bounce map by Newton in phase space.
+
+    Independent of the torus search; used as its validation oracle.  A start
+    converges when the fixed-point defect falls below 1e-11.  Returns
+    deduplicated (q, p) pairs.
+    """
+    rng = np.random.default_rng(rng)
+    starts = [np.array([rng.uniform(), rng.uniform(-0.8, 0.8)]) for _ in range(seed_count)]
+    h = 1e-7
+    stencil = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    out = []
+    for x in starts:
+        ok = False
+        for _ in range(40):
+            try:
+                ys = _iterate_batch(table, x[None, :] + stencil, n)
+            except (FloatingPointError, ArithmeticError):
+                break
+            G = ys[0] - (x + stencil[0])
+            G[0] -= np.rint(G[0])
+            if np.abs(G).max() < 1e-11:
+                ok = True
+                break
+            J = np.empty((2, 2))
+            J[:, 0] = (ys[1] - ys[2]) / (2 * h)
+            J[:, 1] = (ys[3] - ys[4]) / (2 * h)
+            J -= np.eye(2)
+            step, *_ = np.linalg.lstsq(J, -G, rcond=None)
+            norm = np.abs(step).max()
+            if norm > 0.1:
+                step *= 0.1 / norm
+            x = x + step
+            x[0] = np.mod(x[0], 1.0)
+            x[1] = np.clip(x[1], -0.995, 0.995)
+        if not ok:
+            continue
+        q, p = float(np.mod(x[0], 1.0)), float(x[1])
+        if all(circ_dist(q, q2) + abs(p - p2) > 1e-6 for q2, p2 in out):
+            out.append((q, p))
+    return out
+
+
+def tuple_from_phase_point(table: TableCurve, q: float, p: float, n: int):
+    """Bounce parameters visited over n iterations from (q, p)."""
+    return trajectory_arrays(table, q, p, n - 1)[0]

@@ -20,7 +20,7 @@ from hoferbilliards import smoothing as sm
 from hoferbilliards.billiard import forward_chord, map_jacobian
 from hoferbilliards.curves import circ_dist
 
-from conftest import random_support_spec
+from conftest import phase_fixed_points, random_support_spec, tuple_from_phase_point
 
 DISC = disc_table()
 ELLIPSE_SPEC = FourierSupportSpec(1.0, cos=[0.0, 0.03])
@@ -183,8 +183,8 @@ def test_criterion_08_orbit_oracles():
         for orb in dy.find_periodic_orbits(ELLIPSE, n, seed_count=12, rng=8):
             assert orb.phase_error < 1e-8
             agreements += 1
-        for q, p in dy.phase_fixed_points(ELLIPSE, n, seed_count=10, rng=9):
-            qs = dy.tuple_from_phase_point(ELLIPSE, q, p, n)
+        for q, p in phase_fixed_points(ELLIPSE, n, seed_count=10, rng=9):
+            qs = tuple_from_phase_point(ELLIPSE, q, p, n)
             assert np.abs(dy.orbit_gradient(ELLIPSE, qs)).max() < 1e-8
             agreements += 1
     elapsed = time.time() - t0

@@ -288,6 +288,34 @@ def test_verify_all_without_a_random_path_is_a_usage_error(tmp_path, capsys, val
     assert "PASS" not in captured.out + captured.err and not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_verify_all_threads_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
+    # --threads 0 and -2 used to run with one worker and print PASS
+    import hoferbilliards.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    out = tmp_path / "va"
+    assert main(["verify", "all", "--seed", "7", "--threads", value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert f"argument --threads: must be at least 1, got {value}" in error
+    assert "PASS" not in captured.out + captured.err and not out.exists()
+
+
+def test_barcode_grid_over_the_cell_budget_is_an_input_error(tmp_path, capsys):
+    # the user chose the grid; 300^3 points used to exit 2 as a certificate failure
+    disc = _write(tmp_path, "disc.json", {"type": "disc"})
+    argv = ["barcode", "compute", "--table", disc, "--period", "3", "--resolution", "300"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    result = json.loads(captured.out.strip().splitlines()[-1])
+    assert "300^3 grid exceeds the configured budget" in result["error"] and "kind" not in result
+    assert "input error" in captured.err
+
+
 def test_help_returns_0(capsys):
     assert main(["map", "eval", "--help"]) == 0
     assert "--table" in capsys.readouterr().out

@@ -101,7 +101,7 @@ def test_c0_distance_mark_rotation(disc):
 
 
 def test_sampled_curve_matches_disc(disc):
-    t = SampledCurve.from_function(lambda q: disc.position(q), samples=257)
+    t = SampledCurve(disc.position(np.arange(257) / 257))
     q = np.linspace(0, 1, 33)
     assert np.abs(t.position(q) - disc.position(q)).max() < 1e-10
     assert t.strictly_convex
@@ -261,7 +261,7 @@ def test_sampled_arclength_matches_dense_oracle(m):
         r = 1.0 + 0.05 * np.cos(TWO_PI * 3 * u + phase) + 0.02 * np.sin(TWO_PI * 5 * u)
         return r[:, None] * np.stack([np.cos(TWO_PI * u), np.sin(TWO_PI * u)], axis=-1)
 
-    curve = SampledCurve.from_function(bumpy, samples=m)
+    curve = SampledCurve(bumpy(np.arange(m) / m))
     # the closed-form arc length, every sum taken with the dense oracle
     series = curve._z
     speed = np.abs(_dense(series, np.arange(m) / m, series.weights(1)))

@@ -7,6 +7,8 @@ from hoferbilliards import smoothing as sm
 from hoferbilliards.curves import FourierTable, circ_dist, unit_square
 from hoferbilliards.errors import DiagonalPoint, InconsistentChords
 
+from conftest import phase_fixed_points, tuple_from_phase_point
+
 NATIVE_KINDS = ["disc", "mild_ellipse", "sampled", "mark_shifted", "rigid"]
 
 DIAMETER_ACTION = 2 / np.pi
@@ -63,7 +65,7 @@ def test_hessian_matches_gradient_differences(native_tables, kind):
         qs = np.sort(rng.uniform(0, 1, 4))
         if circ_dist(qs, np.roll(qs, -1)).min() < 0.05:
             continue
-        H = dy.orbit_hessian(table, qs)
+        H = dy._hessian(*dy._orbit_frame(table, qs))
         fd = np.empty_like(H)
         for i in range(qs.size):
             e = np.zeros(qs.size)
@@ -172,13 +174,14 @@ def test_orbit_search_inverts_arc_length_once_per_candidate(mild_ellipse, monkey
 
 
 def _validate_then_deduplicate(table, n, results):
-    """Oracle: every candidate rebuilt from the public q-API, validated, then deduplicated."""
+    """Oracle: every candidate rebuilt one quantity at a time, each from its own frame,
+    validated, then deduplicated."""
     found = []
     for res in results:
         if not _is_candidate(res):
             continue
         qs, residual = res
-        eig = np.linalg.eigvalsh(dy.orbit_hessian(table, qs))
+        eig = np.linalg.eigvalsh(dy._hessian(*dy._orbit_frame(table, qs)))
         _, p = dy.orbit_phase_point(table, qs)
         phase_err = dy._phase_validation(table, qs, p)
         cand = dy.PeriodicOrbitCandidate(
@@ -238,10 +241,10 @@ def test_accepted_orbits_are_phase_fixed_points(mild_ellipse):
 
 def test_phase_oracle_agreement(mild_ellipse):
     for n in (2, 3):
-        fps = dy.phase_fixed_points(mild_ellipse, n, seed_count=10, rng=3)
+        fps = phase_fixed_points(mild_ellipse, n, seed_count=10, rng=3)
         assert fps, "oracle found nothing"
         for q, p in fps:
-            qs = dy.tuple_from_phase_point(mild_ellipse, q, p, n)
+            qs = tuple_from_phase_point(mild_ellipse, q, p, n)
             assert np.abs(dy.orbit_gradient(mild_ellipse, qs)).max() < 1e-8
 
 

@@ -87,11 +87,25 @@ def test_affine_length_law(square_family):
     # independent length check: dense polyline of the raw curve
     for s in (1.0, 0.5, 0.25):
         n = 1 << 16
-        pts = fam.raw_position(s, np.arange(n) / n)
+        pts = fam._eval([s], np.arange(n) / n, "pos")[0]
         poly = np.linalg.norm(np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=-1).sum()
         affine = fam.base_length - s * fam.total_delta
         assert abs(fam.length_at(s) - affine) < 1e-12
         assert abs(poly - affine) < 1e-5
+
+
+def edge_point_parameter(fam, s: float, edge: int, offset: float) -> float:
+    """Parameter of the plane point at ``offset`` along edge ``edge``.
+
+    The point must lie outside the corner neighborhoods at scale s.
+    """
+    n = fam.n_corners
+    if not s * fam.cut[edge] < offset < fam.edge_len[edge] - s * fam.cut[(edge + 1) % n]:
+        raise ValueError("point is inside a corner neighborhood")
+    lengths, mark = fam._layout(s)
+    arc = lengths[: 2 * edge + 1].sum() + offset - s * fam.cut[edge]
+    L = fam.length_at(s)
+    return float(np.mod(arc - mark, L) / L)
 
 
 def test_coincides_with_polygon_outside_corners(square_family):
@@ -99,8 +113,8 @@ def test_coincides_with_polygon_outside_corners(square_family):
     pb = PolygonBoundary(fam.polygon)
     # plane point at the middle of edge 1 is shared by gamma_s and the polygon
     for s in (1.0, 0.5):
-        q = fam.edge_point_parameter(s, 1, fam.edge_len[1] / 2)
-        p1 = fam.raw_position(s, q)
+        q = edge_point_parameter(fam, s, 1, fam.edge_len[1] / 2)
+        p1 = fam._eval([s], q, "pos")[0]
         mid = 0.5 * (fam.polygon.vertices[1] + fam.polygon.vertices[2])
         assert np.linalg.norm(p1 - mid) < 1e-12
 
@@ -128,9 +142,9 @@ def test_edge_point_speed_bound(square_family):
     fam = square_family
     s0 = 0.5
     # quarter point of edge 1 (the midpoint is degenerate for the square)
-    q0 = fam.edge_point_parameter(s0, 1, fam.edge_len[1] / 4)
+    q0 = edge_point_parameter(fam, s0, 1, fam.edge_len[1] / 4)
     h = 1e-5
-    d = (fam.raw_position(s0 + h, q0) - fam.raw_position(s0 - h, q0)) / (2 * h)
+    d = (fam._eval([s0 + h], q0, "pos")[0] - fam._eval([s0 - h], q0, "pos")[0]) / (2 * h)
     assert np.linalg.norm(d) <= fam.edge_speed_bound() + 1e-9
 
 
@@ -182,7 +196,7 @@ def _gap_by_scale_then_node(fam_a, fam_b, s, t_nodes, q_nodes):
     h = 1.0 / (4.0 * (t_nodes - 1))
 
     def blend_positions(t):
-        return sm._family_with_blend(fam_a, fam_b, t)._curve_unchecked(s).position(q)
+        return sm._family_with_blend(fam_a, fam_b, t).curve(s).position(q)
 
     total = 0.0
     for t, w in zip(tq, tw):
@@ -422,6 +436,20 @@ def test_lift_identity_at_zero(square_family):
     assert sm.positive_curvature_lift(square_family, 0.25, 0.0) is square_family.curve(0.25)
 
 
+@pytest.mark.parametrize("s", [1.5, -0.25, 0.0])
+def test_lift_rejects_scales_outside_the_family(square_family, s):
+    # the lift used to read these slices unchecked and return a lifted table
+    with pytest.raises(ValueError, match=r"scale must lie in \(0, 1\]"):
+        sm.positive_curvature_lift(square_family, s, 0.02)
+
+
+def test_restricted_path_refuses_slices_outside_the_family(square_family):
+    path = sm.restricted_path(square_family, 0.5, 1.0)
+    for u in (1.5, -1.5):
+        with pytest.raises(ValueError, match=r"scale must lie in \(0, 1\]"):
+            path.table(u)
+
+
 def test_lift_strictly_convex_and_close(square_family):
     eps = 1e-3
     lift = sm.positive_curvature_lift(square_family, 0.25, eps)
@@ -508,20 +536,26 @@ def test_smoothing_rate_matches_stencil(polygon, s):
     fam = sm.family_from_polygon(polygon)
     # 2^15 nodes put points in every corner down to s = 2^-8
     q = np.arange(2**15) / 2**15
-    # the restriction to [s/2, s] at its end u = 1, stepped in u
+    # the restriction to [s/2, s] at its end u = 1, stepped in u; at s = 1 the
+    # step u = 1 + du leaves the family's scales (0, 1], where ``curve`` and
+    # the path refuse a slice, so the stencil builds its slices directly
     path = sm.restricted_path(fam, s / 2, s)
     du = 2.0 * STENCIL_REL_DS
-    stencil = (path.table(1.0 + du).position(q) - path.table(1.0 - du).position(q)) / (2 * du)
+
+    def restricted_slice(u):
+        return sm._FamilyCurve(fam, s / 2 + u * (s - s / 2))
+
+    stencil = (restricted_slice(1.0 + du).position(q) - restricted_slice(1.0 - du).position(q)) / (2 * du)
     err = np.linalg.norm(path.velocity(1.0, q) - stencil, axis=-1)
     speed = np.linalg.norm(stencil, axis=-1).max()
-    corner = fam.raw_curvature(s, q) > 0.0
+    corner = fam._eval([s], q, "kappa")[0] > 0.0
     assert corner.sum() >= 5 and (~corner).sum() >= 5
     assert err[~corner].max() <= 1e-14 / du
     assert err[corner].max() <= CORNER_RTOL * speed
     # family_speed: the grid max of the rate's norm, against the stencil's
     ds = STENCIL_REL_DS * s
     grid = np.arange(4096) / 4096
-    fd = (fam._curve_unchecked(s + ds).position(grid) - fam._curve_unchecked(s - ds).position(grid)) / (2 * ds)
+    fd = (sm._FamilyCurve(fam, s + ds).position(grid) - sm._FamilyCurve(fam, s - ds).position(grid)) / (2 * ds)
     fd_max = float(np.linalg.norm(fd, axis=-1).max())
     assert abs(sm.family_speed(fam, s) - fd_max) <= CORNER_RTOL * fd_max
 
