@@ -41,6 +41,10 @@ def newton_bisect(fun, lo, hi, seed, increasing, maxiter=100):
     near a grazing chord are noise-limited well above machine epsilon.
     Raises SolverDidNotConverge (an ArithmeticError) only if some component
     is still above FAIL_TOL (1e-9) after ``maxiter`` iterations.
+
+    Each component's last ``fun`` evaluation is at the value returned for
+    it, so ``fun`` may record what it computes there (``forward_chord``
+    keeps the landing frame that way).
     """
     x = np.array(seed, dtype=float, copy=True)
     shape = x.shape

@@ -32,44 +32,48 @@ PHASE_TOL = 1e-8
 DEDUP_TOL = 1e-6
 
 
-def _chords(table: TableCurve, qs, pos=None):
-    """Positions, consecutive unit chords and lengths of a cyclic tuple.
-
-    ``pos``, when given, holds the positions at ``qs`` already.
-    """
-    qs = np.asarray(qs, dtype=float)
-    if pos is None:
-        pos = table.position(qs)
-    nxt = np.roll(pos, -1, axis=-2)
-    d = nxt - pos
-    dist = np.linalg.norm(d, axis=-1)
-    if np.any(dist < 1e-14) or np.any(circ_dist(qs, np.roll(qs, -1, axis=-1)) < 1e-12):
-        raise DiagonalPoint("consecutive orbit points coincide")
-    return pos, d / dist[..., None], dist
-
-
-def orbit_functional(table: TableCurve, qs) -> float:
-    """Total chord length of the closed tuple; cyclic-shift invariant."""
-    return _action(_chords(table, qs)[2])
-
-
 def _action(dist) -> float:
     return float(dist.sum(axis=-1))
 
 
-def _orbit_frame(table: TableCurve, qs):
-    """Unit chords, chord lengths, tangents and curvatures of a cyclic tuple.
+def _stack_frame(table: TableCurve, qs):
+    """Frames of a stack of cyclic tuples, ``qs`` of shape (S, n).
 
-    One arc-length inversion: positions and tangents come from
-    ``native_frame`` and curvatures from ``native_curvature`` at the tuple's
+    Returns ``(kept, frame)``: ``kept`` marks the tuples whose consecutive
+    points are apart, and ``frame`` holds their unit chords, chord lengths,
+    tangents and curvatures, shapes (K, n, 2), (K, n), (K, n, 2), (K, n).
+    One arc-length inversion for every point: positions and tangents come
+    from ``native_frame`` and curvatures from ``native_curvature`` at the
     native parameters, so the gradient, the Hessian, the action and the
-    phase point can share them.
+    phase point can share them.  A tuple on the diagonal is dropped before
+    anything divides by its chord lengths.
     """
-    qs = np.asarray(qs, dtype=float)
     t = table.native_of_q(qs)
     pos, tan, _ = table.native_frame(t)
-    _, u, dist = _chords(table, qs, pos=pos)
-    return u, dist, tan, table.native_curvature(t)
+    d = np.roll(pos, -1, axis=-2) - pos
+    dist = np.linalg.norm(d, axis=-1)
+    close = circ_dist(qs, np.roll(qs, -1, axis=-1)) < 1e-12
+    kept = ~np.any((dist < 1e-14) | close, axis=-1)
+    dist = dist[kept]
+    return kept, (d[kept] / dist[..., None], dist, tan[kept], table.native_curvature(t[kept]))
+
+
+def _orbit_frame(table: TableCurve, qs):
+    """Unit chords, chord lengths, tangents and curvatures of cyclic tuples.
+
+    ``qs`` has shape (..., n); raises DiagonalPoint when any tuple has
+    coinciding consecutive points.
+    """
+    qs = np.asarray(qs, dtype=float)
+    kept, frame = _stack_frame(table, qs.reshape(-1, qs.shape[-1]))
+    if not kept.all():
+        raise DiagonalPoint("consecutive orbit points coincide")
+    return tuple(a.reshape(qs.shape[:-1] + a.shape[1:]) for a in frame)
+
+
+def orbit_functional(table: TableCurve, qs) -> float:
+    """Total chord length of the closed tuple; cyclic-shift invariant."""
+    return _action(_orbit_frame(table, qs)[1])
 
 
 def _gradient(u, tan):
@@ -88,22 +92,28 @@ def orbit_gradient(table: TableCurve, qs):
 
 
 def _hessian(u, dist, tan, kappa):
-    """Analytic Hessian of the functional: each chord adds to two diagonal entries and one pair."""
+    """Analytic Hessian of the functional: each chord adds to two diagonal entries and one pair.
+
+    Leading axes of the frame are a stack of tuples; the result has shape
+    dist.shape + (n,).
+    """
     # gamma'' = kappa * (tangent rotated by +90)
-    gpp = kappa[:, None] * np.stack([-tan[:, 1], tan[:, 0]], axis=-1)
+    gpp = kappa[..., None] * np.stack([-tan[..., 1], tan[..., 0]], axis=-1)
     # chord i joins bounce i to bounce j = i + 1 (mod n)
-    tan_j, gpp_j = np.roll(tan, -1, axis=0), np.roll(gpp, -1, axis=0)
+    tan_j, gpp_j = np.roll(tan, -1, axis=-2), np.roll(gpp, -1, axis=-2)
     p = np.vecdot(u, tan)
     P = np.vecdot(u, tan_j)
     own = (1 - p * p) / dist - np.vecdot(u, gpp)
     nxt = (1 - P * P) / dist + np.vecdot(u, gpp_j)
     cross = -(np.vecdot(tan, tan_j) - p * P) / dist
-    i = np.arange(dist.size)
+    n = dist.shape[-1]
+    i = np.arange(n)
     j = np.roll(i, -1)
-    H = np.diag(own + np.roll(nxt, 1))
+    H = np.zeros(dist.shape + (n,))
+    H[..., i, i] = own + np.roll(nxt, 1, axis=-1)
     # two separate updates: at n = 2 both chords land on the same entries
-    H[i, j] += cross
-    H[j, i] += cross
+    H[..., i, j] += cross
+    H[..., j, i] += cross
     return H
 
 
@@ -158,29 +168,47 @@ def _phase_validation(table: TableCurve, qs, p):
     return float(circ_dist(traj[1:], np.roll(qs, -1)).max())
 
 
-def _newton_orbit(table: TableCurve, qs0):
-    """Damped Newton on the torus from ``qs0``: (tuple mod 1, residual) or None.
+def _newton_orbit(table: TableCurve, seeds):
+    """Damped Newton on the torus from every row of the (S, n) array ``seeds``.
 
-    At most 60 steps.  Each iterate inverts arc length once; its gradient
-    and Hessian share that geometry.
+    Returns, in seed order, (tuple mod 1, residual) or None for each seed.
+    All active seeds advance together: each iteration inverts arc length
+    once for all their points, builds the (A, n, n) Hessian stack from that
+    frame and takes one stacked minimum-norm step.  The rules are per seed:
+    a step is clipped to max-norm 0.1; a seed stops at |gradient| < 1e-13,
+    one iterate after a step below 1e-15, or after 60 steps, and reports
+    its last iterate; a seed whose tuple reaches the diagonal drops out
+    alone and returns None.
     """
     maxiter = 60
-    qs = np.array(qs0, dtype=float)
-    settled = False
+    qs = np.array(seeds, dtype=float)
+    eps_n = np.finfo(float).eps * qs.shape[-1]
+    results = [None] * len(qs)
+    active = np.arange(len(qs))
+    settled = np.zeros(len(qs), dtype=bool)
     for it in range(maxiter + 1):
-        try:
-            u, dist, tan, kappa = _orbit_frame(table, qs)
-        except DiagonalPoint:
-            return None
+        kept, (u, dist, tan, kappa) = _stack_frame(table, qs)
+        active, qs, settled = active[kept], qs[kept], settled[kept]
         g = _gradient(u, tan)
-        if settled or it == maxiter or np.abs(g).max() < 1e-13:
-            return np.mod(qs, 1.0), float(np.abs(g).max())
-        step, *_ = np.linalg.lstsq(_hessian(u, dist, tan, kappa), -g, rcond=None)
-        norm = np.abs(step).max()
-        if norm > 0.1:
-            step *= 0.1 / norm
+        residual = np.abs(g).max(axis=-1)
+        done = settled | (residual < 1e-13) | (it == maxiter)
+        for k in np.flatnonzero(done):
+            results[active[k]] = np.mod(qs[k], 1.0), float(residual[k])
+        go = ~done
+        active, qs = active[go], qs[go]
+        if not active.size:
+            break
+        # one stacked minimum-norm least-squares step with lstsq's rank cut:
+        # singular values <= eps * n * s_max count as zero, so a rotational
+        # family takes no step along itself
+        hess = _hessian(u[go], dist[go], tan[go], kappa[go])
+        step = (np.linalg.pinv(hess, rcond=eps_n) @ -g[go][..., None])[..., 0]
+        norm = np.abs(step).max(axis=-1)
+        clip = norm > 0.1
+        step[clip] *= (0.1 / norm[clip])[:, None]
         qs = qs + step
         settled = norm < 1e-15
+    return results
 
 
 def _canonical_images(qs):
@@ -214,12 +242,15 @@ def find_periodic_orbits(
     """Multi-start Newton search for period-n orbits on the parameter torus.
 
     Seeds combine rotational tuples q_i = q0 + i k/n (k coprime to n) with
-    uniform random tuples.  A converged candidate's Hessian, action and phase
-    point come from one frame (one arc-length inversion).  Duplicates modulo
-    cyclic shift and reversal (and common rotation for degenerate families)
-    are rejected before the phase validation; the rest are accepted only when
-    the critical residual is below 1e-10 and the tuple closes up as a
-    phase-space trajectory within 1e-8.
+    uniform random tuples, and all of them run as one stacked damped Newton
+    (``_newton_orbit``).  The converged candidates, in seed order, read their
+    Hessian eigenvalues from one stacked frame.  Duplicates modulo cyclic
+    shift and reversal (and common rotation for degenerate families) are
+    rejected before the phase validation; each remaining candidate takes
+    its action and the momentum of its first bounce from a frame of its own,
+    and is accepted only when the critical residual is below 1e-10 and the
+    tuple closes up as a phase-space trajectory within 1e-8.  Classes are
+    returned sorted by action, then tuple.
     """
     if n < 2:
         raise ValueError("period must be at least 2")
@@ -235,35 +266,35 @@ def find_periodic_orbits(
         if circ_dist(cand, np.roll(cand, -1)).min() > 0.05 / n:
             seeds.append(cand)
 
+    results = [
+        res
+        for res in _newton_orbit(table, np.array(seeds))
+        if res is not None
+        and res[1] <= ACCEPT_RESIDUAL
+        and circ_dist(res[0], np.roll(res[0], -1)).min() >= 1e-9
+    ]
     found: list[PeriodicOrbitCandidate] = []
-    for seed in seeds:
-        res = _newton_orbit(table, seed)
-        if res is None:
-            continue
-        qs, residual = res
-        if residual > ACCEPT_RESIDUAL:
-            continue
-        if circ_dist(qs, np.roll(qs, -1)).min() < 1e-9:
-            continue
-        u, dist, tan, kappa = _orbit_frame(table, qs)
-        eig = np.linalg.eigvalsh(_hessian(u, dist, tan, kappa))
-        degenerate = bool(np.abs(eig).min() < 1e-6 * max(1.0, np.abs(eig).max()))
+    if not results:
+        return found
+    eig = np.linalg.eigvalsh(_hessian(*_orbit_frame(table, np.array([qs for qs, _ in results]))))
+    for (qs, residual), ev in zip(results, np.abs(eig)):
         winding = int(np.rint(np.sum(np.mod(np.diff(np.concatenate([qs, qs[:1]])), 1.0))))
         cand = PeriodicOrbitCandidate(
             qs=tuple(float(v) for v in qs),
             n=n,
-            action=_action(dist),
+            action=np.nan,
             residual=residual,
             accepted=False,
-            degenerate_family=degenerate,
+            degenerate_family=bool(ev.min() < 1e-6 * max(1.0, ev.max())),
             phase_error=np.inf,
             winding=winding,
         )
         if any(_same_orbit(cand, other) for other in found):
             continue
+        u, dist, tan, _ = _orbit_frame(table, qs)
         phase_error = _phase_validation(table, qs, _outgoing_momentum(u, tan))
         if residual < ACCEPT_RESIDUAL and phase_error < PHASE_TOL:
-            found.append(replace(cand, accepted=True, phase_error=phase_error))
+            found.append(replace(cand, action=_action(dist), accepted=True, phase_error=phase_error))
     found.sort(key=lambda c: (c.action, c.qs))
     return found
 

@@ -468,8 +468,13 @@ def hamilton_jacobi_residual(path: TablePath, s: float, points, h: float = 1e-4)
     The left side is a central difference of the lifted bounce map in s, the
     right side the symplectic gradient of the Hamiltonian by central
     differences with step 1e-5; both are independent discretizations, so
-    the residual certifies the Hamilton-Jacobi identity to O(h^2).
+    the residual certifies the Hamilton-Jacobi identity to O(h^2).  The
+    difference reads the slices at s - h and s + h, so s must lie in
+    [h, 1 - h]; outside it raises ValueError, since a path is only checked
+    on [0, 1] and an extrapolated slice need not be a table.
     """
+    if not h <= s <= 1.0 - h:
+        raise ValueError(f"s must lie in [h, 1 - h] = [{h!r}, {1.0 - h!r}], got {s!r}")
     pts = np.asarray(
         [(pt.q, pt.p) if hasattr(pt, "q") else tuple(pt) for pt in points], dtype=float
     )

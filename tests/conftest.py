@@ -4,7 +4,8 @@ import pytest
 from hoferbilliards import FourierSupportSpec, build_fourier_table, disc_table
 from hoferbilliards.billiard import trajectory_arrays
 from hoferbilliards.curves import TableCurve, circ_dist
-from hoferbilliards.errors import NearGrazing
+from hoferbilliards.dynamics import _gradient, _hessian, _orbit_frame
+from hoferbilliards.errors import DiagonalPoint, NearGrazing
 
 
 @pytest.fixture(scope="session")
@@ -126,3 +127,35 @@ def phase_fixed_points(table: TableCurve, n: int, seed_count: int = 24, rng=None
 def tuple_from_phase_point(table: TableCurve, q: float, p: float, n: int):
     """Bounce parameters visited over n iterations from (q, p)."""
     return trajectory_arrays(table, q, p, n - 1)[0]
+
+
+# --- per-seed torus Newton oracle ----------------------------------------------
+# The one-seed-at-a-time damped Newton that dynamics._newton_orbit ran before
+# it stacked the seeds of a search, kept unchanged: every iterate builds its
+# own frame and takes its own ``np.linalg.lstsq`` step.  test_dynamics checks
+# the stacked search against it.
+
+
+def scalar_newton_orbit(table: TableCurve, qs0):
+    """Damped Newton on the torus from ``qs0``: (tuple mod 1, residual) or None.
+
+    At most 60 steps.  Each iterate inverts arc length once; its gradient
+    and Hessian share that geometry.
+    """
+    maxiter = 60
+    qs = np.array(qs0, dtype=float)
+    settled = False
+    for it in range(maxiter + 1):
+        try:
+            u, dist, tan, kappa = _orbit_frame(table, qs)
+        except DiagonalPoint:
+            return None
+        g = _gradient(u, tan)
+        if settled or it == maxiter or np.abs(g).max() < 1e-13:
+            return np.mod(qs, 1.0), float(np.abs(g).max())
+        step, *_ = np.linalg.lstsq(_hessian(u, dist, tan, kappa), -g, rcond=None)
+        norm = np.abs(step).max()
+        if norm > 0.1:
+            step *= 0.1 / norm
+        qs = qs + step
+        settled = norm < 1e-15

@@ -270,6 +270,37 @@ def test_native_solve_inverts_arc_length_once(mild_ellipse, monkeypatch):
     assert np.abs(mild_ellipse.spec.arclength(t_Q) - Q).max() < 1e-15
 
 
+@pytest.mark.parametrize("kind", NATIVE_KINDS)
+def test_landing_frame_comes_from_the_last_residual(native_tables, kind, monkeypatch):
+    from hoferbilliards import billiard
+
+    table = native_tables[kind]
+    frames, solved = [], []
+    inner_solve, inner_frame = billiard.newton_bisect, type(table).native_frame
+
+    def solve(*args, **kwargs):
+        t = inner_solve(*args, **kwargs)
+        solved.append(True)
+        return t
+
+    def frame(self, t):
+        frames.append(bool(solved))
+        return inner_frame(self, t)
+
+    monkeypatch.setattr(billiard, "newton_bisect", solve)
+    monkeypatch.setattr(type(table), "native_frame", frame)
+    rng = np.random.default_rng(9)
+    q, p = rng.uniform(0, 1, 200), rng.uniform(-0.95, 0.95, 200)
+    Q, P, _, _, pos_Q, tan_Q, t_Q = forward_chord(table, q, p)
+    assert solved == [True] and frames and not any(frames)
+    monkeypatch.undo()
+    # the carried frame is the frame at the returned landing parameter, up to
+    # the last bit: the kernels' matrix products may round a point evaluated
+    # in a small batch differently from the same point in a large one
+    pos, tan, _ = table.native_frame(t_Q)
+    assert np.abs(pos_Q - pos).max() <= 1e-15 and np.abs(tan_Q - tan).max() <= 1e-15
+
+
 @PROPERTY
 @given(s=st.floats(0.0, 1.0), Q=st.floats(0.0, 1.0), P=st.floats(-0.95, 0.95))
 def test_value_arrays_seed_is_arc_length(s, Q, P):

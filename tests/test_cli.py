@@ -72,6 +72,25 @@ def test_hofer_compare_certificate(tmp_path, capsys):
     assert code == 0 and out["pass"] is True and out["ratio"] == 0.0
 
 
+@pytest.mark.parametrize("s", ["40", "1", "-0.5"])
+def test_hjresidual_rejects_s_outside_the_path(tmp_path, capsys, s):
+    # the residual differences the slices at s -+ 1e-4; beyond [0, 1] a
+    # support interpolation extrapolates to a slice that need not be convex
+    path = _write(tmp_path, "si.json",
+                  {"type": "support_interp", "a": {"c0": 1.0}, "b": {"c0": 1.0, "cos": [0.0, 0.08]}})
+    code = main(["hofer", "hjresidual", "--path", path, "--s", s, "--points", "8"])
+    assert code == 1
+    assert "s must lie in" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_hjresidual_inside_the_path(tmp_path, capsys):
+    path = _write(tmp_path, "si.json",
+                  {"type": "support_interp", "a": {"c0": 1.0}, "b": {"c0": 1.0, "cos": [0.0, 0.08]}})
+    code = main(["hofer", "hjresidual", "--path", path, "--s", "0.5", "--points", "8"])
+    out = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == 0 and out["s"] == 0.5 and out["max_residual"] < 1e-5
+
+
 def test_orbits_find_artifact(tmp_path, capsys):
     table = _write(tmp_path, "disc.json", {"type": "disc"})
     code = main(["orbits", "find", "--table", table, "--period", "2",

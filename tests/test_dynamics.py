@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoferbilliards import FourierSupportSpec, build_fourier_table, rigid_motion
 from hoferbilliards import dynamics as dy
@@ -7,7 +11,7 @@ from hoferbilliards import smoothing as sm
 from hoferbilliards.curves import FourierTable, circ_dist, unit_square
 from hoferbilliards.errors import DiagonalPoint, InconsistentChords
 
-from conftest import phase_fixed_points, tuple_from_phase_point
+from conftest import phase_fixed_points, random_support_spec, scalar_newton_orbit, tuple_from_phase_point
 
 NATIVE_KINDS = ["disc", "mild_ellipse", "sampled", "mark_shifted", "rigid"]
 
@@ -97,6 +101,7 @@ def test_hessian_matches_chord_loop_bit_for_bit(native_tables, kind):
     table = native_tables[kind]
     rng = np.random.default_rng(8)
     for n in range(2, 7):
+        stack = []
         for _ in range(6):
             # jittered n-gon tuples: neighbours at least 0.4/n apart, in any cyclic order
             qs = np.mod(rng.uniform() + (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n, 1.0)
@@ -104,6 +109,15 @@ def test_hessian_matches_chord_loop_bit_for_bit(native_tables, kind):
                 qs = rng.permutation(qs)
             frame = dy._orbit_frame(table, qs)
             assert np.array_equal(dy._hessian(*frame), _hessian_loop(*frame))
+            stack.append(qs)
+        # a stack of tuples: each matrix and gradient of the stacked kernels
+        # equals the one built from that tuple's rows of the stacked frame
+        frames = dy._orbit_frame(table, np.array(stack))
+        H, g = dy._hessian(*frames), dy._gradient(frames[0], frames[2])
+        for k in range(len(stack)):
+            rows = [a[k] for a in frames]
+            assert np.array_equal(H[k], _hessian_loop(*rows))
+            assert np.array_equal(g[k], dy._gradient(rows[0], rows[2]))
 
 
 def test_orbit_newton_inverts_arc_length_once_per_iterate(mild_ellipse, monkeypatch):
@@ -120,25 +134,147 @@ def test_orbit_newton_inverts_arc_length_once_per_iterate(mild_ellipse, monkeypa
 
     monkeypatch.setattr(FourierTable, "native_of_q", counted)
     monkeypatch.setattr(dy, "_hessian", counted_hessian)
-    qs, residual = dy._newton_orbit(mild_ellipse, [0.05, 0.38, 0.71])
+    ((qs, residual),) = dy._newton_orbit(mild_ellipse, [[0.05, 0.38, 0.71]])
     assert residual < dy.ACCEPT_RESIDUAL
     # every iterate but the last takes one Newton step with the shared frame
     assert len(hessians) >= 2
     assert calls == [3] * (len(hessians) + 1)
 
 
+def _counted_native_of_q(monkeypatch, cls):
+    """Record the argument of every ``native_of_q`` call on tables of class ``cls``."""
+    calls = []
+    inner = cls.native_of_q
+
+    def counted(self, q):
+        calls.append(np.array(q, dtype=float))
+        return inner(self, q)
+
+    monkeypatch.setattr(cls, "native_of_q", counted)
+    return calls
+
+
+def test_orbit_newton_stack_inverts_arc_length_once_per_iteration(mild_ellipse, monkeypatch):
+    seeds = [[0.05, 0.38, 0.71], [0.02, 0.35, 0.69], [0.1, 0.5, 0.6], [0.05, 0.38, 0.71]]
+    calls = _counted_native_of_q(monkeypatch, FourierTable)
+    hessians = []
+    inner_hessian = dy._hessian
+
+    def counted_hessian(*frame):
+        hessians.append(frame[1].shape[0])
+        return inner_hessian(*frame)
+
+    monkeypatch.setattr(dy, "_hessian", counted_hessian)
+    results = dy._newton_orbit(mild_ellipse, seeds)
+    assert all(res is not None and res[1] < dy.ACCEPT_RESIDUAL for res in results)
+    # one inversion per iteration for every active seed; the seeds that step
+    # are the ones the next iteration inverts at
+    assert len(calls) == len(hessians) + 1
+    assert calls[0].shape == (4, 3)
+    assert [q.shape for q in calls[1:]] == [(a, 3) for a in hessians]
+    assert hessians == sorted(hessians, reverse=True) and hessians[-1] < 4
+
+
+def test_orbit_newton_converged_seed_leaves_the_stack(disc, monkeypatch):
+    # the diameter is critical to rounding: its seed stops at the first frame
+    # while the other seed still steps
+    assert np.abs(dy.orbit_gradient(disc, [0.0, 0.5])).max() < 1e-13
+    calls = _counted_native_of_q(monkeypatch, type(disc))
+    results = dy._newton_orbit(disc, [[0.0, 0.5], [0.1, 0.45]])
+    assert results[0][0].tolist() == [0.0, 0.5]
+    assert results[1][1] < dy.ACCEPT_RESIDUAL
+    assert len(calls) > 2
+    assert [q.shape for q in calls] == [(2, 2)] + [(1, 2)] * (len(calls) - 1)
+
+
+def _iterates(monkeypatch, table, run):
+    """The tuples a Newton run inverts arc length at, one row per iteration."""
+    calls = _counted_native_of_q(monkeypatch, type(table))
+    result = run()
+    monkeypatch.undo()
+    return result, [q.reshape(-1) for q in calls]
+
+
+@pytest.mark.parametrize("kind", ["mild_ellipse", "sampled", "rigid"])
+def test_orbit_newton_iterates_follow_the_scalar_oracle(native_tables, kind, monkeypatch):
+    """Seed by seed, the stacked iteration takes the oracle's damped steps and
+    stops at the oracle's iterate."""
+    table = native_tables[kind]
+    clipped = []
+    for seed in ([0.05, 0.38, 0.71], [0.3, 0.2, 0.9], [0.02, 0.52], [0.4, 0.45]):
+        (stacked,), path = _iterates(monkeypatch, table, lambda: dy._newton_orbit(table, [seed]))
+        oracle, oracle_path = _iterates(monkeypatch, table, lambda: scalar_newton_orbit(table, seed))
+        assert len(path) == len(oracle_path)
+        assert np.abs(np.array(path) - np.array(oracle_path)).max() < 1e-9
+        assert np.abs(stacked[0] - oracle[0]).max() < 1e-12
+        steps = np.abs(np.diff(path, axis=0)).max(axis=1)
+        assert steps.max() <= 0.1 * (1 + 1e-12)
+        clipped.append(np.isclose(steps, 0.1, rtol=1e-12, atol=0).sum())
+    # the damping clip is active on some steps
+    assert sum(clipped) >= 4
+
+
+def test_orbit_newton_diagonal_seed_drops_out_alone(mild_ellipse):
+    seeds = [[0.05, 0.38, 0.71], [0.2, 0.2, 0.6], [0.1, 0.5, 0.6]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = dy._newton_orbit(mild_ellipse, seeds)
+    assert results[1] is None
+    for res, seed in zip(results[::2], seeds[::2]):
+        assert res is not None and res[1] < dy.ACCEPT_RESIDUAL
+        oracle = scalar_newton_orbit(mild_ellipse, seed)
+        assert np.abs(res[0] - oracle[0]).max() < 1e-12
+
+
+def _oracle_residual(table, qs):
+    """|gradient| at a tuple, from a frame of that tuple alone."""
+    u, _, tan, _ = dy._orbit_frame(table, qs)
+    return float(np.abs(dy._gradient(u, tan)).max())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    table_seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3]),
+    picks=st.lists(st.integers(0, 7), min_size=1, max_size=16),
+)
+def test_stacked_newton_matches_scalar_oracle(table_seed, n, picks):
+    rng = np.random.default_rng(table_seed)
+    table = build_fourier_table(random_support_spec(rng))
+    pool = rng.uniform(0.0, 1.0, (8, n))
+    # the last pooled seed starts on the diagonal; repeated picks put
+    # duplicate seeds in the stack
+    pool[7, 1] = pool[7, 0]
+    seeds = pool[picks]
+    stacked = dy._newton_orbit(table, seeds)
+    assert len(stacked) == len(seeds)
+    for seed, res in zip(seeds, stacked):
+        oracle = scalar_newton_orbit(table, seed)
+        assert (res is None) == (oracle is None)
+        if res is None:
+            continue
+        qs, residual = res
+        assert residual == pytest.approx(_oracle_residual(table, qs), abs=1e-12)
+        if oracle[1] <= dy.ACCEPT_RESIDUAL:
+            assert _oracle_residual(table, qs) <= dy.ACCEPT_RESIDUAL
+    first = {}
+    for pick, res in zip(picks, stacked):
+        ref = first.setdefault(pick, res)
+        assert (res is None and ref is None) or np.array_equal(res[0], ref[0])
+
+
 def _converged_results(monkeypatch):
-    """Record every ``_newton_orbit`` result, tagging arc-length inversions made inside it."""
+    """Record every seed's ``_newton_orbit`` result, tagging arc-length inversions made inside it."""
     results, inside = [], []
     inner = dy._newton_orbit
 
-    def recorded(table, qs0):
+    def recorded(table, seeds):
         inside.append(True)
         try:
-            res = inner(table, qs0)
+            res = inner(table, seeds)
         finally:
             inside.pop()
-        results.append(res)
+        results.extend(res)
         return res
 
     monkeypatch.setattr(dy, "_newton_orbit", recorded)
@@ -210,6 +346,20 @@ def test_orbit_search_matches_validate_then_deduplicate_oracle(native_tables, ki
         assert found
         oracle = _validate_then_deduplicate(table, n, results)
         assert [c.to_json() for c in found] == [c.to_json() for c in oracle]
+
+
+@pytest.mark.parametrize("kind", NATIVE_KINDS)
+def test_orbit_search_matches_scalar_oracle_search(native_tables, kind, monkeypatch):
+    table = native_tables[kind]
+    for n in (2, 3):
+        found = dy.find_periodic_orbits(table, n, seed_count=6, rng=n)
+        with monkeypatch.context() as m:
+            m.setattr(dy, "_newton_orbit", lambda t, seeds: [scalar_newton_orbit(t, s) for s in seeds])
+            oracle = dy.find_periodic_orbits(table, n, seed_count=6, rng=n)
+        assert len(found) == len(oracle) > 0
+        for a, b in zip(found, oracle):
+            assert abs(a.action - b.action) < 1e-12
+            assert (a.winding, a.degenerate_family, a.accepted) == (b.winding, b.degenerate_family, b.accepted)
 
 
 def test_disc_orbits(disc):

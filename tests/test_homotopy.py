@@ -188,6 +188,14 @@ def test_hj_residual_translation(disc):
     assert ho.hamilton_jacobi_residual(path, 0.5, pts) < 1e-10
 
 
+def test_hj_residual_needs_both_neighbour_slices(ellipse_path):
+    pts = [(0.1, 0.2), (0.6, -0.4)]
+    for s in (40.0, 1.0, 1.0 - 0.5e-4, 0.5e-4, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="s must lie in"):
+            ho.hamilton_jacobi_residual(ellipse_path, s, pts)
+    assert ho.hamilton_jacobi_residual(ellipse_path, 1e-4, pts) < 1e-3
+
+
 def test_hj_residual_small(ellipse_path):
     rng = np.random.default_rng(4)
     pts = np.stack([rng.uniform(0, 1, 100), rng.uniform(-0.9, 0.9, 100)], axis=-1)
