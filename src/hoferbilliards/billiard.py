@@ -35,6 +35,8 @@ class AnnulusPoint:
     p: float
 
     def __post_init__(self):
+        if not np.isfinite(self.q):
+            raise ValueError(f"position must be finite, got {self.q!r}")
         object.__setattr__(self, "q", float(np.mod(self.q, 1.0)))
         object.__setattr__(self, "p", float(self.p))
         if not abs(self.p) < 1.0:

@@ -34,7 +34,7 @@ from . import smoothing as sm
 from .billiard import AnnulusPoint, forward_chord, forward_map, iterate, map_jacobian, trajectory_arrays
 from .curves import FourierSupportSpec, build_fourier_table, disc_table, unit_square
 from .errors import HoferBilliardsError
-from .specio import SpecError, load_path, load_polygon, load_table
+from .specio import SpecError, load_json, load_path, load_polygon, load_table
 
 OK, INPUT_ERROR, CERT_FAIL = 0, 1, 2
 
@@ -327,7 +327,7 @@ def _death(value):
 
 def cmd_barcode_bottleneck(args):
     def parse(path, name):
-        items = json.loads(Path(path).read_text())
+        items = load_json(path)
         if not isinstance(items, list):
             raise SpecError(f"{name}: expected a list of bars")
         bars = {}
@@ -370,7 +370,7 @@ def _sample_list(value):
 
 def cmd_reconstruct(args):
     if args.chords:
-        obj = json.loads(Path(args.chords).read_text())
+        obj = load_json(args.chords)
         t = _json_field(obj, "t", "chords", _sample_list)
         samples = {}
         for key in ("from_start", "from_half"):
@@ -573,6 +573,17 @@ def _simpson_count(text):
 _simpson_count.__name__ = "int"
 
 
+def _tolerance(text):
+    """argparse type of a --tol slack: a finite number >= 0, else a usage error."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse would exit with status 2, which hb reserves for certificate failures
@@ -636,7 +647,7 @@ def build_parser():
     sp.set_defaults(fn="cmd_hofer_length")
     sp = g.add_parser("compare")
     common(sp, path=True)
-    sp.add_argument("--tol", type=float, default=1e-2,
+    sp.add_argument("--tol", type=_tolerance, default=1e-2,
                     help="slack of the check l_H <= 4 l_B (1 + tol)")
     sp.set_defaults(fn="cmd_hofer_compare")
     sp = g.add_parser("hjresidual")
@@ -659,7 +670,7 @@ def build_parser():
     sp.add_argument("--s0", type=float, default=1.0, help="top scale of the tail, in (0, 1]")
     # two levels at least: the increment and closure checks each compare two values
     sp.add_argument("--levels", type=_int_at_least(2), default=8)
-    sp.add_argument("--tol", type=float, default=1e-3,
+    sp.add_argument("--tol", type=_tolerance, default=1e-3,
                     help="relative bound on the last corrected tail increment")
     sp.set_defaults(fn="cmd_polygon_cauchy")
     sp = g.add_parser("independence")

@@ -28,19 +28,20 @@ representations:
   positions, tangents, the radius of curvature dq/dtheta and the cumulative
   arc length q(theta) are exact.  Only q -> theta is a guarded Newton solve.
   All of them, and the s-velocity of a support interpolation path, read
-  one kernel, ``FourierSupportSpec._terms``: one ``exp`` for e^(i theta),
-  its powers filled row by row and one matmul against weights built once
-  per spec.
+  one kernel, ``FourierSupportSpec._terms``.
 * ``SampledCurve`` -- spectral (trigonometric-interpolation) representation of
   a smooth closed curve given by uniform samples; used for perturbed
   and reconstructed tables.  The native parameter is the raw sample
   parameter u, with closed-form cumulative arc length.  Its series are
-  evaluated without a dense (points x modes) exp matrix: at arbitrary
-  points from powers of e^(2 pi i u) filled by doubling, in blocks of
-  EVAL_CHUNK points (about 17 MB of powers per block at 513 modes, however
-  large the batch); on a uniform grid u = j/n by one inverse FFT.
+  evaluated without a dense (points x modes) exp matrix, and on a uniform
+  grid u = j/n by one inverse FFT.
 * ``PolygonBoundary`` and the smoothed polygon slices of
   :mod:`hoferbilliards.smoothing` use q as their native parameter.
+
+Both trigonometric kernels, ``_terms`` (a real matmul of weights built once
+per spec) and ``_TrigSeries.evaluate`` (a complex one), read the powers of
+e^(i phi) from ``_powers``, BLOCK_POINTS points at a time, so memory stays
+bounded whatever the batch size.
 """
 
 from __future__ import annotations
@@ -55,15 +56,33 @@ from .errors import CurvatureNotPositive
 
 TWO_PI = 2.0 * np.pi
 
-# points per block of the support-function kernel FourierSupportSpec._terms.
-# At 4 harmonics a block's temporaries stay under glibc's default 128 kB
-# mmap threshold and are reused from the heap; one 8064-point block instead
-# page-faulted about 1.1 MB of fresh memory on every call.
-TERMS_CHUNK = 1024
-
 # Radius-of-curvature floor separating strictly convex tables from the
 # merely convex ones (flat edges allowed).
 CURVATURE_FLOOR = 1e-8
+
+# points per block of both trigonometric kernels.  At a few modes a block's
+# temporaries stay under glibc's 128 kB mmap threshold, reused from the heap;
+# at the 513 modes of a sampled curve, freeing a block's 8.4 MB of powers
+# raises glibc's dynamic mmap threshold, so later certificate temporaries
+# come from the heap too (512 kB blocks, faster alone, made a `certify`
+# benchmark run take 5-7x the page faults and run 15-40% slower).
+BLOCK_POINTS = 1024
+
+
+def _powers(phi, n):
+    """(n, points) matrix of z^1 .. z^n, z = e^(i phi), for a 1-D array phi.
+
+    One ``exp`` per point gives row 0; the rows are then filled by doubling,
+    z^(b + j) = z^j z^b for the b rows already filled, so each step is one
+    multiply of contiguous whole rows.
+    """
+    p = np.empty((n, phi.size), dtype=complex)
+    np.exp(1j * phi, out=p[0])
+    b = 1
+    while b < n:
+        np.multiply(p[: min(b, n - b)], p[b - 1], out=p[b : 2 * b])
+        b *= 2
+    return p
 
 
 def rotate_cw(v):
@@ -201,45 +220,39 @@ class FourierSupportSpec:
 
     @cached_property
     def _weights(self):
-        """Real (4, 2n) weights [Re w, -Im w] of the kernel rows, and the arclength constant.
+        """Real (6, 2n) weights [Re w, -Im w] of the kernel rows, and the arclength constant.
 
         Row j of ``_terms`` is Re sum_k w_jk z^k = sum_k (Re w_jk cos k theta
         - Im w_jk sin k theta) for the complex weights w of h - c0, h',
-        rho - c0 and arclength - c0 theta less the constant
-        sum_k (1 - k^2)/k sin_k.  Stored real, the sums are one real matmul
-        against the stacked cos and sin rows, about 4x faster at 8k points
-        than the complex matmul of w with the powers.
+        rho - c0, arclength - c0 theta less the constant
+        sum_k (1 - k^2)/k sin_k, cos theta (1 on z^1) and sin theta (-i on
+        z^1).  Stored real, the sums are one real matmul against the stacked
+        Re and Im rows of the powers, about 4x faster at 8k points than the
+        complex matmul of w with the powers.
         """
         k = self.harmonics.astype(float)
         a, b = self.cos, self.sin
         bend = 1.0 - k * k
         arc = bend / k
-        w = np.stack([a - 1j * b, k * b + 1j * k * a, bend * (a - 1j * b), -arc * (b + 1j * a)])
+        one = (k == 1.0).astype(complex)
+        w = np.stack([a - 1j * b, k * b + 1j * k * a, bend * (a - 1j * b), -arc * (b + 1j * a), one, -1j * one])
         return np.concatenate([w.real, -w.imag], axis=1), float(arc @ b)
 
     def _terms(self, theta):
         """Rows h - c0, h', rho - c0, arclength - c0 theta, cos theta, sin theta.
 
         The kernel every evaluator reads; shape (6,) + theta.shape.  Points
-        go in blocks of TERMS_CHUNK: in each, z = e^(i theta) comes from one
-        ``exp``, the powers z^1 .. z^n are filled row by row in a (modes,
-        points) array, and one matmul with ``_weights`` gives the first four
-        rows; the last two are Re z and Im z.
+        go in blocks of BLOCK_POINTS; each block is one matmul of
+        ``_weights`` on the stacked Re and Im rows of ``_powers(theta, n)``.
         """
         theta = np.asarray(theta, dtype=float)
         flat = theta.reshape(-1)
         w, arc0 = self._weights
         n = w.shape[1] // 2
         out = np.empty((6, flat.size))
-        for a in range(0, flat.size, TERMS_CHUNK):
-            b = min(a + TERMS_CHUNK, flat.size)
-            p = np.empty((n, b - a), dtype=complex)
-            np.exp(1j * flat[a:b], out=p[0])
-            for k in range(1, n):
-                np.multiply(p[k - 1], p[0], out=p[k])
-            out[:4, a:b] = w @ np.concatenate([p.real, p.imag])
-            out[4, a:b] = p[0].real
-            out[5, a:b] = p[0].imag
+        for a in range(0, flat.size, BLOCK_POINTS):
+            p = _powers(flat[a : a + BLOCK_POINTS], n)
+            out[:, a : a + BLOCK_POINTS] = w @ np.concatenate([p.real, p.imag])
         out[3] += arc0
         return out.reshape((6,) + theta.shape)
 
@@ -347,7 +360,7 @@ def build_fourier_table(spec: FourierSupportSpec) -> FourierTable:
     theta = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
     rho = norm.rho(theta)
     m = float(rho.min())
-    if m <= CURVATURE_FLOOR:
+    if not m > CURVATURE_FLOOR:  # a NaN radius fails too
         raise CurvatureNotPositive(
             f"radius of curvature reaches {m:.3e} (floor {CURVATURE_FLOOR:.0e})",
             where=float(theta[int(np.argmin(rho))]),
@@ -418,28 +431,23 @@ def rigid_motion(table: TableCurve, angle: float = 0.0, offset=(0.0, 0.0)) -> Ta
 # ---------------------------------------------------------------------------
 
 
-# points per block of the off-grid evaluation: one block's power matrix is
-# EVAL_CHUNK x modes complex numbers, about 17 MB at 513 modes
-EVAL_CHUNK = 2048
-
-
 class _TrigSeries:
     """Trigonometric interpolant of periodic complex samples.
 
     ``coef`` holds the coefficients c_k of sum_k c_k e^(2 pi i k u) for the
-    contiguous frequencies ``k`` = -(m//2) .. m//2; for an even sample count
-    m the Nyquist mode is split evenly between -m/2 and m/2, so the series
-    of real samples stays real between the nodes.
+    contiguous frequencies ``k`` = -h .. h, h = m//2; for an even sample
+    count m the Nyquist mode is split evenly between -m/2 and m/2, so the
+    series of real samples stays real between the nodes.
 
     Every evaluation is a sum sum_k w_k e^(2 pi i k u) for some weight
     vector w (c_k times (2 pi i k)^deriv, or any other weights on the same
     frequencies), computed in one of two ways:
 
-    * ``evaluate`` at arbitrary points: the powers z^k, z = e^(2 pi i u),
-      are filled by doubling from z^k_min (one block multiply per power of
-      two, with each factor z^(2^j) taken from the exact product 2^j u mod
-      1), then multiplied by a stack of weight vectors.  Points go in blocks
-      of EVAL_CHUNK, so memory stays bounded whatever the batch size.
+    * ``evaluate`` at arbitrary points: with z = e^(2 pi i (u mod 1)),
+      sum_k w_k z^k = conj(z^(h+1)) sum_j w_j z^(j+1), j = k + h, so the
+      powers z^1 .. z^(2h+1) of ``_powers`` serve every frequency, and a
+      stack of weight vectors takes one complex matmul per block of
+      BLOCK_POINTS points.
     * ``on_grid`` at the uniform points u = j/n: the weights are folded by
       k mod n, which is exact on the grid, and one inverse FFT returns all
       n values.
@@ -458,36 +466,28 @@ class _TrigSeries:
         """Weights c_k (2 pi i k)^deriv of the deriv-th derivative."""
         return self.coef * (2j * np.pi * self.k) ** deriv
 
+    def antiderivative(self):
+        """(c_0, w, sum w) of a real series, whose integral from 0 is c_0 u + Re(sum_k w_k z^k - sum w).
+
+        w_k = c_k / (2 pi i k), w_0 = 0, on the frequencies of the series, so
+        ``evaluate`` takes w beside any other weights.
+        """
+        k = self.k
+        w = np.zeros_like(self.coef)
+        w[k != 0] = self.coef[k != 0] / (2j * np.pi * k[k != 0])
+        return float(self.coef[k == 0][0].real), w, w.sum()
+
     def evaluate(self, u, weights):
         """sum_k w_k e^(2 pi i k u) for each weight column w; shape u.shape + weights.shape[1:]."""
         u = np.asarray(u, dtype=float)
         flat = u.reshape(-1)
+        phi = TWO_PI * np.mod(flat, 1.0)
+        nk, h = self.k.size, -self.k[0]
         out = np.empty((flat.size,) + weights.shape[1:], dtype=complex)
-        for a in range(0, flat.size, EVAL_CHUNK):
-            out[a : a + EVAL_CHUNK] = (weights.T @ self._powers(flat[a : a + EVAL_CHUNK])).T
+        for a in range(0, flat.size, BLOCK_POINTS):
+            p = _powers(phi[a : a + BLOCK_POINTS], nk)
+            out[a : a + BLOCK_POINTS] = ((weights.T @ p) * np.conj(p[h])).T
         return out.reshape(u.shape + weights.shape[1:])
-
-    def _powers(self, u):
-        """(modes, points) matrix of z^k, z = e^(2 pi i u), k = k[0] .. k[-1].
-
-        Modes run along the first axis, so every doubling step multiplies
-        whole contiguous rows.
-        """
-        nk = self.k.size
-        # z^b for b = 2^j < nk; b * u is exact in floating point, so each
-        # phase is reduced mod 1 without rounding
-        steps = [1 << j for j in range(max(nk - 1, 1).bit_length())]
-        zpow = np.exp(2j * np.pi * np.mod(np.multiply.outer(steps, u), 1.0))
-        p = np.empty((nk, u.size), dtype=complex)
-        # z^k[0] = conj(z^-k[0]) from the binary digits of -k[0] >= 0
-        p[0] = 1.0
-        for b, zb in zip(steps, zpow):
-            if -self.k[0] & b:
-                p[0] *= zb
-        np.conj(p[0], out=p[0])
-        for b, zb in zip(steps, zpow):
-            np.multiply(p[: min(b, nk - b)], zb, out=p[b : 2 * b])
-        return p
 
     def on_grid(self, n, deriv=0):
         """Values of the deriv-th derivative at u = j/n, j = 0 .. n-1, by one inverse FFT."""
@@ -525,13 +525,12 @@ class SampledCurve(TableCurve):
 
     Evaluation (see ``_TrigSeries``): the speed and curvature on the m
     sample nodes come from inverse FFTs of z' and z''; off the nodes every
-    query is one chunked power-matrix product, bounded in memory by
-    EVAL_CHUNK points at a time.  The speed series has the frequencies of
-    z, so each iterate of the arc-length Newton ``u_of_q`` evaluates its
-    residual (the integrated speed weights c_k / (2 pi i k), less their
-    sum) and its derivative |z'| from one shared power matrix.  When the
-    samples move with a parameter s, ``fixed_q_rate`` gives d/ds of the
-    position at fixed q, again from one power matrix.
+    query is one blocked power-matrix product.  The speed series has the
+    frequencies of z, so each iterate of the arc-length Newton ``u_of_q``
+    evaluates its residual (the ``antiderivative`` of the speed) and its
+    derivative |z'| from one shared power matrix.  When the samples move
+    with a parameter s, ``fixed_q_rate`` gives d/ds of the position at
+    fixed q, again from one power matrix.
     """
 
     kind = "reconstructed_samples"
@@ -545,15 +544,11 @@ class SampledCurve(TableCurve):
         if speed.min() <= 0.0:
             raise ValueError("raw parametrization is singular")
         speed_series = _TrigSeries(speed.astype(complex))
-        k = speed_series.k
-        self.raw_length = float(np.real(speed_series.coef[k == 0][0]))
-        # raw arc length = raw_length u + sum_{k != 0} c_k/(2 pi i k) (z^k - 1);
         # the speed series shares the frequencies of z, so one power matrix
-        # serves both columns of the arc-length Newton (this and z')
+        # serves both columns of the arc-length Newton (the raw arc length
+        # and z')
         self._speed_coef = speed_series.coef
-        self._arc_w = np.zeros_like(speed_series.coef)
-        self._arc_w[k != 0] = speed_series.coef[k != 0] / (2j * np.pi * k[k != 0])
-        self._arc_w0 = self._arc_w.sum()
+        self.raw_length, self._arc_w, self._arc_w0 = speed_series.antiderivative()
         self._newton_w = np.stack([self._arc_w, self._z.weights(1)], axis=1)
         self._curvature_w = np.stack([self._z.weights(1), self._z.weights(2)], axis=1)
         centroid = np.sum(z * speed) / np.sum(speed)
@@ -591,10 +586,6 @@ class SampledCurve(TableCurve):
             increasing=True,
         )
 
-    def _raw_curvature(self, u):
-        both = self._z.evaluate(u, self._curvature_w)
-        return _signed_curvature(both[..., 0], both[..., 1])
-
     def native_of_q(self, q):
         q = np.asarray(q, dtype=float)
         # u_of_q inverts q mod 1; the raw parameter winds with period 1 as well
@@ -615,7 +606,8 @@ class SampledCurve(TableCurve):
         )
 
     def native_curvature(self, u):
-        return self._raw_curvature(u) * self.raw_length
+        both = self._z.evaluate(u, self._curvature_w)
+        return _signed_curvature(both[..., 0], both[..., 1]) * self.raw_length
 
     def fixed_q_rate(self, u, sample_rate):
         """d/ds of position(q) at fixed q, at native points u, when the samples move.
@@ -640,11 +632,7 @@ class SampledCurve(TableCurve):
         w_nodes = np.asarray(sample_rate[:, 0] + 1j * sample_rate[:, 1])
         w = _TrigSeries(w_nodes)
         dspeed = np.real(np.conj(dz_nodes) * w.on_grid(z_nodes.size, 1)) / speed
-        dspeed_series = _TrigSeries(dspeed.astype(complex))
-        k = dspeed_series.k
-        dlength = float(np.real(dspeed_series.coef[k == 0][0]))
-        darc_w = np.zeros_like(dspeed_series.coef)
-        darc_w[k != 0] = dspeed_series.coef[k != 0] / (2j * np.pi * k[k != 0])
+        dlength, darc_w, darc_w0 = _TrigSeries(dspeed.astype(complex)).antiderivative()
         dcenter = np.sum(w_nodes * speed + z_nodes * dspeed) - self._center * np.sum(dspeed)
         dcenter /= np.sum(speed)
         u = np.asarray(u, dtype=float)
@@ -657,7 +645,7 @@ class SampledCurve(TableCurve):
         )
         z, dz, arc, speed_u, dz_ds, darc = np.moveaxis(cols, -1, 0)
         arc = self.raw_length * u + np.real(arc - self._arc_w0)
-        darc = dlength * u + np.real(darc - darc_w.sum())
+        darc = dlength * u + np.real(darc - darc_w0)
         du = (dlength * self._scale * arc - darc) / np.real(speed_u)
         lam = self._scale
         dlam = -dlength * lam * lam
@@ -690,6 +678,8 @@ class PolygonSpec:
         self.vertices = np.asarray(self.vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2 or len(self.vertices) < 3:
             raise ValueError("vertices must be an (n, 2) array, n >= 3")
+        if not (np.isfinite(self.vertices).all() and np.isfinite(self.mark)):
+            raise ValueError("vertices and mark must be finite")
         e = np.roll(self.vertices, -1, axis=0) - self.vertices
         cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
         if np.any(cross <= 0.0):

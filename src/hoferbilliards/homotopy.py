@@ -154,7 +154,7 @@ def support_interp_path(a: FourierSupportSpec, b: FourierSupportSpec) -> TablePa
     rho_a, rho_b = a.rho(theta), b.rho(theta)
     for s in np.linspace(0.0, 1.0, 64):
         c0s = (1 - s) * a.c0 + s * b.c0
-        if c0s <= 0.0 or ((1 - s) * rho_a + s * rho_b).min() <= CURVATURE_FLOOR:
+        if not (c0s > 0.0 and ((1 - s) * rho_a + s * rho_b).min() > CURVATURE_FLOOR):  # NaN fails too
             raise CurvatureNotPositive(f"interpolated support not convex at s={s:.6f}", where=s)
 
     specs: dict[float, tuple[FourierSupportSpec, FourierSupportSpec]] = {}

@@ -15,7 +15,9 @@ Path spec:
 f is sampled at 512 points, so its cos and sin lists hold at most 255
 harmonics each; a longer list would alias and is rejected.
 
-All numbers are IEEE doubles, coordinates in plane units.  ``load_table``
+All numbers are finite IEEE doubles, coordinates in plane units: every
+JSON input of ``hb`` is read by ``load_json``, which rejects ``NaN``,
+``Infinity`` and literals that overflow a double.  ``load_table``
 and ``load_path`` raise only ``SpecError`` (an input error, exit code 1 of
 ``hb``), naming the offending field: a malformed field, a table outside
 the admissible class (a support function whose radius of curvature is not
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import FourierSupportSpec, PolygonSpec, TableCurve, disc_table, build_fourier_table
+from .curves import TWO_PI, FourierSupportSpec, PolygonSpec, TableCurve, disc_table, build_fourier_table
 from .errors import CurvatureNotPositive, InvalidWidth, MarkInCorner, PerturbationTooLarge
 from .homotopy import TablePath, normal_perturbation_path, support_interp_path, translation_path
 
@@ -40,13 +42,25 @@ class SpecError(ValueError):
     """Malformed input spec; reported with the offending field."""
 
 
-def _load_obj(source):
+def _finite(text, convert=float):
+    """A JSON number or constant as ``convert(text)``; a ValueError unless it is a finite double."""
+    if not np.isfinite(float(text)):
+        raise ValueError(f"{text[:40]} is not a finite number")
+    return convert(text)
+
+
+def load_json(source):
+    """The JSON value in file ``source``, a path; any other object is returned as it is.
+
+    Raises SpecError on a missing file, invalid JSON and non-finite numbers.
+    """
     if isinstance(source, (str, Path)):
         try:
-            return json.loads(Path(source).read_text())
+            text = Path(source).read_text()
+            return json.loads(text, parse_float=_finite, parse_int=lambda t: _finite(t, int), parse_constant=_finite)
         except FileNotFoundError as exc:
             raise SpecError(f"spec file not found: {source}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a number that is not a finite double
             raise SpecError(f"invalid JSON in {source}: {exc}") from exc
     return source
 
@@ -63,7 +77,7 @@ def _fourier_spec(obj, where):
 
 
 def load_table(source) -> TableCurve:
-    obj = _load_obj(source)
+    obj = load_json(source)
     if not isinstance(obj, dict) or "type" not in obj:
         raise SpecError("table: expected an object with a 'type' field")
     kind = obj["type"]
@@ -106,7 +120,7 @@ def load_table(source) -> TableCurve:
 
 
 def load_polygon(source) -> PolygonSpec:
-    obj = _load_obj(source)
+    obj = load_json(source)
     try:
         return PolygonSpec(np.asarray(obj["vertices"], dtype=float), float(obj.get("mark", 0.0)))
     except (KeyError, TypeError) as exc:
@@ -118,25 +132,20 @@ def _periodic_samples(obj, where):
     samples = 512
     try:
         const = float(obj.get("const", 0.0))
-        harmonics = [(wave, [float(c) for c in obj.get(name, [])])
-                     for name, wave in (("cos", np.cos), ("sin", np.sin))]
+        cos, sin = ([float(c) for c in obj.get(name, [])] for name in ("cos", "sin"))
     except (AttributeError, TypeError, ValueError) as exc:
         raise SpecError(f"{where}: bad harmonic coefficients ({exc})") from exc
-    top = max(len(coefs) for _, coefs in harmonics)
+    top = max(len(cos), len(sin))
     if top >= samples // 2:
         raise SpecError(
             f"{where}: harmonic k = {top} aliases on the {samples} samples of f; k must be below {samples // 2}"
         )
-    q = np.arange(samples) / samples
-    vals = np.full(samples, const)
-    for wave, coefs in harmonics:
-        for k, c in enumerate(coefs, start=1):
-            vals += c * wave(2 * np.pi * k * q)
-    return vals
+    # f has the form of a support function, so the one trigonometric kernel sums it
+    return FourierSupportSpec(const, cos, sin).h(TWO_PI * np.arange(samples) / samples)
 
 
 def load_path(source) -> TablePath:
-    obj = _load_obj(source)
+    obj = load_json(source)
     if not isinstance(obj, dict) or "type" not in obj:
         raise SpecError("path: expected an object with a 'type' field")
     kind = obj["type"]

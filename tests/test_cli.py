@@ -593,3 +593,94 @@ def test_normal_perturbation_harmonics_below_256(tmp_path, capsys, k):
     code = main(["hofer", "compare", "--path", _write(tmp_path, "spec.json", spec), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "path.f" in json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+
+
+# JSON inputs holding NaN, Infinity or a literal that overflows a double;
+# Python's json reads all three, and they used to pass every check (NaN
+# curvature reported "strictly_convex", NaN deltas, certificates that fail
+# with exit 2). Each file is written as raw text: json.dumps would spell
+# 1e999 as Infinity
+_NAN_SQUARE = '{"vertices": [[0.125, -0.125], [0.125, 0.125], [-0.125, 0.125], [-0.125, NaN]], "mark": 0.125}'
+_NON_FINITE_INPUTS = {
+    "table-cos-nan": (["table", "inspect", "--table"], '{"type": "fourier_support", "c0": 1.0, "cos": [NaN]}', "NaN"),
+    "table-c0-overflow": (["table", "inspect", "--table"], '{"type": "fourier_support", "c0": 1e999}', "1e999"),
+    "table-c0-infinity": (["map", "eval", "--q", "0", "--p", "0", "--table"],
+                          '{"type": "fourier_support", "c0": -Infinity}', "-Infinity"),
+    "table-huge-int": (["table", "inspect", "--table"], '{"type": "fourier_support", "c0": 1' + "0" * 400 + "}",
+                       "not a finite number"),
+    "support-interp-nan": (["hofer", "compare", "--path"],
+                           '{"type": "support_interp", "a": {"c0": 1.0}, "b": {"c0": 1.0, "cos": [0, NaN]}}', "NaN"),
+    "translation-nan": (["hofer", "compare", "--path"], '{"type": "translation", "v": [NaN, 0.0]}', "NaN"),
+    "polygon-nan": (["polygon", "family", "--polygon"], _NAN_SQUARE, "NaN"),
+    "barcode-nan": (["barcode", "bottleneck", "--barcode2", "{good}", "--barcode"],
+                    '[{"degree": 0, "birth": NaN, "death": 1.0}]', "NaN"),
+    "chords-infinity": (["reconstruct", "--chords"],
+                        '{"t": [0.25, 0.75], "from_start": [1.0, Infinity], "from_half": [1.0, 1.0], "anchor": 1.4}',
+                        "Infinity"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_INPUTS))
+def test_non_finite_json_numbers_are_input_errors(tmp_path, capsys, case):
+    argv, text, named = _NON_FINITE_INPUTS[case]
+    good = _write(tmp_path, "good.json", [GOOD_BAR])
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    out = tmp_path / "out"
+    assert main([a.format(good=good) for a in argv] + [str(spec), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert f"invalid JSON in {spec}" in error and named in error
+    assert "input error" in captured.err and "Traceback" not in captured.err and not out.exists()
+
+
+@pytest.mark.parametrize("command", [["map", "eval"], ["map", "iterate", "--steps", "3"]], ids=["eval", "iterate"])
+def test_non_finite_position_is_an_input_error(tmp_path, capsys, command):
+    # map eval used to blame the momentum, map iterate to exit 2 with "grazing"
+    table = _write(tmp_path, "disc.json", {"type": "disc"})
+    out = tmp_path / "out"
+    assert main(command + ["--table", table, "--q", "nan", "--p", "0.1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "position must be finite, got nan" in json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+def test_library_guards_reject_non_finite_inputs():
+    from hoferbilliards import AnnulusPoint, FourierSupportSpec, PolygonSpec, build_fourier_table, support_interp_path
+    from hoferbilliards.errors import CurvatureNotPositive
+
+    for spec in (FourierSupportSpec(1.0, [np.nan]), FourierSupportSpec(np.inf), FourierSupportSpec(np.nan)):
+        with pytest.raises(CurvatureNotPositive):
+            build_fourier_table(spec)
+    for spec in (FourierSupportSpec(1.0, [np.nan]), FourierSupportSpec(np.nan)):
+        with pytest.raises(CurvatureNotPositive):
+            support_interp_path(FourierSupportSpec(1.0), spec)
+    square = np.array(_SQUARE["vertices"])
+    for vertices, mark in ((np.where(square == -0.125, np.nan, square), 0.125), (square, np.nan), (square, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PolygonSpec(vertices, mark)
+    for q in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="position must be finite"):
+            AnnulusPoint(q, 0.0)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-0.001"])
+@pytest.mark.parametrize("command", [["hofer", "compare", "--path"], ["polygon", "cauchy", "--polygon"]],
+                         ids=["hofer-compare", "polygon-cauchy"])
+def test_tol_not_a_finite_nonnegative_number_is_a_usage_error(tmp_path, capsys, command, value):
+    # a NaN slack computed the whole certificate and then exited 2; -1 set the bound to 0
+    spec = _write(tmp_path, "spec.json", {"type": "translation", "v": [0.05, 0.0]} if "--path" in command else _SQUARE)
+    out = tmp_path / "out"
+    assert main(command + [spec, "--tol", value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert f"argument --tol: must be a finite number >= 0, got {value}" in error
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+def test_tol_zero_is_accepted():
+    from hoferbilliards.cli import build_parser
+
+    parser = build_parser()
+    assert parser.parse_args(["hofer", "compare", "--path", "p.json", "--tol", "0"]).tol == 0.0
+    assert parser.parse_args(["polygon", "cauchy", "--polygon", "p.json", "--tol", "0"]).tol == 0.0

@@ -15,7 +15,7 @@ from hoferbilliards import (
     unit_square,
 )
 from hoferbilliards._solve import newton_bisect
-from hoferbilliards.curves import EVAL_CHUNK, PolygonBoundary, PolygonSpec, TableCurve, _TrigSeries
+from hoferbilliards.curves import BLOCK_POINTS, PolygonBoundary, PolygonSpec, TableCurve, _TrigSeries
 from hoferbilliards.smoothing import family_from_polygon
 from hoferbilliards.errors import CurvatureNotPositive
 
@@ -242,7 +242,7 @@ def _random_series(m):
 @pytest.mark.parametrize("m", [129, 128], ids=["odd", "even"])
 def test_trig_series_matches_dense_oracle(m):
     series, rng = _random_series(m)
-    u = rng.uniform(-1.0, 2.0, 600)
+    u = rng.uniform(-1.0, 2.0, 2 * BLOCK_POINTS + 3)  # three blocks
     for deriv in (0, 1, 2):
         w = series.weights(deriv)
         assert np.abs(series(u, deriv) - _dense(series, u, w)).max() <= 1e-12 * np.abs(w).sum()
@@ -286,10 +286,18 @@ def test_trig_series_on_grid_matches_dense_oracle(m, n):
 
 def test_trig_series_batch_equals_chunk_by_chunk():
     series, rng = _random_series(65)
-    u = rng.uniform(-1.0, 2.0, 2 * EVAL_CHUNK + 3)
+    u = rng.uniform(-1.0, 2.0, 2 * BLOCK_POINTS + 3)
     w = np.stack([series.weights(0), series.weights(2)], axis=1)
-    chunks = [series.evaluate(u[a : a + EVAL_CHUNK], w) for a in range(0, u.size, EVAL_CHUNK)]
+    chunks = [series.evaluate(u[a : a + BLOCK_POINTS], w) for a in range(0, u.size, BLOCK_POINTS)]
     assert np.array_equal(series.evaluate(u, w), np.concatenate(chunks))
+
+
+@pytest.mark.parametrize("n", [4, 96, 720])
+def test_support_terms_batch_equals_block_by_block(n):
+    spec, rng = _kernel_spec(n)
+    theta = rng.uniform(-2 * np.pi, 4 * np.pi, 2 * BLOCK_POINTS + 3)
+    blocks = [spec._terms(theta[a : a + BLOCK_POINTS]) for a in range(0, theta.size, BLOCK_POINTS)]
+    assert np.array_equal(spec._terms(theta), np.concatenate(blocks, axis=1))
 
 
 def test_trig_series_keeps_shapes():
@@ -344,11 +352,12 @@ def _kernel_tol(spec):
     return 8 * k.size * EPS * (abs(spec.c0) + np.sum(k**2 * (np.abs(spec.cos) + np.abs(spec.sin))))
 
 
-THETA_SHAPES = {"scalar": (), "1d": (300,), "2d": (15, 20)}
+# "blocks" spans three blocks
+THETA_SHAPES = {"scalar": (), "1d": (300,), "2d": (15, 20), "blocks": (2 * BLOCK_POINTS + 3,)}
 
 
 @pytest.mark.parametrize("shape", THETA_SHAPES.values(), ids=THETA_SHAPES.keys())
-@pytest.mark.parametrize("n", [1, 2, 4, 96])
+@pytest.mark.parametrize("n", [1, 2, 4, 96, 720])
 def test_support_kernel_matches_direct_sum(n, shape):
     spec, rng = _kernel_spec(n)
     theta = rng.uniform(-2 * np.pi, 4 * np.pi, shape)
@@ -388,6 +397,20 @@ def test_support_arclength_is_the_integral_of_rho(n):
         mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
         quad = float(np.sum(half[:, None] * w * spec.rho(mid[:, None] + half[:, None] * x)))
         assert abs(float(spec.arclength(end)) - quad) <= _kernel_tol(spec) * (1.0 + abs(end))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(n=st.integers(1, 840), theta=st.lists(st.floats(-2 * np.pi, 4 * np.pi), min_size=1, max_size=40))
+def test_support_kernel_matches_direct_sum_at_any_mode_count(n, theta):
+    spec, _ = _kernel_spec(n)
+    theta = np.asarray(theta)
+    h, hp, _, rho, arc = _direct_support(spec, theta)
+    rows = spec._terms(theta)
+    tol = _kernel_tol(spec)
+    for value, expect in ((spec.c0 + rows[0], h), (rows[1], hp), (spec.c0 + rows[2], rho)):
+        assert np.abs(value - expect).max() <= tol
+    assert np.abs(spec.c0 * theta + rows[3] - arc).max() <= tol
+    assert np.abs(rows[4:] - np.stack([np.cos(theta), np.sin(theta)])).max() <= 4 * EPS
 
 
 def test_support_h_rejects_a_third_derivative():
