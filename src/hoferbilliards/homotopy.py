@@ -112,8 +112,13 @@ class TablePath:
 
 
 def translation_path(table: TableCurve, v) -> TablePath:
-    """gamma_s = gamma + s*v; the velocity field is constantly v."""
+    """gamma_s = gamma + s*v; the velocity field is constantly v.
+
+    Raises ValueError unless v is a finite plane vector.
+    """
     v = np.asarray(v, dtype=float)
+    if v.shape != (2,) or not np.isfinite(v).all():
+        raise ValueError(f"translation offset must be a finite plane vector, got {v.tolist()!r}")
 
     def build(s):
         from .curves import rigid_motion

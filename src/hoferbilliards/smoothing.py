@@ -47,7 +47,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .curves import TWO_PI, FourierSupportSpec, PolygonSpec, TableCurve, build_fourier_table, rigid_motion, shift_mark
+from ._solve import newton_bisect
+from .curves import (
+    TWO_PI,
+    FourierSupportSpec,
+    PolygonSpec,
+    TableCurve,
+    build_fourier_table,
+    rigid_motion,
+    rotate_cw,
+    shift_mark,
+)
 from .errors import InvalidWidth, MarkInCorner
 from .homotopy import TablePath, simpson_nodes
 
@@ -726,33 +736,75 @@ def restricted_path(fam: SmoothingFamily, s_lo: float, s_hi: float) -> TablePath
 # ---------------------------------------------------------------------------
 
 
-# the lift samples a slice's support function at _LIFT_ANGLES normal angles,
-# each the max over _LIFT_POINTS boundary points with a parabolic refinement
+# the lift reads a slice's support function at _LIFT_ANGLES normal angles
+# and anchors its mark on a grid of _ANCHOR_NODES normal angles
 _LIFT_ANGLES = 2048
-_LIFT_POINTS = 8192
+_ANCHOR_NODES = 4096
 
 
-def _support_samples(curve: TableCurve, center):
-    """Support function of the curve about ``center`` on a uniform angle grid."""
-    n_theta, n_q = _LIFT_ANGLES, _LIFT_POINTS
-    q = np.arange(n_q) / n_q
-    pts = curve.position(q) - center
-    theta = TWO_PI * np.arange(n_theta) / n_theta
-    h = np.empty(n_theta)
-    block = 256
-    for start in range(0, n_theta, block):
-        e = np.stack([np.cos(theta[start : start + block]), np.sin(theta[start : start + block])], axis=-1)
-        proj = e @ pts.T
-        j = np.argmax(proj, axis=1)
-        rows = np.arange(proj.shape[0])
-        # parabolic refinement through the three neighboring samples
-        y0 = proj[rows, (j - 1) % n_q]
-        y1 = proj[rows, j]
-        y2 = proj[rows, (j + 1) % n_q]
-        denom = np.maximum(np.abs(y0 - 2 * y1 + y2), 1e-30)
-        corr = np.where(denom > 1e-28, (y0 - y2) ** 2 / (8 * denom), 0.0)
-        h[start : start + block] = y1 + corr
-    return h
+def _support_function(fam: SmoothingFamily, s: float, theta):
+    """Support function of the normalized slice at scale s about ``fam.center``.
+
+    Every edge point is a convex combination of its corners' end points, so
+    h(theta) is the max over the corners of the max over each corner graph
+    V + s xi x_hat + s f(xi) y_hat, xi in [-w, w].  With e = e_theta and
+    n_hat = rotate_cw(x_hat) = -y_hat the outward bisector normal, the graph
+    projects to <e, V - C> + s (xi <e, x_hat> - f(xi) <e, n_hat>).  Where
+    <e, n_hat> > 0 that is concave in xi, maximal where
+    f'(xi) = <e, x_hat> / <e, n_hat>: inside the corner's normal cone (that
+    ratio in (-slope, slope)) one stacked ``newton_bisect`` solves it, the
+    residual increasing because f'' >= 0, with one profile call per corner
+    as in ``_eval``.  Everywhere else the max is at an end, xi = +-w by the
+    sign of <e, x_hat> (f is even).  The value is exact to solver tolerance,
+    for any corner profile.
+    """
+    theta = np.asarray(theta, dtype=float)
+    e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    ex = e @ fam.x_hat.T
+    en = e @ rotate_cw(fam.x_hat).T
+    w = fam.widths
+    xi = np.where(ex >= 0.0, w, -w)
+    # |<e, x_hat>| < slope <e, n_hat> holds only where <e, n_hat> > 0, the
+    # one place the slope ratio is formed
+    cone = np.flatnonzero(np.abs(ex) < fam.slopes * en)
+    corner = cone % fam.n_corners
+    ratio = ex.ravel()[cone] / en.ravel()[cone]
+
+    def fun(x, idx):
+        r = np.empty_like(x)
+        dr = np.empty_like(x)
+        of = corner[idx]
+        for i in np.flatnonzero(np.bincount(of, minlength=fam.n_corners)):
+            m = of == i
+            prof = fam.profiles[i]
+            r[m] = prof.df(x[m]) - ratio[idx[m]]
+            dr[m] = prof.ddf(x[m])
+        return r, dr
+
+    half = w[corner]
+    xi.flat[cone] = newton_bisect(fun, -half, half, ratio / fam.slopes[corner] * half, increasing=True)
+    fx = np.stack([prof.f(xi[:, i]) for i, prof in enumerate(fam.profiles)], axis=1)
+    h = e @ (fam.polygon.vertices - fam.center).T + s * (xi * ex - fx * en)
+    return h.max(axis=1) / fam.length_at(s)
+
+
+def _nearest_native(table: TableCurve, target) -> float:
+    """Normal angle of the point of a support-function table nearest ``target``.
+
+    The argmin over _ANCHOR_NODES uniform angles is refined by a bracketed
+    Newton on g = <gamma - T, tau>, which vanishes at the nearest point, with
+    g' = rho - <gamma - T, e_theta> in closed form (tau' = -e_theta).
+    """
+    step = TWO_PI / _ANCHOR_NODES
+    grid = step * np.arange(_ANCHOR_NODES)
+    j = int(np.argmin(np.linalg.norm(table.native_frame(grid)[0] - target, axis=-1)))
+
+    def fun(theta, idx):
+        pos, tan, rho = table.native_frame(theta)
+        gap = pos - target
+        return np.sum(gap * tan, axis=-1), rho - np.sum(gap * rotate_cw(tan), axis=-1)
+
+    return float(newton_bisect(fun, grid[j] - step, grid[j] + step, grid[j], increasing=True))
 
 
 def _jackson_coefficients(order: int, n: int):
@@ -766,39 +818,42 @@ def _jackson_coefficients(order: int, n: int):
     return np.real(coef) / np.real(coef[0])
 
 
+def _jackson_spec(h, eps: float) -> FourierSupportSpec:
+    """Support spec of samples h at uniform normal angles, smoothed, plus a disc.
+
+    The Jackson kernel has order min(420, max(48, 0.9 / eps)) and the spec
+    keeps twice that many modes; the disc has radius eps/2.
+    """
+    n = h.size
+    order = int(min(420, max(48, 0.9 / eps)))
+    coef = np.fft.fft(h) / n * _jackson_coefficients(order, n)
+    keep = 2 * order
+    cos = 2.0 * np.real(coef[1 : keep + 1])
+    sin = -2.0 * np.imag(coef[1 : keep + 1])
+    return FourierSupportSpec(float(np.real(coef[0])) + eps / 2.0, cos, sin)
+
+
 def positive_curvature_lift(fam: SmoothingFamily, s: float, eps: float) -> TableCurve:
     """Round a normalized slice into the strictly convex class.
 
-    The slice's support function is sampled, smoothed by a nonnegative
-    Jackson kernel (keeping the curvature measure nonnegative), and a disc
-    of radius eps/2 is added before renormalizing to length 1, giving a
-    radius-of-curvature floor of about eps/2 / (1 + pi eps).  The C^0
-    distance to the slice stays below 2 eps; eps = 0 returns the slice
-    unchanged.  Raises ValueError unless s lies in (0, 1] and eps >= 0.
+    The slice's exact support function (``_support_function``, at 2048
+    normal angles) is smoothed by a nonnegative Jackson kernel (keeping the
+    curvature measure nonnegative), and a disc of radius eps/2 is added
+    before renormalizing to length 1, giving a radius-of-curvature floor of
+    about eps/2 / (1 + pi eps).  The C^0 distance to the slice stays below
+    2 eps.  The mark is the lift's point nearest the slice's marked point,
+    found in the lift's normal angle, and its arc position is the closed-form
+    arc length there, so no arc length is inverted.  eps = 0 returns the
+    slice unchanged.  Raises ValueError unless s lies in (0, 1] and eps >= 0.
     """
     curve = fam.curve(s)
     if eps == 0.0:
         return curve
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    center = fam.center
-    h = _support_samples(curve, center)
-    order = int(min(420, max(48, 0.9 / eps)))
-    jack = _jackson_coefficients(order, _LIFT_ANGLES)
-    coef = np.fft.fft(h) / _LIFT_ANGLES * jack
-    keep = 2 * order
-    c0 = float(np.real(coef[0])) + eps / 2.0
-    cos = 2.0 * np.real(coef[1 : keep + 1])
-    sin = -2.0 * np.imag(coef[1 : keep + 1])
-    built = build_fourier_table(FourierSupportSpec(c0, cos, sin))
+    h = _support_function(fam, s, TWO_PI * np.arange(_LIFT_ANGLES) / _LIFT_ANGLES)
+    built = build_fourier_table(_jackson_spec(h, eps))
     # the built table lives about the origin in the support frame; move it back
-    table = rigid_motion(built, 0.0, center)
-    # re-anchor the mark at the point nearest the slice's marked point
-    target = curve.position(0.0)
-    grid = np.arange(4096) / 4096
-    gaps = np.linalg.norm(table.position(grid) - target, axis=-1)
-    j = int(np.argmin(gaps))
-    local = grid[j] + np.linspace(-1, 1, 65) / 4096
-    gaps2 = np.linalg.norm(table.position(local) - target, axis=-1)
-    r = float(local[int(np.argmin(gaps2))])
-    return shift_mark(table, r)
+    table = rigid_motion(built, 0.0, fam.center)
+    theta = _nearest_native(table, curve.position(0.0))
+    return shift_mark(table, float(table.q_of_native(theta)))

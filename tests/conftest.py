@@ -159,3 +159,40 @@ def scalar_newton_orbit(table: TableCurve, qs0):
             step *= 0.1 / norm
         qs = qs + step
         settled = norm < 1e-15
+
+
+# --- sampled support-function oracle -------------------------------------------
+# The dense support function that smoothing.positive_curvature_lift read before
+# it computed a slice's support function exactly, kept unchanged: an argmax of
+# <e_theta, p - center> over 8192 boundary samples p at each of 2048 normal
+# angles, refined by a parabola through the best sample and its neighbours.
+# test_smoothing checks the exact support function against it and rebuilds the
+# 96-mode lift spec of the theta-Newton stall from it.
+
+SUPPORT_ANGLES = 2048
+SUPPORT_POINTS = 8192
+
+
+def sampled_support(curve: TableCurve, center):
+    """(refined h, raw sample max) about ``center`` at theta_j = 2 pi j / 2048."""
+    n_theta, n_q = SUPPORT_ANGLES, SUPPORT_POINTS
+    q = np.arange(n_q) / n_q
+    pts = curve.position(q) - center
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    h = np.empty(n_theta)
+    top = np.empty(n_theta)
+    block = 256
+    for start in range(0, n_theta, block):
+        e = np.stack([np.cos(theta[start : start + block]), np.sin(theta[start : start + block])], axis=-1)
+        proj = e @ pts.T
+        j = np.argmax(proj, axis=1)
+        rows = np.arange(proj.shape[0])
+        # parabolic refinement through the three neighboring samples
+        y0 = proj[rows, (j - 1) % n_q]
+        y1 = proj[rows, j]
+        y2 = proj[rows, (j + 1) % n_q]
+        denom = np.maximum(np.abs(y0 - 2 * y1 + y2), 1e-30)
+        corr = np.where(denom > 1e-28, (y0 - y2) ** 2 / (8 * denom), 0.0)
+        h[start : start + block] = y1 + corr
+        top[start : start + block] = y1
+    return h, top

@@ -28,6 +28,13 @@ def test_translation_path_basics(disc):
     assert np.abs(end.position(q) - (disc.position(q) + [0.1, 0.0])).max() < 1e-12
 
 
+@pytest.mark.parametrize("v", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.1)], ids=["nan", "inf", "-inf"])
+def test_translation_path_rejects_a_non_finite_offset(disc, v):
+    # a NaN offset used to give a path whose certificate was all NaN
+    with pytest.raises(ValueError, match="finite plane vector"):
+        ho.translation_path(disc, v)
+
+
 def test_support_interp_constant(disc):
     path = ho.support_interp_path(DISC_SPEC, DISC_SPEC)
     assert ho.path_geometric_length(path, s_nodes=9, q_nodes=256) < 1e-14

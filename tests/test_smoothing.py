@@ -10,9 +10,11 @@ from scipy.interpolate import PchipInterpolator
 from hoferbilliards import c0_distance, regular_polygon, unit_square
 from hoferbilliards import smoothing as sm
 from hoferbilliards.billiard import forward_chord, map_jacobian
-from hoferbilliards.curves import PolygonBoundary, PolygonSpec
+from hoferbilliards.curves import FourierTable, PolygonBoundary, PolygonSpec, build_fourier_table
 from hoferbilliards.errors import InvalidWidth, MarkInCorner
 from hoferbilliards.homotopy import path_geometric_length, simpson_nodes
+
+from conftest import sampled_support
 
 
 @pytest.fixture(scope="module")
@@ -482,28 +484,64 @@ def test_family_dies_by_refcount_after_cauchy_tail():
         gc.enable()
 
 
+STALL_HEXAGON = PolygonSpec(
+    np.array([
+        [0.09212910886569128, -0.1388884627223996],
+        [0.16634549144301172, 0.010341917344511002],
+        [0.0742163825773204, 0.1492303800669106],
+        [-0.09212910886569126, 0.13888846272239963],
+        [-0.16634549144301172, -0.010341917344510981],
+        [-0.0742163825773205, -0.14923038006691056],
+    ]),
+    mark=0.7534324681278349,
+)
+STALL_S, STALL_EPS = 0.5801017530954131, 0.029478784602341285
+
+
 def test_curvature_lift_where_theta_newton_stalled():
     # landscape inputs of default_rng([959, 6]): theta_of_q on the 96-mode
-    # lift cycled inside its bracket at q = 0.489013671875 until it raised
-    hexagon = PolygonSpec(
-        np.array([
-            [0.09212910886569128, -0.1388884627223996],
-            [0.16634549144301172, 0.010341917344511002],
-            [0.0742163825773204, 0.1492303800669106],
-            [-0.09212910886569126, 0.13888846272239963],
-            [-0.16634549144301172, -0.010341917344510981],
-            [-0.0742163825773205, -0.14923038006691056],
-        ]),
-        mark=0.7534324681278349,
-    )
-    s, eps = 0.5801017530954131, 0.029478784602341285
-    fam = sm.family_from_polygon(hexagon)
-    lift = sm.positive_curvature_lift(fam, s, eps)
-    assert lift.strictly_convex
-    fourier = lift.base.base
+    # lift cycled inside its bracket at q = 0.489013671875 until it raised.
+    # That lift read the sampled support function, so its spec is rebuilt
+    # from the sampled oracle, bit for bit what the lift built then
+    fam = sm.family_from_polygon(STALL_HEXAGON)
+    h, _ = sampled_support(fam.curve(STALL_S), fam.center)
+    fourier = build_fourier_table(sm._jackson_spec(h, STALL_EPS))
+    assert fourier.spec.cos.size == 96
     q = np.array([0.489013671875, 0.989013671875])
     assert np.abs(fourier.spec.arclength(fourier.theta_of_q(q)) - q).max() <= 1e-13
-    assert c0_distance(lift, fam.curve(s), grid=4096) < 2 * eps
+    lift = sm.positive_curvature_lift(fam, STALL_S, STALL_EPS)
+    assert lift.strictly_convex
+    assert c0_distance(lift, fam.curve(STALL_S), grid=4096) < 2 * STALL_EPS
+
+
+@pytest.mark.parametrize("s, eps", [(0.0625, 0.005), (0.125, 0.0025)])
+def test_lift_where_the_sampled_support_function_bent_inward(square_family, s, eps):
+    # the sampled support function raised CurvatureNotPositive here: its
+    # error, multiplied by k^2 up to (2 order)^2, exceeded the rho floor
+    lift = sm.positive_curvature_lift(square_family, s, eps)
+    assert lift.strictly_convex
+    assert lift.base.base.spec.rho(np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)).min() > 0.0
+    assert c0_distance(lift, square_family.curve(s), grid=4096) < 2 * eps
+
+
+@pytest.mark.parametrize("case", ["square", "hexagon"])
+def test_lift_inverts_no_arc_length_and_anchors_no_worse(monkeypatch, square_family, case):
+    fam, s, eps = (square_family, 0.25, 0.02) if case == "square" else (
+        sm.family_from_polygon(STALL_HEXAGON), STALL_S, STALL_EPS)
+    calls = []
+    theta_of_q = FourierTable.theta_of_q
+    monkeypatch.setattr(FourierTable, "theta_of_q", lambda self, q: calls.append(q) or theta_of_q(self, q))
+    lift = sm.positive_curvature_lift(fam, s, eps)
+    assert calls == []
+    # the anchor the lift used to take: the best of 4096 q nodes, then the
+    # best of 65 nodes across that node's two cells
+    target = fam.curve(s).position(0.0)
+    table = lift.base
+    grid = np.arange(4096) / 4096
+    j = int(np.argmin(np.linalg.norm(table.position(grid) - target, axis=-1)))
+    local = grid[j] + np.linspace(-1, 1, 65) / 4096
+    old = np.linalg.norm(table.position(local) - target, axis=-1).min()
+    assert np.linalg.norm(lift.position(0.0) - target) <= old
 
 
 # --- the closed-form s-rate against the central-difference stencil ---------
@@ -625,9 +663,9 @@ def _eval_by_piece(fam, s, q, want):
 
 
 @st.composite
-def _rotated_polygons(draw):
-    """Perimeter-1 n-gons, 3 <= n <= 7, near regular and rotated, marked inside an edge."""
-    n = draw(st.integers(3, 7))
+def _rotated_polygons(draw, max_corners=7):
+    """Perimeter-1 n-gons, 3 <= n <= max_corners, near regular and rotated, marked inside an edge."""
+    n = draw(st.integers(3, max_corners))
     turn = draw(st.floats(0.0, 2.0 * np.pi))
     jitter = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)))
     ang = turn + 2.0 * np.pi * (np.arange(n) + jitter) / n
@@ -666,3 +704,46 @@ def test_gathered_kernel_matches_per_piece_oracle_bitwise(polygon, q_nodes):
                 empty_corner |= q is grid and bool(set(range(0, 2 * fam.n_corners, 2)) - set(idx.tolist()))
     # the smallest scale leaves some corner without a grid node
     assert empty_corner
+
+
+# --- the exact support function against the sampled oracle ------------------
+
+# Stated before the run.  The oracle's raw maximum over 8192 boundary samples
+# p is a max over points of the slice, so it is a lower bound:
+#     h(theta) >= <e_theta, p - C> - 1e-15  for every sample p,
+# 1e-15 covering roundoff and the solve's 1e-13 slope tolerance (it costs the
+# projection at most 1e-13 * 2 w s / L).  Samples delta apart in arc length
+# leave the support point at most delta / 2 from the best one, and the
+# boundary bends away from its supporting line by at most kappa_max t^2 / 2
+# at arc distance t, so
+#     h(theta) - max_p <e_theta, p - C> <= kappa_max delta^2 / 8 + 1e-15,
+# kappa_max the slice's largest curvature.  The samples are 1/8192 apart in
+# q; the corner arc table stretches an interval by up to 1.7e-5 relative in
+# true arc length (measured on 3-, 4- and 8-gons), so delta = 1.0001 / 8192.
+SUPPORT_ROUNDOFF = 1e-15
+SUPPORT_DELTA = 1.0001 / 8192
+
+
+def _slice_kappa_max(fam, s):
+    """Largest curvature of the normalized slice, from the profiles on dense grids."""
+    kappa = 0.0
+    for prof in fam.profiles:
+        xi = np.linspace(-prof.width, prof.width, 20001)
+        kappa = max(kappa, float((prof.ddf(xi) / (1.0 + prof.df(xi) ** 2) ** 1.5).max()))
+    return kappa * fam.length_at(s) / s
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    polygon=_rotated_polygons(max_corners=8),
+    width=st.floats(0.25, 1.0),
+    s=st.floats(1.0 / 64.0, 1.0),
+)
+def test_exact_support_function_brackets_the_sampled_one(polygon, width, s):
+    # width is a fraction of the default min(0.01, shortest edge / 4)
+    fam = sm.family_from_polygon(polygon, width=width * min(0.01, float(polygon.edge_lengths.min()) / 4.0))
+    theta = 2.0 * np.pi * np.arange(2048) / 2048
+    h = sm._support_function(fam, s, theta)
+    _, top = sampled_support(fam.curve(s), fam.center)
+    assert np.all(h >= top - SUPPORT_ROUNDOFF)
+    assert np.all(h - top <= _slice_kappa_max(fam, s) * SUPPORT_DELTA**2 / 8.0 + SUPPORT_ROUNDOFF)
