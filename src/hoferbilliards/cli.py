@@ -573,15 +573,19 @@ def _simpson_count(text):
 _simpson_count.__name__ = "int"
 
 
-def _tolerance(text):
-    """argparse type of a --tol slack: a finite number >= 0, else a usage error."""
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
+def _finite_float(low=None, strict=False):
+    """argparse type of a float flag: a finite number, and >= low (> low if
+    strict) when low is given; anything else is a usage error naming the flag."""
+    bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
 
+    def parse(text):
+        value = float(text)
+        if not np.isfinite(value) or (low is not None and (value < low or (strict and value == low))):
+            raise argparse.ArgumentTypeError(f"must be a finite number{bound}, got {text}")
+        return value
 
-_tolerance.__name__ = "float"
+    parse.__name__ = "float"  # argparse names the type in its "invalid float value" message
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -619,13 +623,13 @@ def build_parser():
     g = sub.add_parser("map").add_subparsers(dest="cmd", required=True)
     sp = g.add_parser("eval")
     common(sp, table=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--q", type=_finite_float(), required=True)
+    sp.add_argument("--p", type=_finite_float(), required=True)
     sp.set_defaults(fn="cmd_map_eval")
     sp = g.add_parser("iterate")
     common(sp, table=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--q", type=_finite_float(), required=True)
+    sp.add_argument("--p", type=_finite_float(), required=True)
     sp.add_argument("--steps", type=int, default=100)
     sp.set_defaults(fn="cmd_map_iterate")
     sp = g.add_parser("portrait")
@@ -647,13 +651,13 @@ def build_parser():
     sp.set_defaults(fn="cmd_hofer_length")
     sp = g.add_parser("compare")
     common(sp, path=True)
-    sp.add_argument("--tol", type=_tolerance, default=1e-2,
+    sp.add_argument("--tol", type=_finite_float(0.0), default=1e-2,
                     help="slack of the check l_H <= 4 l_B (1 + tol)")
     sp.set_defaults(fn="cmd_hofer_compare")
     sp = g.add_parser("hjresidual")
     common(sp, path=True)
     seed(sp)
-    sp.add_argument("--s", type=float, default=0.5)
+    sp.add_argument("--s", type=_finite_float(), default=0.5)
     sp.add_argument("--points", type=_int_at_least(1), default=100)
     sp.set_defaults(fn="cmd_hofer_hjresidual")
 
@@ -661,23 +665,23 @@ def build_parser():
     sp = g.add_parser("family")
     common(sp)
     sp.add_argument("--polygon", required=True)
-    sp.add_argument("--width", type=float, default=None)
+    sp.add_argument("--width", type=_finite_float(), default=None)
     sp.set_defaults(fn="cmd_polygon_family")
     sp = g.add_parser("cauchy")
     common(sp)
     sp.add_argument("--polygon", required=True)
-    sp.add_argument("--width", type=float, default=None)
-    sp.add_argument("--s0", type=float, default=1.0, help="top scale of the tail, in (0, 1]")
+    sp.add_argument("--width", type=_finite_float(), default=None)
+    sp.add_argument("--s0", type=_finite_float(), default=1.0, help="top scale of the tail, in (0, 1]")
     # two levels at least: the increment and closure checks each compare two values
     sp.add_argument("--levels", type=_int_at_least(2), default=8)
-    sp.add_argument("--tol", type=_tolerance, default=1e-3,
+    sp.add_argument("--tol", type=_finite_float(0.0), default=1e-3,
                     help="relative bound on the last corrected tail increment")
     sp.set_defaults(fn="cmd_polygon_cauchy")
     sp = g.add_parser("independence")
     common(sp)
     sp.add_argument("--polygon", required=True)
-    sp.add_argument("--width", type=float, default=0.01)
-    sp.add_argument("--width2", type=float, default=0.005)
+    sp.add_argument("--width", type=_finite_float(), default=0.01)
+    sp.add_argument("--width2", type=_finite_float(), default=0.005)
     sp.set_defaults(fn="cmd_polygon_independence")
 
     g = sub.add_parser("orbits").add_subparsers(dest="cmd", required=True)
@@ -697,7 +701,7 @@ def build_parser():
     common(sp, table=True, table2=True)
     seed(sp)
     sp.add_argument("--period", type=int, required=True)
-    sp.add_argument("--radius", type=float, default=0.05)
+    sp.add_argument("--radius", type=_finite_float(0.0, strict=True), default=0.05)
     # the orbit's phase point is the first sample
     sp.add_argument("--samples", type=_int_at_least(1), default=200)
     sp.add_argument("--seeds", type=_int_at_least(0), default=16)

@@ -11,6 +11,9 @@ Degrees 0 and n-1 are paired by union-find, over vertices and over top cells
 (Kaji, Sudo, Ahara, arXiv:2005.12692); the middle degrees 1..n-2 use a GF(2)
 boundary reduction with columns stored as Python integers (bitmasks over the
 rows), with clearing and compression (Bauer, Kerber, Reininghaus, 2014).
+The bottleneck distance searches the candidate radii; a radius is feasible
+when augmenting paths cover the long bars of each side (see
+``_matching_feasible``).
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from itertools import permutations
 from math import comb, inf
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .curves import TableCurve
 from .dynamics import FunctionalGap, functional_gap, sample_functional_values
@@ -255,30 +256,61 @@ def sublevel_barcode(g: GridFunction, tie_break: str = "lex") -> Barcode:
 # ---------------------------------------------------------------------------
 
 
-def _matching_feasible(costA_B, halfA, halfB, r):
-    nA, nB = len(halfA), len(halfB)
-    size = nA + nB
-    if size == 0:
-        return True
-    rows, cols = [], []
-    for i in range(nA):
-        for j in range(nB):
-            if costA_B[i][j] <= r:
-                rows.append(i)
-                cols.append(j)
-        if halfA[i] <= r:
-            rows.append(i)
-            cols.append(nB + i)
-    for j in range(nB):
-        if halfB[j] <= r:
-            rows.append(nA + j)
-            cols.append(j)
-        for i in range(nA):
-            rows.append(nA + j)
-            cols.append(nB + i)
-    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(size, size))
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    return int((match >= 0).sum()) == size
+def _covers(adj, rows):
+    """True iff the bipartite graph ``adj`` (left vertex -> right neighbours)
+    has a matching that covers every left vertex in ``rows``.
+
+    Kuhn's augmenting paths, each searched depth first with an explicit
+    stack, so no recursion limit applies.  A vertex first looks for a free
+    neighbour, which ends the path at once.
+    """
+    owner = {}  # right vertex -> the left vertex matched to it
+    for root in rows:
+        seen = set()
+        stack, edges, via = [], [], []  # via[k] leads from stack[k] to stack[k + 1]
+        u = root
+        while True:
+            free = next((j for j in adj[u] if j not in owner), None)
+            stack.append(u)
+            if free is not None:
+                via.append(free)
+                for i, j in zip(stack, via):
+                    owner[j] = i
+                break
+            # every neighbour is matched: follow an unseen one, backtracking
+            edges.append(iter(adj[u]))
+            while stack:
+                j = next((j for j in edges[-1] if j not in seen), None)
+                if j is not None:
+                    break
+                stack.pop()
+                edges.pop()
+                if via:
+                    via.pop()
+            else:
+                return False
+            seen.add(j)
+            via.append(j)
+            u = owner[j]
+    return True
+
+
+def _matching_feasible(cost, halfA, halfB, r):
+    """True iff some matching of the bars, each bar also free to take the
+    diagonal at its half-length, has every cost <= r.
+
+    Let G_r pair A and B bars of cost <= r.  A bar of half-length > r must
+    be matched in G_r; every other bar can take the diagonal, and diagonal
+    slots pair freely with each other.  So r is feasible iff G_r has a
+    matching covering the long A bars and one covering the long B bars:
+    the Mendelsohn-Dulmage theorem merges the two into one matching that
+    covers both sets.
+    """
+    close = cost <= r
+    longA = np.flatnonzero(halfA > r).tolist()
+    longB = np.flatnonzero(halfB > r).tolist()
+    return (_covers([np.flatnonzero(row).tolist() for row in close], longA)
+            and _covers([np.flatnonzero(col).tolist() for col in close.T], longB))
 
 
 def bottleneck_distance(a: Barcode, b: Barcode, degree: int) -> float:
@@ -308,6 +340,9 @@ def bottleneck_distance(a: Barcode, b: Barcode, degree: int) -> float:
         | set(halfB)
         | {c for row in cost for c in row}
     )
+    cost = np.array(cost, dtype=float).reshape(len(A), len(B))
+    halfA = np.array(halfA, dtype=float)
+    halfB = np.array(halfB, dtype=float)
     lo, hi = 0, len(candidates) - 1
     # smallest feasible candidate >= base
     while lo < hi:

@@ -45,7 +45,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._solve import newton_bisect
 from .curves import (
@@ -86,11 +85,55 @@ class _Mollifier:
         phi /= mass
         psi = _cumulative(x, x * vals)
         self.x = x
-        self.density = PchipInterpolator(x, vals)
-        self.phi = PchipInterpolator(x, phi)
-        self.psi = PchipInterpolator(x, psi)
+        self.density = _Pchip(x, vals)
+        self.phi = _Pchip(x, phi)
+        self.psi = _Pchip(x, psi)
         # first absolute moment; Psi(1) = 0 by symmetry
         self.abs_moment = float(-2.0 * self.psi(0.0))
+
+
+class _Pchip:
+    """Monotone piecewise cubic Hermite interpolant of y on the nodes x (n >= 3).
+
+    Fritsch-Carlson slopes (the weighted harmonic mean of the neighbouring
+    secants, 0 where they change sign or one is 0) and Moler's one-sided
+    end slopes, with the construction and the evaluation order of
+    ``scipy.interpolate.PchipInterpolator``, so every value is bitwise the
+    same.  Points outside [x[0], x[-1]] extrapolate the end cubics.
+    """
+
+    def __init__(self, x, y):
+        h = x[1:] - x[:-1]
+        m = (y[1:] - y[:-1]) / h
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        d = np.zeros_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        self.coef = (y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        i = np.clip(np.searchsorted(self.x, u, "right") - 1, 0, len(self.x) - 2)
+        s = u - self.x[i]
+        c0, c1, c2, c3 = (c[i] for c in self.coef)
+        s2 = s * s
+        return ((c0 + c1 * s) + c2 * s2) + c3 * (s2 * s)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point end slope, kept monotone."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def _cumulative(x, y):
@@ -738,7 +781,7 @@ def restricted_path(fam: SmoothingFamily, s_lo: float, s_hi: float) -> TablePath
 
 # the lift reads a slice's support function at _LIFT_ANGLES normal angles
 # and anchors its mark on a grid of _ANCHOR_NODES normal angles
-_LIFT_ANGLES = 2048
+_LIFT_ANGLES = 4096
 _ANCHOR_NODES = 4096
 
 
@@ -836,7 +879,7 @@ def _jackson_spec(h, eps: float) -> FourierSupportSpec:
 def positive_curvature_lift(fam: SmoothingFamily, s: float, eps: float) -> TableCurve:
     """Round a normalized slice into the strictly convex class.
 
-    The slice's exact support function (``_support_function``, at 2048
+    The slice's exact support function (``_support_function``, at 4096
     normal angles) is smoothed by a nonnegative Jackson kernel (keeping the
     curvature measure nonnegative), and a disc of radius eps/2 is added
     before renormalizing to length 1, giving a radius-of-curvature floor of

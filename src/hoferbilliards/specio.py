@@ -52,7 +52,8 @@ def _finite(text, convert=float):
 def load_json(source):
     """The JSON value in file ``source``, a path; any other object is returned as it is.
 
-    Raises SpecError on a missing file, invalid JSON and non-finite numbers.
+    Raises SpecError on a missing file, invalid JSON, non-finite numbers and
+    nesting deeper than the parser's recursion limit.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -62,6 +63,8 @@ def load_json(source):
             raise SpecError(f"spec file not found: {source}") from exc
         except ValueError as exc:  # a JSONDecodeError, or a number that is not a finite double
             raise SpecError(f"invalid JSON in {source}: {exc}") from exc
+        except RecursionError as exc:
+            raise SpecError(f"invalid JSON in {source}: nested too deeply") from exc
     return source
 
 

@@ -1,11 +1,16 @@
+from math import inf
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from hoferbilliards import FourierSupportSpec, build_fourier_table, disc_table
 from hoferbilliards.billiard import trajectory_arrays
 from hoferbilliards.curves import TableCurve, circ_dist
 from hoferbilliards.dynamics import _gradient, _hessian, _orbit_frame
 from hoferbilliards.errors import DiagonalPoint, NearGrazing
+from hoferbilliards.persistence import Barcode
 
 
 @pytest.fixture(scope="session")
@@ -196,3 +201,76 @@ def sampled_support(curve: TableCurve, center):
         h[start : start + block] = y1 + corr
         top[start : start + block] = y1
     return h, top
+
+
+# The bottleneck distance by a maximum bipartite matching on the complete
+# (nA + nB) x (nA + nB) graph of bars and diagonal slots, found by scipy:
+# the package's own matching (two augmenting-path cover tests) is checked
+# against it, radius for radius.
+
+
+def _matching_feasible(costA_B, halfA, halfB, r):
+    nA, nB = len(halfA), len(halfB)
+    size = nA + nB
+    if size == 0:
+        return True
+    rows, cols = [], []
+    for i in range(nA):
+        for j in range(nB):
+            if costA_B[i][j] <= r:
+                rows.append(i)
+                cols.append(j)
+        if halfA[i] <= r:
+            rows.append(i)
+            cols.append(nB + i)
+    for j in range(nB):
+        if halfB[j] <= r:
+            rows.append(nA + j)
+            cols.append(j)
+        for i in range(nA):
+            rows.append(nA + j)
+            cols.append(nB + i)
+    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(size, size))
+    match = maximum_bipartite_matching(graph, perm_type="column")
+    return int((match >= 0).sum()) == size
+
+
+def bottleneck_by_scipy_matching(a: Barcode, b: Barcode, degree: int) -> float:
+    """Optimal-matching bottleneck distance in one homological degree.
+
+    Finite bars may match the diagonal at half their length; infinite bars
+    must match infinite bars (sorted by birth), else the distance is +inf.
+    The optimum is found by binary search over the exact candidate radii.
+    """
+    infA = sorted(a.infinite_births(degree))
+    infB = sorted(b.infinite_births(degree))
+    if len(infA) != len(infB):
+        return inf
+    base = max((abs(x - y) for x, y in zip(infA, infB)), default=0.0)
+
+    A = a.finite(degree)
+    B = b.finite(degree)
+    halfA = [(e - bb) / 2 for (bb, e) in A]
+    halfB = [(e - bb) / 2 for (bb, e) in B]
+    cost = [
+        [max(abs(b1 - b2), abs(e1 - e2)) for (b2, e2) in B]
+        for (b1, e1) in A
+    ]
+    candidates = sorted(
+        {0.0, base}
+        | set(halfA)
+        | set(halfB)
+        | {c for row in cost for c in row}
+    )
+    lo, hi = 0, len(candidates) - 1
+    # smallest feasible candidate >= base
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if candidates[mid] >= base and _matching_feasible(cost, halfA, halfB, candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    r = candidates[lo]
+    if r < base or not _matching_feasible(cost, halfA, halfB, r):
+        return inf
+    return float(r)

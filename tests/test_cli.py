@@ -520,7 +520,9 @@ def test_polygon_cauchy_scale_outside_the_unit_interval_is_an_input_error(tmp_pa
     poly = _write(tmp_path, "poly.json", _SQUARE)
     assert main(["polygon", "cauchy", "--polygon", poly, "--s0", value, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
-    assert "scale must lie in (0, 1]" in json.loads(captured.out.strip().splitlines()[-1])["error"]
+    # NaN fails at parsing, as every non-finite float flag does; the range is the family's check
+    expected = "argument --s0: must be a finite number, got nan" if value == "nan" else "scale must lie in (0, 1]"
+    assert expected in json.loads(captured.out.strip().splitlines()[-1])["error"]
     assert "input error" in captured.err and not (tmp_path / "out" / "cauchy.csv").exists()
 
 
@@ -636,12 +638,13 @@ def test_non_finite_json_numbers_are_input_errors(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("command", [["map", "eval"], ["map", "iterate", "--steps", "3"]], ids=["eval", "iterate"])
 def test_non_finite_position_is_an_input_error(tmp_path, capsys, command):
-    # map eval used to blame the momentum, map iterate to exit 2 with "grazing"
+    # map eval used to blame the momentum, map iterate to exit 2 with "grazing";
+    # the parser now rejects it, and AnnulusPoint's own check is tested below
     table = _write(tmp_path, "disc.json", {"type": "disc"})
     out = tmp_path / "out"
     assert main(command + ["--table", table, "--q", "nan", "--p", "0.1", "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert "position must be finite, got nan" in json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert "argument --q: must be a finite number, got nan" in json.loads(captured.out.strip().splitlines()[-1])["error"]
     assert "Traceback" not in captured.err and not out.exists()
 
 
@@ -684,3 +687,107 @@ def test_tol_zero_is_accepted():
     parser = build_parser()
     assert parser.parse_args(["hofer", "compare", "--path", "p.json", "--tol", "0"]).tol == 0.0
     assert parser.parse_args(["polygon", "cauchy", "--polygon", "p.json", "--tol", "0"]).tol == 0.0
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # json's decoder raised RecursionError out of main, a traceback
+    spec = tmp_path / "deep.json"
+    spec.write_text("[" * 100000 + "]" * 100000)
+    out = tmp_path / "out"
+    assert main(["table", "inspect", "--table", str(spec), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert f"invalid JSON in {spec}: nested too deeply" in error
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+# every float flag, with the required arguments of its command (never read:
+# the flag fails at parsing)
+_FLOAT_FLAGS = {
+    "map-eval-q": (["map", "eval", "--table", "t.json", "--p", "0"], "--q"),
+    "map-eval-p": (["map", "eval", "--table", "t.json", "--q", "0"], "--p"),
+    "map-iterate-q": (["map", "iterate", "--table", "t.json", "--p", "0"], "--q"),
+    "map-iterate-p": (["map", "iterate", "--table", "t.json", "--q", "0"], "--p"),
+    "hofer-hjresidual-s": (["hofer", "hjresidual", "--path", "p.json"], "--s"),
+    "polygon-family-width": (["polygon", "family", "--polygon", "g.json"], "--width"),
+    "polygon-cauchy-width": (["polygon", "cauchy", "--polygon", "g.json"], "--width"),
+    "polygon-cauchy-s0": (["polygon", "cauchy", "--polygon", "g.json"], "--s0"),
+    "polygon-independence-width": (["polygon", "independence", "--polygon", "g.json"], "--width"),
+    "polygon-independence-width2": (["polygon", "independence", "--polygon", "g.json"], "--width2"),
+    "orbits-experiment-radius": (
+        ["orbits", "experiment", "--table", "t.json", "--table2", "t.json", "--period", "2"], "--radius"),
+}
+
+
+def _float_flags():
+    """(command, flag) of every parser action whose type is a float."""
+    from hoferbilliards.cli import build_parser
+
+    found = []
+
+    def walk(parser, prefix):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, prefix + [name])
+            elif getattr(action.type, "__name__", None) == "float":
+                found.append((" ".join(prefix), action.option_strings[0]))
+                assert action.type is not float, f"{' '.join(prefix)} {action.option_strings[0]} takes NaN"
+
+    walk(build_parser(), [])
+    return found
+
+
+def test_float_flag_table_covers_every_float_flag():
+    # --tol has its own test below; a new float flag needs a row here
+    table = sorted((" ".join(argv[:2]), flag) for argv, flag in _FLOAT_FLAGS.values())
+    assert table == sorted(f for f in _float_flags() if f[1] != "--tol")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", list(_FLOAT_FLAGS))
+def test_non_finite_float_flag_is_a_usage_error(tmp_path, capsys, case, value):
+    # polygon family --width nan exited 0 with "sum delta = nan", and
+    # orbits experiment --radius nan exited 2 as a grazing certificate failure
+    argv, flag = _FLOAT_FLAGS[case]
+    out = tmp_path / "out"
+    # "--flag=-inf": argparse reads a separate "-inf" as an option
+    assert main(argv + [f"{flag}={value}", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert f"argument {flag}: must be a finite number" in error and f"got {value}" in error
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+def test_polygon_family_nan_width_is_a_usage_error(tmp_path, capsys):
+    polygon = _write(tmp_path, "square.json", _SQUARE)
+    out = tmp_path / "out"
+    assert main(["polygon", "family", "--polygon", polygon, "--width", "nan", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "argument --width: must be a finite number, got nan" in json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert "sum delta" not in captured.err and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_orbits_experiment_radius_not_positive_is_a_usage_error(tmp_path, capsys, value):
+    # --radius nan exited 2 ("grazing"), --radius -1 exited 0
+    disc = _write(tmp_path, "disc.json", {"type": "disc"})
+    ellipse = _write(tmp_path, "ellipse.json", {"type": "fourier_support", "c0": 1.0, "cos": [0.0, 0.03]})
+    out = tmp_path / "out"
+    argv = ["orbits", "experiment", "--table", disc, "--table2", ellipse, "--period", "2",
+            "--samples", "4", "--seeds", "0", f"--radius={value}", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert f"argument --radius: must be a finite number > 0, got {value}" in error
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+def test_float_flags_take_finite_values():
+    from hoferbilliards.cli import build_parser
+
+    parser = build_parser()
+    args = parser.parse_args(["orbits", "experiment", "--table", "t.json", "--table2", "t.json", "--period", "2",
+                              "--radius", "1e-3"])
+    assert args.radius == 1e-3
+    assert parser.parse_args(["map", "eval", "--table", "t.json", "--q", "-0.25", "--p", "-0.5"]).p == -0.5

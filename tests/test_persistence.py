@@ -10,6 +10,8 @@ from hoferbilliards import FourierSupportSpec, build_fourier_table, rigid_motion
 from hoferbilliards import persistence as pe
 from hoferbilliards.errors import ResolutionTooLarge
 
+from conftest import bottleneck_by_scipy_matching
+
 
 def test_sampled_functional_closed_form(disc):
     g = pe.sample_orbit_functional(disc, 2, 64)
@@ -118,6 +120,50 @@ def test_bottleneck_brute_force_agreement():
         assert pe.bottleneck_distance(A, B, 1) == pytest.approx(
             pe.bottleneck_brute_force(A, B, 1), abs=1e-12
         )
+
+
+# bar ends on a coarse grid, so that costs and half-lengths tie often, next
+# to free floats; a few infinite bars on both sides
+_GRID_ENDS = st.integers(0, 12).map(lambda k: k / 8)
+_ENDS = st.one_of(_GRID_ENDS, st.floats(0.0, 1.5, allow_nan=False))
+
+
+@st.composite
+def _bars(draw, max_finite):
+    finite = []
+    for _ in range(draw(st.integers(0, max_finite))):
+        birth = draw(_ENDS)
+        death = birth + draw(st.one_of(_GRID_ENDS.filter(lambda x: x > 0), st.floats(1e-6, 1.0)))
+        finite.append((birth, death))
+    infinite = [(draw(_ENDS), inf) for _ in range(draw(st.integers(0, 2)))]
+    return finite + infinite
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_bars(40), _bars(40))
+def test_bottleneck_matches_scipy_matching(bars_a, bars_b):
+    # the two cover tests against one maximum matching of bars and diagonal
+    # slots, on the same candidate radii: the same radius, bit for bit
+    a, b = pe.Barcode(1, {0: bars_a}), pe.Barcode(1, {0: bars_b})
+    assert pe.bottleneck_distance(a, b, 0) == bottleneck_by_scipy_matching(a, b, 0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_bars(4), _bars(3))
+def test_bottleneck_matches_brute_force(bars_a, bars_b):
+    a, b = pe.Barcode(1, {0: bars_a}), pe.Barcode(1, {0: bars_b})
+    assert pe.bottleneck_distance(a, b, 0) == pe.bottleneck_brute_force(a, b, 0)
+
+
+def test_bottleneck_of_deep_augmenting_paths():
+    # a chain B_0 - A_0 - B_1 - A_1 - ... - B_{n-1} - A_{n-1} of cost-1 pairs,
+    # the B bars listed from the far end, so that every A_i first takes
+    # B_{i+1}: the last long bar then needs an augmenting path through the
+    # whole chain, deeper than Python's recursion limit
+    n = 1500
+    a = pe.Barcode(1, {0: [(2.0 * i, 2.0 * i + 10.0) for i in range(n)]})
+    b = pe.Barcode(1, {0: [(2.0 * j - 1.0, 2.0 * j + 9.0) for j in reversed(range(n))]})
+    assert pe.bottleneck_distance(a, b, 0) == 1.0
 
 
 def test_discrete_stability_inequality():

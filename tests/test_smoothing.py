@@ -294,11 +294,12 @@ def test_independence_slope_builds_no_interpolant(monkeypatch):
     sm.standard_mollifier()
     built = []
 
-    def counted(*args, **kwargs):
-        built.append(np.size(args[0]))
-        return PchipInterpolator(*args, **kwargs)
+    class Counted(sm._Pchip):
+        def __init__(self, x, y):
+            built.append(np.size(x))
+            super().__init__(x, y)
 
-    monkeypatch.setattr(sm, "PchipInterpolator", counted)
+    monkeypatch.setattr(sm, "_Pchip", Counted)
     # the counter sees the mollifier's three tables
     sm._Mollifier(65)
     assert built == [65] * 3
@@ -307,6 +308,54 @@ def test_independence_slope_builds_no_interpolant(monkeypatch):
     sm.independence_slope(famA, famB, t_nodes=5, q_nodes=256)
     # an inverse table per corner of both families and the 12 blends was 56
     assert built == [65] * 3
+
+
+def _assert_pchip_is_scipys(x, y, u):
+    ours, ref = sm._Pchip(x, y), PchipInterpolator(x, y)
+    # scipy stores the coefficients highest power first
+    for k in range(4):
+        assert np.array_equal(ours.coef[k], ref.c[3 - k])
+    assert np.array_equal(ours(u), ref(u))
+
+
+def test_mollifier_tables_are_scipys_pchip():
+    m = sm.standard_mollifier()
+    rng = np.random.default_rng(0)
+    u = np.concatenate([rng.uniform(-1.25, 1.25, 300000), m.x, [-1.0, 0.0, 1.0]])
+    for name in ("density", "phi", "psi"):
+        table = getattr(m, name)
+        # the table's ordinates are its constant coefficients, and its last node
+        y = np.append(table.coef[0], table(m.x[-1]))
+        _assert_pchip_is_scipys(m.x, y, u)
+        assert np.array_equal(table(0.3), PchipInterpolator(m.x, y)(0.3))
+
+
+# ordinates from a few levels, so that flat runs, sign changes and both
+# clamps of the end slopes (to 0, and to 3 m0 where the secants change sign)
+# all occur, next to free floats.  The floats keep away from 0, where a
+# subnormal secant overflows the harmonic mean (in scipy's build too)
+_PCHIP_Y = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                     st.floats(-3.0, 3.0).filter(lambda v: abs(v) >= 1e-3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(st.floats(0.05, 2.0), min_size=2, max_size=12), st.data())
+def test_pchip_matches_scipy(steps, data):
+    x = np.cumsum([0.0] + steps)
+    y = np.array(data.draw(st.lists(_PCHIP_Y, min_size=x.size, max_size=x.size)))
+    u = np.concatenate([np.linspace(x[0] - 0.5, x[-1] + 0.5, 997), x])
+    _assert_pchip_is_scipys(x, y, u)
+
+
+def test_pchip_end_slope_branches():
+    # the one-sided end slope: kept, set to 0 (sign differs from the first
+    # secant) and clamped to 3 m0 (the secants change sign and |d| > 3 |m0|)
+    x = np.array([0.0, 1.0, 4.0, 5.0])
+    assert sm._pchip_end_slope(1.0, 3.0, 1.0, 0.5) == pytest.approx(1.125)
+    assert sm._pchip_end_slope(1.0, 1.0, 1.0, 4.0) == 0.0
+    assert sm._pchip_end_slope(1.0, 0.1, 1.0, -50.0) == 3.0
+    for y in ([0.0, 1.0, 2.5, 3.0], [0.0, 1.0, 5.0, 5.5], [0.0, 1.0, -4.0, 2.0]):
+        _assert_pchip_is_scipys(x, np.array(y), np.linspace(-1.0, 6.0, 701))
 
 
 def test_blends_read_each_parents_df_once_per_pair():
@@ -521,6 +570,18 @@ def test_lift_where_the_sampled_support_function_bent_inward(square_family, s, e
     lift = sm.positive_curvature_lift(square_family, s, eps)
     assert lift.strictly_convex
     assert lift.base.base.spec.rho(np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)).min() > 0.0
+    assert c0_distance(lift, square_family.curve(s), grid=4096) < 2 * eps
+
+
+def test_lift_samples_the_support_function_without_aliasing(square_family):
+    # at 2048 normal angles the harmonics of h above 1024 folded onto the
+    # 720 kept modes, where rho weighs them by k^2: the radius of curvature
+    # reached -1.74e-4 and the lift raised CurvatureNotPositive
+    s, eps = 0.03125, 0.0025
+    lift = sm.positive_curvature_lift(square_family, s, eps)
+    assert lift.strictly_convex
+    assert lift.base.base.spec.cos.size == 720
+    assert lift.base.base.spec.rho(np.linspace(0.0, 2.0 * np.pi, 20000, endpoint=False)).min() > 1e-3
     assert c0_distance(lift, square_family.curve(s), grid=4096) < 2 * eps
 
 
