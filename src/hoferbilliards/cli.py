@@ -580,7 +580,7 @@ def _finite_float(low=None, strict=False):
 
     def parse(text):
         value = float(text)
-        if not np.isfinite(value) or (low is not None and (value < low or (strict and value == low))):
+        if not np.isfinite(value) or (low is not None and (value <= low if strict else value < low)):
             raise argparse.ArgumentTypeError(f"must be a finite number{bound}, got {text}")
         return value
 

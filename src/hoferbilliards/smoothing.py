@@ -119,7 +119,8 @@ class _Pchip:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        i = np.clip(np.searchsorted(self.x, u, "right") - 1, 0, len(self.x) - 2)
+        # the interval with x[i] <= u < x[i + 1], the end ones extended outward
+        i = np.searchsorted(self.x[1:-1], u, "right")
         s = u - self.x[i]
         c0, c1, c2, c3 = (c[i] for c in self.coef)
         s2 = s * s
