@@ -719,29 +719,16 @@ _FLOAT_FLAGS = {
 }
 
 
-def _float_flags():
-    """(command, flag) of every parser action whose type is a float."""
+def test_float_flag_table_covers_every_float_flag():
     from hoferbilliards.cli import build_parser
 
-    found = []
-
-    def walk(parser, prefix):
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for name, sub in action.choices.items():
-                    walk(sub, prefix + [name])
-            elif getattr(action.type, "__name__", None) == "float":
-                found.append((" ".join(prefix), action.option_strings[0]))
-                assert action.type is not float, f"{' '.join(prefix)} {action.option_strings[0]} takes NaN"
-
-    walk(build_parser(), [])
-    return found
-
-
-def test_float_flag_table_covers_every_float_flag():
+    # argparse names a flag's type by __name__; the finite type keeps "float"
+    floats = [(command, a) for command, sp in _leaf_parsers(build_parser()).items() for a in sp._actions
+              if getattr(a.type, "__name__", None) == "float"]
+    assert all(a.type is not float for _, a in floats)
     # --tol has its own test below; a new float flag needs a row here
     table = sorted((" ".join(argv[:2]), flag) for argv, flag in _FLOAT_FLAGS.values())
-    assert table == sorted(f for f in _float_flags() if f[1] != "--tol")
+    assert table == sorted((c, a.option_strings[0]) for c, a in floats if a.option_strings[0] != "--tol")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
