@@ -75,7 +75,8 @@ def newton_bisect(fun, lo, hi, seed, increasing, maxiter=100):
         up = (r > 0) == increasing  # the iterate lies above the root
         ha = np.where(up, xa, ha)
         la = np.where(up, la, xa)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # dr may be 0 or subnormal (a profile's f'' near its corner's ends)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xn = xa - r / dr
         # a step that leaves the open bracket (or is not finite) bisects
         bad = stalled | ~((xn > la) & (xn < ha))

@@ -58,11 +58,12 @@ def _write_json(path: Path, obj):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, rows) -> Path:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +217,30 @@ def cmd_polygon_family(args):
     return OK
 
 
+def _write_cauchy(outdir: Path, tail) -> Path:
+    return _write_csv(outdir / "cauchy.csv", ["s", "family_speed", "tail_partial", "tail_corrected"],
+                      list(zip(tail.nodes, tail.speeds, tail.partial_sums, tail.corrected)))
+
+
+def _write_independence(outdir: Path, gaps) -> Path:
+    return _write_csv(outdir / "independence.csv", ["s", "gap"], list(zip(sm.INDEPENDENCE_SCALES, gaps)))
+
+
+def _tail_checks(tail, tol: float) -> dict:
+    """The Cauchy tail's checks; it converges when both pass."""
+    return {"increments_decreasing": tail.increments_decreasing(), "final_increment_small": tail.closes(tol)}
+
+
 def cmd_polygon_cauchy(args):
     poly = load_polygon(args.polygon)
     fam = sm.family_from_polygon(poly, width=args.width)
     tail = sm.cauchy_tail(fam, args.s0, levels=args.levels)
-    out = _outdir(args) / "cauchy.csv"
-    _write_csv(
-        out,
-        ["s", "family_speed", "tail_partial", "tail_corrected"],
-        list(zip(tail.nodes, tail.speeds, tail.partial_sums, tail.corrected)),
-    )
-    increments_ok = tail.increments_decreasing()
-    final_ok = tail.closes(args.tol)
-    _emit({"value": tail.value, "increments_decreasing": increments_ok,
-           "final_increment_small": final_ok, "file": str(out)})
-    _note(f"cauchy tail {tail.value:.6g} (converged: {increments_ok and final_ok})")
-    return OK if increments_ok and final_ok else CERT_FAIL
+    out = _write_cauchy(_outdir(args), tail)
+    checks = _tail_checks(tail, args.tol)
+    converged = all(checks.values())
+    _emit({"value": tail.value, **checks, "file": str(out)})
+    _note(f"cauchy tail {tail.value:.6g} (converged: {converged})")
+    return OK if converged else CERT_FAIL
 
 
 def cmd_polygon_independence(args):
@@ -239,8 +248,7 @@ def cmd_polygon_independence(args):
     fam_a = sm.family_from_polygon(poly, width=args.width)
     fam_b = sm.family_from_polygon(poly, width=args.width2)
     slope, gaps = sm.independence_slope(fam_a, fam_b)
-    out = _outdir(args) / "independence.csv"
-    _write_csv(out, ["s", "gap"], list(zip(sm.INDEPENDENCE_SCALES, gaps)))
+    out = _write_independence(_outdir(args), gaps)
     passed = sm.slope_is_linear(slope)
     _emit({"slope": slope, "pass": passed, "file": str(out)})
     _note(f"profile-independence log-log slope {slope:.4f} (pass: {passed})")
@@ -481,17 +489,11 @@ def cmd_verify_all(args):
         abs(fam.length_at(s) - (fam.base_length - s * fam.total_delta)) for s in (1.0, 0.5, 0.25)
     )
     tail = sm.cauchy_tail(fam, 1.0, q_nodes=2048)
-    _write_csv(outdir / "cauchy.csv", ["s", "family_speed", "tail_partial", "tail_corrected"],
-               list(zip(tail.nodes, tail.speeds, tail.partial_sums, tail.corrected)))
+    _write_cauchy(outdir, tail)
     fam_b = sm.family_from_polygon(unit_square(), width=0.005)
     slope, gaps = sm.independence_slope(fam, fam_b, q_nodes=2048)
-    _write_csv(outdir / "independence.csv", ["s", "gap"], list(zip(sm.INDEPENDENCE_SCALES, gaps)))
-    smoothing_ok = (
-        affine_resid < 1e-9
-        and tail.increments_decreasing()
-        and tail.closes(1e-3)
-        and sm.slope_is_linear(slope)
-    )
+    _write_independence(outdir, gaps)
+    smoothing_ok = affine_resid < 1e-9 and all(_tail_checks(tail, 1e-3).values()) and sm.slope_is_linear(slope)
     record("polygon_smoothing", smoothing_ok,
            {"affine_residual": affine_resid, "tail": tail.value, "slope": slope})
 

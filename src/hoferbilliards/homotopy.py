@@ -114,11 +114,13 @@ class TablePath:
 def translation_path(table: TableCurve, v) -> TablePath:
     """gamma_s = gamma + s*v; the velocity field is constantly v.
 
-    Raises ValueError unless v is a finite plane vector.
+    Raises ValueError unless v is a finite plane vector with |v| <= 1e4,
+    whose rounding (|v| eps, about 2e-12) the bounce solve's 1e-10 residual
+    absorbs.  At |v| = 1e7 that solve fails, and at 1e308 l_H reads NaN.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (2,) or not np.isfinite(v).all():
-        raise ValueError(f"translation offset must be a finite plane vector, got {v.tolist()!r}")
+    if v.shape != (2,) or not np.isfinite(v).all() or np.hypot(*v) > 1e4:
+        raise ValueError(f"translation offset must be a finite plane vector with |v| <= 1e4, got {v.tolist()!r}")
 
     def build(s):
         from .curves import rigid_motion

@@ -9,6 +9,10 @@ speed L(s) = length(gamma_s); the normalized family is the homothety
 lambda(s) gamma_s with lambda = 1/L about the polygon centroid, which is
 then arc-length parametrized by construction.
 
+A corner profile is the corner graph convolved with the standard mollifier
+rho.  It evaluates through rho and the cubic Hermite tables of Phi = int
+rho and Psi = int t rho, whose node slopes are the exact rho and t rho.
+
 L(s) is affine: L(s) = L_K - s * sum(delta_i), with delta_i the per-corner
 length defect of the profile graph against the corner graph.  The
 s-derivative of the normalized slice at fixed q is closed form piece by
@@ -41,6 +45,7 @@ alive until the cyclic garbage collector runs.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 
@@ -67,55 +72,51 @@ from .homotopy import TablePath, simpson_nodes
 _MOLLIFIER_GRID = 16385
 
 
+def _bump(x):
+    """The unnormalized standard bump exp(-1/(1 - x^2)) on (-1, 1), 0 outside."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) < 1.0, np.exp(-1.0 / np.maximum(1.0 - x * x, 1e-300)), 0.0)
+
+
 class _Mollifier:
     """Standard bump exp(-1/(1-x^2)) on (-1,1), normalized to unit mass.
 
-    Tabulates Phi(u) = int_-1^u rho and Psi(u) = int_-1^u t rho(t) dt with a
-    fourth-order cumulative rule; both enter the closed form of the
-    convolution (a|.|) * rho_w.
+    The density rho is the closed-form bump over its mass.  Phi(u) =
+    int_-1^u rho and Psi(u) = int_-1^u t rho(t) dt, which enter the closed
+    form of the convolution (a|.|) * rho_w, are cubic Hermite tables: their
+    node values come from a fourth-order cumulative rule, and their node
+    slopes are the exact derivatives Phi' = rho and Psi' = u rho.
     """
 
     def __init__(self, n=_MOLLIFIER_GRID):
         x = np.linspace(-1.0, 1.0, n)
-        with np.errstate(divide="ignore", over="ignore"):
-            vals = np.where(np.abs(x) < 1.0, np.exp(-1.0 / np.maximum(1.0 - x * x, 1e-300)), 0.0)
+        vals = _bump(x)
         phi = _cumulative(x, vals)
-        mass = phi[-1]
-        vals /= mass
-        phi /= mass
+        self.mass = phi[-1]
+        vals /= self.mass
+        phi /= self.mass
         psi = _cumulative(x, x * vals)
-        self.x = x
-        self.density = _Pchip(x, vals)
-        self.phi = _Pchip(x, phi)
-        self.psi = _Pchip(x, psi)
+        self.phi = _Hermite(x, phi, vals)
+        self.psi = _Hermite(x, psi, x * vals)
         # first absolute moment; Psi(1) = 0 by symmetry
         self.abs_moment = float(-2.0 * self.psi(0.0))
 
+    def density(self, u):
+        return _bump(u) / self.mass
 
-class _Pchip:
-    """Monotone piecewise cubic Hermite interpolant of y on the nodes x (n >= 3).
 
-    Fritsch-Carlson slopes (the weighted harmonic mean of the neighbouring
-    secants, 0 where they change sign or one is 0) and Moler's one-sided
-    end slopes, with the construction and the evaluation order of
-    ``scipy.interpolate.PchipInterpolator``, so every value is bitwise the
-    same.  Points outside [x[0], x[-1]] extrapolate the end cubics.
+class _Hermite:
+    """Piecewise cubic Hermite interpolant of y with the slopes dy on the nodes x.
+
+    Points outside [x[0], x[-1]] extrapolate the end cubics.
     """
 
-    def __init__(self, x, y):
+    def __init__(self, x, y, dy):
         h = x[1:] - x[:-1]
         m = (y[1:] - y[:-1]) / h
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        d = np.zeros_like(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        t = (d[:-1] + d[1:] - 2 * m) / h
+        t = (dy[:-1] + dy[1:] - 2 * m) / h
         self.x = x
-        self.coef = (y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+        self.coef = (y[:-1], dy[:-1], (m - dy[:-1]) / h - t, t / h)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -127,16 +128,6 @@ class _Pchip:
         return ((c0 + c1 * s) + c2 * s2) + c3 * (s2 * s)
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """Moler's one-sided three-point end slope, kept monotone."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
 def _cumulative(x, y):
     """Fourth-order cumulative integral on a uniform grid."""
     h = x[1] - x[0]
@@ -145,14 +136,9 @@ def _cumulative(x, y):
     return np.concatenate([[0.0], np.cumsum(inc)])
 
 
-_mollifier: _Mollifier | None = None
-
-
+@functools.cache
 def standard_mollifier() -> _Mollifier:
-    global _mollifier
-    if _mollifier is None:
-        _mollifier = _Mollifier()
-    return _mollifier
+    return _Mollifier()
 
 
 # ---------------------------------------------------------------------------

@@ -636,6 +636,20 @@ def test_non_finite_json_numbers_are_input_errors(tmp_path, capsys, case):
     assert "input error" in captured.err and "Traceback" not in captured.err and not out.exists()
 
 
+@pytest.mark.parametrize("v", ["1e308", "1e7"])
+def test_translation_offset_above_1e4_is_an_input_error(tmp_path, capsys, v):
+    # 1e308 exited 2 and printed "l_H": NaN, which is not JSON; 1e7 exited 2
+    # with SolverDidNotConverge
+    spec = tmp_path / "path.json"
+    spec.write_text(f'{{"type": "translation", "v": [{v}, {v}]}}')
+    out = tmp_path / "out"
+    assert main(["hofer", "compare", "--path", str(spec), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    assert "|v| <= 1e4" in json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert "Traceback" not in captured.err and not out.exists()
+
+
 @pytest.mark.parametrize("command", [["map", "eval"], ["map", "iterate", "--steps", "3"]], ids=["eval", "iterate"])
 def test_non_finite_position_is_an_input_error(tmp_path, capsys, command):
     # map eval used to blame the momentum, map iterate to exit 2 with "grazing";

@@ -27,11 +27,17 @@ def test_translation_path_basics(disc):
     q = np.linspace(0, 1, 33)
     assert np.abs(end.position(q) - (disc.position(q) + [0.1, 0.0])).max() < 1e-12
 
+    # the largest offset accepted
+    end = ho.translation_path(disc, (0.0, 1e4)).table(1.0)
+    assert np.abs(end.position(q) - (disc.position(q) + [0.0, 1e4])).max() < 1e-11
 
-@pytest.mark.parametrize("v", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.1)], ids=["nan", "inf", "-inf"])
+
+@pytest.mark.parametrize("v", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.1), (1e308, 1e308), (1e7, 1e7), (1e4, 1e4)],
+                         ids=["nan", "inf", "-inf", "1e308", "1e7", "1e4-diagonal"])
 def test_translation_path_rejects_a_non_finite_offset(disc, v):
-    # a NaN offset used to give a path whose certificate was all NaN
-    with pytest.raises(ValueError, match="finite plane vector"):
+    # a NaN offset used to give a path whose certificate was all NaN, as did
+    # 1e308; at 1e7 the bounce solve failed (residual 1.4e-9)
+    with pytest.raises(ValueError, match=r"finite plane vector with \|v\| <= 1e4"):
         ho.translation_path(disc, v)
 
 
