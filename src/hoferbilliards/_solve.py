@@ -19,9 +19,10 @@ TOL = 1e-13
 RELAX_AFTER = 30
 RELAX_TOL = 1e-10
 FAIL_TOL = 1e-9
+MAXITER = 100
 
 
-def newton_bisect(fun, lo, hi, seed, increasing, maxiter=100):
+def newton_bisect(fun, lo, hi, seed, increasing):
     """Solve fun(x, idx) == 0 componentwise for x in (lo, hi).
 
     ``fun`` maps an active-subset array x and its flat indices into the
@@ -40,7 +41,7 @@ def newton_bisect(fun, lo, hi, seed, increasing, maxiter=100):
     iterations the acceptance widens to RELAX_TOL (1e-10), since the solves
     near a grazing chord are noise-limited well above machine epsilon.
     Raises SolverDidNotConverge (an ArithmeticError) only if some component
-    is still above FAIL_TOL (1e-9) after ``maxiter`` iterations.
+    is still above FAIL_TOL (1e-9) after MAXITER (100) iterations.
 
     Each component's last ``fun`` evaluation is at the value returned for
     it, so ``fun`` may record what it computes there (``forward_chord``
@@ -57,7 +58,7 @@ def newton_bisect(fun, lo, hi, seed, increasing, maxiter=100):
     active = np.arange(x.size)
     xa = x.copy()
     prev = np.full(x.size, np.inf)
-    for it in range(maxiter):
+    for it in range(MAXITER):
         r, dr = fun(xa, active)
         ar = np.abs(r)
         tol_now = TOL if it < RELAX_AFTER else RELAX_TOL

@@ -772,8 +772,9 @@ def main(argv=None):
     try:
         return fn(args)
     except (SpecError, OSError, ValueError) as exc:
-        # InvalidWidth, MarkInCorner and ResolutionTooLarge are ValueErrors:
-        # bad widths and marks, and grids over the cell budget
+        # InvalidWidth, MarkInCorner, ResolutionTooLarge and InconsistentChords
+        # are ValueErrors: bad widths and marks, grids over the cell budget,
+        # and chord data that is malformed or admits no points
         _emit({"error": str(exc)})
         _note(f"input error: {exc}")
         return INPUT_ERROR

@@ -465,7 +465,13 @@ def almost_periodicity_experiment(
 
 @dataclass
 class ChordData:
-    """Samples of F(0, t) and F(t, 1/2) plus the anchor distance F(0, 1/2)."""
+    """Samples of F(0, t) and F(t, 1/2) plus the anchor distance F(0, 1/2).
+
+    Raises InconsistentChords (a ValueError) unless the anchor distance is
+    positive and t increases strictly inside (0, 1), skipping the anchor
+    parameter 1/2: the reconstruction pins t = 0 and 1/2 itself and reads
+    the side of the anchor line from t < 1/2.
+    """
 
     t: np.ndarray
     from_start: np.ndarray
@@ -478,6 +484,9 @@ class ChordData:
         self.from_half = np.asarray(self.from_half, dtype=float)
         if self.anchor <= 0:
             raise InconsistentChords("anchor distance F(0, 1/2) must be positive")
+        t = self.t
+        if not (np.all((t > 0.0) & (t < 1.0) & (t != 0.5)) and np.all(np.diff(t) > 0.0)):
+            raise InconsistentChords("chord parameters t must increase strictly inside (0, 1) and skip 1/2")
 
     def to_json(self):
         return {

@@ -45,8 +45,8 @@ class MarkInCorner(HoferBilliardsError, ValueError):
     """Marked point sits inside a corner-rounding neighborhood (an input error)."""
 
 
-class InconsistentChords(HoferBilliardsError):
-    """Chord data admits no plane point (circles fail to intersect)."""
+class InconsistentChords(HoferBilliardsError, ValueError):
+    """Chord data is malformed or admits no plane point (an input error)."""
 
 
 class BracketInverted(HoferBilliardsError):

@@ -49,25 +49,20 @@ def simpson_nodes(n: int):
 class TablePath:
     """One-parameter family s in [0,1] of length-1 tables with its s-velocity.
 
-    ``table_of_s`` builds the slice at s (cached).  ``velocity_fn(s, t)``
-    evaluates dgamma_s/ds at fixed arc-length parameter q in closed form,
-    where t is the native parameter of ``table(s)`` at q; every path kind
-    supplies one, so no velocity is differenced in s.
+    ``table_of_s`` builds the slice at s on every call; a builder whose
+    slices cost something to build memoizes them itself.  ``velocity_fn(s,
+    t)`` evaluates dgamma_s/ds at fixed arc-length parameter q in closed
+    form, where t is the native parameter of ``table(s)`` at q; every path
+    kind supplies one, so no velocity is differenced in s.
     """
 
     def __init__(self, table_of_s, velocity_fn, tag: str = "custom"):
         self._build = table_of_s
         self.velocity_fn = velocity_fn
         self.tag = tag
-        self._cache: dict[float, TableCurve] = {}
 
     def table(self, s: float) -> TableCurve:
-        s = float(s)
-        hit = self._cache.get(s)
-        if hit is None:
-            hit = self._build(s)
-            self._cache[s] = hit
-        return hit
+        return self._build(float(s))
 
     def velocity(self, s: float, q, t=None):
         """dgamma_s/ds at fixed arc-length parameter q; shape q.shape + (2,).
@@ -224,8 +219,8 @@ def normal_perturbation_path(table: TableCurve, f_samples) -> NormalPerturbation
     C^2-smallness hypothesis that keeps the renormalization well posed),
     else PerturbationTooLarge.  Each slice is a ``SampledCurve`` of 513
     samples alpha_j + (s f_j) n_j, from base samples alpha, f and n taken
-    once; positive curvature is checked on the 9 slices s = j/8, built
-    through the path's slice cache, else CurvatureNotPositive.
+    once and memoized by s; positive curvature is checked on the 9 slices
+    s = j/8, else CurvatureNotPositive.
 
     The raw samples are affine in s with rate w = f n, so the velocity is
     closed form: ``SampledCurve.fixed_q_rate`` differentiates the slice's
@@ -255,9 +250,9 @@ def normal_perturbation_path(table: TableCurve, f_samples) -> NormalPerturbation
     alpha, fu, normal = table.position(u), np.real(f(u))[..., None], table.normal(u)
     sample_rate = fu * normal
 
-    # the velocity reads the slices from here: reading them through the path
-    # would tie the path and its velocity into a reference cycle, which holds
-    # every slice until the cyclic garbage collector runs
+    # the one memo of the path's slices; the velocity reads it directly, since
+    # reading it through the path would tie the path and its velocity into a
+    # reference cycle, which holds every slice until the cyclic GC runs
     slices: dict[float, SampledCurve] = {}
 
     def build(s):
@@ -314,33 +309,35 @@ class HamiltonianField:
     def __init__(self, path: TablePath):
         self.path = path
 
-    def solve(self, s: float, Q, P, seed=None, start=None, vel_Q=None):
-        """H_s on arrays with the landing data, all in the slice's native parameter.
+    def solve(self, s: float, Q, P, seed=None):
+        """H_s on a grid of Q rows, with the landing data, in the slice's native parameter.
 
-        Returns (H, q_s, t_s): the Hamiltonian, and where the backward chord
-        from Q at momentum -P lands, in q and in native units.  ``seed`` is
-        a native warm start (e.g. t_s from a nearby s); ``start``, a
-        ``native_start`` at Q, and ``vel_Q`` let grid sweeps reuse the
-        start data and the velocity at the Q samples.
+        ``Q`` is raveled and ``P`` reshaped to (Q.size, m): row i holds the
+        m momenta at Q[i].  The start data and the velocity are computed
+        once per Q and repeated along its row.  Returns flat arrays (H, q_s,
+        t_s) of Q.size * m points in row order: the Hamiltonian, and where
+        the backward chord from Q at momentum -P lands, in q and in native
+        units.  ``seed`` is a native warm start (e.g. t_s from a nearby s).
         """
-        Q, P = np.broadcast_arrays(np.asarray(Q, dtype=float), np.asarray(P, dtype=float))
+        Q = np.asarray(Q, dtype=float).ravel()
+        P = np.asarray(P, dtype=float).reshape(Q.size, -1)
         if np.any(np.abs(P) > 1.0 - self.GRAZING):
             raise NearGrazing("Hamiltonian evaluation too close to the annulus boundary")
         table = self.path.table(s)
-        if start is None:
-            start = native_start(table, np.atleast_1d(Q).ravel())
+        m = P.shape[1]
+        t_Q, pos_Q, tan_Q = native_start(table, Q)
+        start = tuple(np.repeat(x, m, axis=0) for x in (t_Q, pos_Q, tan_Q))
         # time reversal: the backward chord from Q at momentum -P lands on q_s
-        qs, _, pos_Q, _, pos_qs, _, ts = forward_chord(table, Q, -P, seed=seed, start=start)
+        qs, _, pos_Q, _, pos_qs, _, ts = forward_chord(table, np.repeat(Q, m), -P.ravel(), seed=seed, start=start)
         d = pos_Q - pos_qs
         u = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        if vel_Q is None:
-            vel_Q = self.path.velocity(s, Q, np.reshape(start[0], np.shape(Q)))
-        dv = self.path.velocity(s, qs, ts) - vel_Q
+        dv = self.path.velocity(s, qs, ts) - np.repeat(self.path.velocity(s, Q, t_Q), m, axis=0)
         return np.sum(u * dv, axis=-1), qs, ts
 
     def value_arrays(self, s: float, Q, P):
-        """Vectorized H_s on arrays; |P| <= 1 - 1e-6 required."""
-        return self.solve(s, Q, P)[0]
+        """Vectorized H_s on arrays of the broadcast shape; |P| <= 1 - 1e-6 required."""
+        Q, P = np.broadcast_arrays(np.asarray(Q, dtype=float), np.asarray(P, dtype=float))
+        return self.solve(s, Q, P)[0].reshape(Q.shape)
 
 
 def hofer_oscillation(hf: HamiltonianField, s: float, q_grid: int = 256, p_grid: int = 127, seed=None):
@@ -349,26 +346,14 @@ def hofer_oscillation(hf: HamiltonianField, s: float, q_grid: int = 256, p_grid:
     The grid is Q = j / q_grid by ``p_grid`` momenta in [-pmax, pmax],
     pmax = 1 - 1/128.  Each extreme is refined on a 9x9 window spanning one
     grid step on either side of it (momenta clipped to pmax); both windows
-    share one solve of 162 points, whose start data and velocities are
-    computed once at their 18 Q values.  ``ts`` are the landing native
-    parameters of the grid's inverse solves; ``hofer_length`` extrapolates
-    them along s to seed the grid of the next s-node.
+    share one solve of 18 Q rows of 9 momenta.  ``ts`` are the landing
+    native parameters of the grid's inverse solves; ``hofer_length``
+    extrapolates them along s to seed the grid of the next s-node.
     """
     pmax = 1.0 - 1.0 / 128.0
-    table = hf.path.table(s)
     Qg = np.arange(q_grid) / q_grid
     Pg = np.linspace(-pmax, pmax, p_grid)
-
-    def sweep(Q, P, seed=None):
-        # P holds one row of momenta per Q; the start data and the velocity
-        # are computed once per Q and repeated along its row
-        m = P.shape[1]
-        t_Q, pos_Q, tan_Q = native_start(table, Q)
-        start = tuple(np.repeat(x, m, axis=0) for x in (t_Q, pos_Q, tan_Q))
-        vel_Q = np.repeat(hf.path.velocity(s, Q, t_Q), m, axis=0)
-        return hf.solve(s, np.repeat(Q, m), P.ravel(), seed=seed, start=start, vel_Q=vel_Q)
-
-    H, _, ts = sweep(Qg, np.broadcast_to(Pg, (q_grid, p_grid)), seed)
+    H, _, ts = hf.solve(s, Qg, np.broadcast_to(Pg, (q_grid, p_grid)), seed)
     H = H.reshape(q_grid, p_grid)
     dq = Qg[1] - Qg[0] if q_grid > 1 else 0.5
     dp = Pg[1] - Pg[0] if p_grid > 1 else 0.1
@@ -377,7 +362,7 @@ def hofer_oscillation(hf: HamiltonianField, s: float, q_grid: int = 256, p_grid:
     ij = [np.unravel_index(int(np.argmax(H)), H.shape), np.unravel_index(int(np.argmin(H)), H.shape)]
     Ql = np.concatenate([Qg[i] + step * dq for i, _ in ij])
     Pl = np.stack([np.clip(Pg[j] + step * dp, -pmax, pmax) for _, j in ij])
-    Hl = sweep(Ql, np.repeat(Pl, 9, axis=0))[0].reshape(2, 81)
+    Hl = hf.solve(s, Ql, np.repeat(Pl, 9, axis=0))[0].reshape(2, 81)
     return max(float(H.max()), float(Hl[0].max())) - min(float(H.min()), float(Hl[1].min())), ts
 
 

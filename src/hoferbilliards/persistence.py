@@ -326,24 +326,15 @@ def bottleneck_distance(a: Barcode, b: Barcode, degree: int) -> float:
         return inf
     base = max((abs(x - y) for x, y in zip(infA, infB)), default=0.0)
 
-    A = a.finite(degree)
-    B = b.finite(degree)
-    halfA = [(e - bb) / 2 for (bb, e) in A]
-    halfB = [(e - bb) / 2 for (bb, e) in B]
-    cost = [
-        [max(abs(b1 - b2), abs(e1 - e2)) for (b2, e2) in B]
-        for (b1, e1) in A
-    ]
-    candidates = sorted(
-        {0.0, base}
-        | set(halfA)
-        | set(halfB)
-        | {c for row in cost for c in row}
-    )
-    cost = np.array(cost, dtype=float).reshape(len(A), len(B))
-    halfA = np.array(halfA, dtype=float)
-    halfB = np.array(halfB, dtype=float)
-    lo, hi = 0, len(candidates) - 1
+    A = np.array(a.finite(degree), dtype=float).reshape(-1, 2)
+    B = np.array(b.finite(degree), dtype=float).reshape(-1, 2)
+    halfA = (A[:, 1] - A[:, 0]) / 2
+    halfB = (B[:, 1] - B[:, 0]) / 2
+    cost = np.maximum(np.abs(A[:, None, 0] - B[None, :, 0]), np.abs(A[:, None, 1] - B[None, :, 1]))
+    # a repeated radius only repeats a step of the search, and np.unique
+    # would import numpy.ma (about 1 MB) on first use
+    candidates = np.sort(np.concatenate([[0.0, base], halfA, halfB, cost.ravel()]))
+    lo, hi = 0, candidates.size - 1
     # smallest feasible candidate >= base
     while lo < hi:
         mid = (lo + hi) // 2

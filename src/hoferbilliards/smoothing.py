@@ -34,19 +34,16 @@ the stencil points of a Simpson rule in the blend parameter t.  The blend
 does not depend on the scale, so one sweep over the t nodes serves every
 scale of `independence_slope`: it builds 2 t_nodes + 2 blended families and
 evaluates each once, at all the scales together.  A blend's arc table reads
-the parents' f' on a grid that every t shares, computed once per corner and
-pair, and `np.interp` on that table inverts the arc length.  On a
-unit-square op at 2048 q nodes (2 vCPUs) the 36 builds take 27 ms of 156
-ms, the gathered positions 113 ms.  Each blended family is dropped as soon
-as its node is done.  A family holds its slices only weakly: a slice points
-back at its family, and a strong reference the other way would keep both
-alive until the cyclic garbage collector runs.
+the parents' f' on a grid that every t shares (`_blend_grid`), computed
+once per corner in each sweep, and `np.interp` on that table inverts the
+arc length.  On a unit-square op at 2048 q nodes (2 vCPUs) the 36 builds
+take 27 ms of 156 ms, the gathered positions 113 ms.  Each blended family
+is dropped as soon as its node is done.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,8 +160,6 @@ class CornerProfile:
     df: object
     ddf: object
     _arc: tuple | None = field(default=None, repr=False)
-    # (weakref to the other parent, blend grid, self.df and other.df on it)
-    _blend_grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _tables(self):
         if self._arc is None:
@@ -189,30 +184,17 @@ class CornerProfile:
         xi_grid, arc_grid = self._tables()
         return np.interp(arc, arc_grid, xi_grid)
 
-    def _parent_grid(self, other: "CornerProfile"):
-        """The grid of every blend with ``other`` and both parents' f' on it.
-
-        Computed once per pair; the one cached entry holds ``other`` only
-        weakly and no blend at all.
-        """
-        hit = self._blend_grid
-        if hit is None or hit[0]() is not other:
-            width = max(self.width, other.width)
-            xi = np.linspace(-width, width, _ARC_GRID)
-            hit = self._blend_grid = (weakref.ref(other), xi, self.df(xi), other.df(xi))
-        return hit[1:]
-
-    def blend(self, other: "CornerProfile", t: float) -> "CornerProfile":
+    def blend(self, other: "CornerProfile", t: float, grid) -> "CornerProfile":
         """Pointwise convex combination (1-t) self + t other; slopes must match.
 
-        The arc table reads the parents' f' on the shared grid, combined by
-        the same expression as the blend's own ``df``, so it is the table
-        that ``df`` would give.
+        ``grid`` is ``_blend_grid(self, other)``.  The arc table reads the
+        parents' f' there, combined by the same expression as the blend's
+        own ``df``, so it is the table that ``df`` would give.
         """
         if abs(self.slope - other.slope) > 1e-12:
             raise ValueError("blending profiles with different slopes")
         t = float(t)
-        xi, da, db = self._parent_grid(other)
+        xi, da, db = grid
         return CornerProfile(
             slope=self.slope,
             width=max(self.width, other.width),
@@ -221,6 +203,13 @@ class CornerProfile:
             ddf=lambda x: (1 - t) * self.ddf(x) + t * other.ddf(x),
             _arc=_arc_tables(xi, (1 - t) * da + t * db),
         )
+
+
+def _blend_grid(a: CornerProfile, b: CornerProfile):
+    """The arc grid of every blend of a and b, on the wider width, and both f' on it."""
+    width = max(a.width, b.width)
+    xi = np.linspace(-width, width, _ARC_GRID)
+    return xi, a.df(xi), b.df(xi)
 
 
 def make_profile(slope: float, width: float) -> CornerProfile:
@@ -372,7 +361,6 @@ class SmoothingFamily:
         rates[1::2] = -self._edge_cut
         self._start_rates = np.concatenate([[0.0], np.cumsum(rates)])
         self._mark_rate = float(self._start_rates[2 * j + 1] - self.cut[j])
-        self._slices: weakref.WeakValueDictionary[float, _FamilyCurve] = weakref.WeakValueDictionary()
 
     @property
     def n_corners(self) -> int:
@@ -524,14 +512,7 @@ class SmoothingFamily:
         Raises ValueError unless s lies in (0, 1].
         """
         _check_scales(s)
-        # a slice is only (family, s), so the family holds its live slices
-        # weakly: a slice alive elsewhere is handed out again, and a strong
-        # reference back from the family would tie both into a cycle
-        s = float(s)
-        hit = self._slices.get(s)
-        if hit is None:
-            hit = self._slices[s] = _FamilyCurve(self, s)
-        return hit
+        return _FamilyCurve(self, s)
 
     def edge_speed_bound(self) -> float:
         """Uniform on-edge bound 2 L_K sum(delta) / (L_K - sum(delta))."""
@@ -637,8 +618,9 @@ def slope_is_linear(slope: float) -> bool:
     return bool(0.9 <= slope <= 1.1)
 
 
-def _family_with_blend(base: SmoothingFamily, other: SmoothingFamily, t: float) -> SmoothingFamily:
-    profiles = [p.blend(q, t) for p, q in zip(base.profiles, other.profiles)]
+def _family_with_blend(base: SmoothingFamily, other: SmoothingFamily, t: float, grids) -> SmoothingFamily:
+    """The family of the corner blends at t; ``grids`` holds each corner's `_blend_grid`."""
+    profiles = [p.blend(q, t, g) for p, q, g in zip(base.profiles, other.profiles, grids)]
     return SmoothingFamily(base.polygon, profiles)
 
 
@@ -678,6 +660,7 @@ def _independence_gaps(fam_a, fam_b, scales, t_nodes, q_nodes):
     tq, tw = simpson_nodes(t_nodes)
     q = np.arange(q_nodes) / q_nodes
     h = 1.0 / (4.0 * (t_nodes - 1))
+    grids = [_blend_grid(a, b) for a, b in zip(fam_a.profiles, fam_b.profiles)]
     totals = np.zeros(len(scales))
     for t, w in zip(tq, tw):
         # one-sided second-order stencils at the ends, central inside
@@ -687,7 +670,7 @@ def _independence_gaps(fam_a, fam_b, scales, t_nodes, q_nodes):
             ts, stencil = (t, t - h, t - 2 * h), lambda p: 3.0 * p[0] - 4.0 * p[1] + p[2]
         else:
             ts, stencil = (t + h, t - h), lambda p: p[0] - p[1]
-        fams = [_family_with_blend(fam_a, fam_b, tt) for tt in ts]
+        fams = [_family_with_blend(fam_a, fam_b, tt, grids) for tt in ts]
         d = stencil([f._positions(scales, q) for f in fams]) / (2 * h)
         totals += w * np.linalg.norm(d, axis=-1).max(axis=-1)
     return totals
@@ -709,13 +692,13 @@ def profile_independence_gap(
     Cost: the t derivative takes a 2- or 3-point stencil at each of the
     ``t_nodes`` Simpson nodes, 2 t_nodes + 2 blended families in all (36 at
     the default 17).  Each builds one arc-length table per corner from the
-    parents' f' on a shared grid, cached per corner and pair, and is
+    parents' f' on a grid that the sweep computes once per corner, and is
     evaluated by one gathered kernel call at all the scales (the kernel is
     about 3/4 of the cost, the builds 1/6).  The same sweep serves every
     scale of `independence_slope`, so a call with six scales builds no more
     families, and makes no more kernel calls, than a call with one.  Each
-    blended family is freed by reference counting once its node is done;
-    only the parent grids, two arrays of 2049 floats per corner, outlive it.
+    blended family is freed by reference counting once its node is done,
+    and the grids when the sweep returns.
     """
     lower, upper, _ = _ordered_families(fam_a, fam_b)
     return _independence_gaps(lower, upper, [s], t_nodes, q_nodes)[0]

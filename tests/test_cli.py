@@ -180,11 +180,20 @@ def test_reconstruct_chords_not_an_object_is_input_error(tmp_path, capsys):
         ({"t": [], "from_start": [], "from_half": []}, "chords.t: malformed field (expected a non-empty list"),
         ({"from_half": []}, "chords.from_half: malformed field (expected a non-empty list"),
         ({"t": [[0.25, 0.75]]}, "chords.t: malformed field (expected a non-empty list"),
+        ({"t": [0.75, 0.25]}, "t must increase strictly inside (0, 1) and skip 1/2"),
+        ({"t": [1.25, 1.75]}, "t must increase strictly inside (0, 1) and skip 1/2"),
+        ({"t": [0.0, 0.75]}, "t must increase strictly inside (0, 1) and skip 1/2"),
+        ({"t": [0.25, 0.5, 0.75], "from_start": [1.0] * 3, "from_half": [1.0] * 3},
+         "t must increase strictly inside (0, 1) and skip 1/2"),
+        ({"anchor": -1}, "anchor distance F(0, 1/2) must be positive"),
     ],
-    ids=["short-from-start", "long-from-half", "long-t", "all-empty", "empty-from-half", "nested-t"],
+    ids=["short-from-start", "long-from-half", "long-t", "all-empty", "empty-from-half", "nested-t",
+         "reversed-t", "t-above-1", "t-at-0", "t-at-half", "negative-anchor"],
 )
 def test_reconstruct_chords_of_unequal_or_empty_lengths_are_input_errors(tmp_path, capsys, patch, message):
-    # numpy would otherwise fail on the broadcast or on a zero-size maximum
+    # numpy would otherwise fail on the broadcast or on a zero-size maximum;
+    # unchecked, reversed t writes its rows out of order, t = 1.25 is read as
+    # t > 1/2, t = 0 writes a second row at 0, and a sample at 1/2 is dropped
     chords = _write(tmp_path, "chords.json", {**GOOD_CHORDS, **patch})
     assert main(["reconstruct", "--chords", chords, "--out", str(tmp_path / "out")]) == 1
     assert message in json.loads(capsys.readouterr().out)["error"]
@@ -251,6 +260,43 @@ def test_hofer_length_smallest_simpson_count_runs(tmp_path, capsys):
     argv = ["hofer", "length", "--path", path, "--grid-s", "3", "--grid-q", "16", "--grid-p", "3"]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 0
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["l_B"] > 0.0
+
+
+def _dumped_field(tmp_path, capsys, spec):
+    path = _write(tmp_path, "p.json", spec)
+    out = tmp_path / "o"
+    argv = ["hofer", "length", "--path", path, "--grid-s", "3", "--grid-q", "16", "--grid-p", "3", "--dump-field"]
+    assert main(argv + ["--out", str(out)]) == 0
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert result["field_file"] == str(out / "hamiltonian_field.csv")
+    lines = (out / "hamiltonian_field.csv").read_text().splitlines()
+    assert lines[0] == "s,Q,P,H"
+    # 9 s-slices of a 32 x 17 (Q, P) grid
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (9 * 32 * 17, 4)
+    return load_path(spec), rows
+
+
+def test_hofer_length_dump_field_of_a_translation_is_zero(tmp_path, capsys):
+    # a constant velocity cancels in v(q_s) - v(Q) exactly
+    _, rows = _dumped_field(tmp_path, capsys, {"type": "translation", "table": {"type": "disc"}, "v": [0.05, 0.02]})
+    assert np.all(rows[:, 3] == 0.0)
+
+
+def test_hofer_length_dump_field_matches_value_arrays(tmp_path, capsys):
+    from hoferbilliards.homotopy import HamiltonianField
+
+    path, rows = _dumped_field(tmp_path, capsys, _ELLIPSE_PATH)
+    hf = HamiltonianField(path)
+    Qg, Pg = np.arange(32) / 32, np.linspace(-0.9, 0.9, 17)
+    for k, block in enumerate(rows.reshape(9, 32 * 17, 4)):
+        s = k / 8
+        assert np.all(block[:, 0] == s)
+        assert np.array_equal(block[:, 1:3].reshape(32, 17, 2), np.stack(np.meshgrid(Qg, Pg, indexing="ij"), -1))
+        # value_arrays broadcasts a column of Q against a row of P
+        H = hf.value_arrays(s, Qg[:, None], Pg[None, :])
+        assert H.shape == (32, 17) and H.ravel().tobytes() == block[:, 3].tobytes()
+        assert np.ptp(H) > 0.0
 
 
 # count flags with their smallest value that runs; numpy used to take a
@@ -460,7 +506,7 @@ def test_newton_bisect_failure_is_typed():
         return np.ones_like(x), np.ones_like(x)
 
     with pytest.raises(SolverDidNotConverge) as info:
-        newton_bisect(flat, lo=0.0, hi=1.0, seed=np.array([0.5]), increasing=True, maxiter=5)
+        newton_bisect(flat, lo=0.0, hi=1.0, seed=np.array([0.5]), increasing=True)
     assert isinstance(info.value, ArithmeticError)
 
 

@@ -430,7 +430,7 @@ def test_newton_bisect_bisects_when_the_residual_does_not_halve():
         return np.sign(x) * np.abs(x) ** 0.55, 0.55 * np.abs(x) ** -0.45
 
     # without the guard 100 iterations end near |residual| 1e-5 and raise
-    x = newton_bisect(fun, lo=-1.0, hi=2.0, seed=np.array([0.7, -0.3]), increasing=True, maxiter=100)
+    x = newton_bisect(fun, lo=-1.0, hi=2.0, seed=np.array([0.7, -0.3]), increasing=True)
     assert np.abs(x).max() ** 0.55 <= 1e-10
 
 

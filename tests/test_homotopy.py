@@ -315,12 +315,21 @@ def test_normal_perturbation_slices_match_fresh_samples(mild_ellipse):
         assert np.array_equal(built.position(q), fresh.position(q))
 
 
-def test_normal_perturbation_builds_nine_slices(disc):
-    # the convexity check builds the nine slices j/8 through the path's
-    # cache, and the coarse certificate grids read no other
+def test_normal_perturbation_builds_nine_slices(disc, monkeypatch):
+    # the convexity check builds the nine slices j/8, which the path's
+    # builder memoizes, and the coarse certificate grids read no other
+    built = []
+
+    class Counted(ho.SampledCurve):
+        def __init__(self, samples, kind=None):
+            built.append(samples.shape)
+            super().__init__(samples, kind)
+
+    monkeypatch.setattr(ho, "SampledCurve", Counted)
     npp = ho.normal_perturbation_path(disc, _np_f())
+    assert built == [(513, 2)] * 9
     ho.verify_comparison(npp.path, s_nodes=3, q_grid=32, p_grid=15, lb_s_nodes=5, lb_q_nodes=128)
-    assert sorted(npp.path._cache) == [j / 8 for j in range(9)]
+    assert len(built) == 9
 
 
 def test_normal_perturbation_too_large(disc):

@@ -264,9 +264,10 @@ def _gap_by_scale_then_node(fam_a, fam_b, s, t_nodes, q_nodes):
     tq, tw = simpson_nodes(t_nodes)
     q = np.arange(q_nodes) / q_nodes
     h = 1.0 / (4.0 * (t_nodes - 1))
+    grids = [sm._blend_grid(a, b) for a, b in zip(fam_a.profiles, fam_b.profiles)]
 
     def blend_positions(t):
-        return sm._family_with_blend(fam_a, fam_b, t).curve(s).position(q)
+        return sm._family_with_blend(fam_a, fam_b, t, grids).curve(s).position(q)
 
     total = 0.0
     for t, w in zip(tq, tw):
@@ -300,7 +301,7 @@ def test_independence_gaps_match_per_scale_loop_bitwise(width_pair):
 def test_blend_tables_match_tables_from_the_closures(t):
     # h = 1/64 is the stencil step of the default 17 blend nodes
     lower, upper = sm.make_profile(1.3, 0.005), sm.make_profile(1.3, 0.01)
-    blend = lower.blend(upper, t)
+    blend = lower.blend(upper, t, sm._blend_grid(lower, upper))
     # a profile from the blend's closures alone tabulates its own df
     ref = sm.CornerProfile(blend.slope, blend.width, blend.f, blend.df, blend.ddf)
     for got, want in zip(blend._tables(), ref._tables()):
@@ -331,7 +332,8 @@ def _xi_of_arc_by_newton(profile, arc):
     u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
 )
 def test_xi_of_arc_inverts_the_arc_table(slope, width, t, u):
-    profile = sm.make_profile(slope, width).blend(sm.make_profile(slope, 2.0 * width), t)
+    lower, upper = sm.make_profile(slope, width), sm.make_profile(slope, 2.0 * width)
+    profile = lower.blend(upper, t, sm._blend_grid(lower, upper))
     w, length = profile.width, profile.arc_length
     xi_grid, arc_grid = profile._tables()
     arcs = np.sort(np.concatenate([np.asarray(u) * length, np.linspace(0.0, length, 257)]))
@@ -378,45 +380,29 @@ def test_independence_slope_builds_no_interpolant(monkeypatch):
     assert built == [65] * 2
 
 
-def test_blends_read_each_parents_df_once_per_pair():
-    lower, upper, third = sm.make_profile(1.3, 0.005), sm.make_profile(1.3, 0.01), sm.make_profile(1.3, 0.008)
-    sizes = []
+def test_independence_slope_reads_each_parents_df_once_per_corner():
+    # 12 blended families share one grid per corner, which each call computes
+    # afresh: every parent's f' is read once per call, on the whole grid
+    fam_a = sm.family_from_polygon(unit_square(), width=0.005)
+    fam_b = sm.family_from_polygon(unit_square(), width=0.01)
+    sizes = {}
 
-    def counted(df):
+    def counted(key, df):
         def wrapped(x):
-            sizes.append(np.size(x))
+            sizes.setdefault(key, []).append(np.size(x))
             return df(x)
 
         return wrapped
 
-    lower.df, upper.df, third.df = counted(lower.df), counted(upper.df), counted(third.df)
-    for t in (0.0, 0.25, 0.5, 1.0):
-        lower.blend(upper, t)
-    assert sizes == [sm._ARC_GRID, sm._ARC_GRID]
-    # a new pair gets its own grid, on the wider of its two widths
-    lower.blend(third, 0.5)
-    assert sizes == [sm._ARC_GRID] * 4
-    assert lower._parent_grid(third)[0][-1] == 0.008
-
-
-def test_parent_grid_cache_keeps_no_blend_alive(width_pair):
-    fam_a, fam_b = width_pair
-    gc.collect()
-    gc.disable()
-    try:
-        fam = sm._family_with_blend(fam_a, fam_b, 0.5)
-        refs = [weakref.ref(fam)] + [weakref.ref(p) for p in fam.profiles]
-        del fam
-        assert all(ref() is None for ref in refs)
-        # the cache names the other parent, and only weakly
-        assert all(p._blend_grid[0]() is o for p, o in zip(fam_a.profiles, fam_b.profiles))
-        lower, upper = sm.make_profile(1.0, 0.005), sm.make_profile(1.0, 0.01)
-        lower.blend(upper, 0.5)
-        other = weakref.ref(upper)
-        del upper
-        assert other() is None and lower._blend_grid[0]() is None
-    finally:
-        gc.enable()
+    for k, fam in enumerate((fam_a, fam_b)):
+        for i, p in enumerate(fam.profiles):
+            p.df = counted((k, i), p.df)
+    keys = [(k, i) for k in range(2) for i in range(4)]
+    for calls in (1, 2):
+        sm.independence_slope(fam_a, fam_b, t_nodes=5, q_nodes=128)
+        assert sizes == {key: [sm._ARC_GRID] * calls for key in keys}
+    # the grid spans the wider of the two widths
+    assert sm._blend_grid(fam_a.profiles[0], fam_b.profiles[0])[0][-1] == 0.01
 
 
 @pytest.fixture
@@ -425,8 +411,8 @@ def blend_log(monkeypatch):
     refs = []
     build = sm._family_with_blend
 
-    def logged(base, other, t):
-        fam = build(base, other, t)
+    def logged(base, other, t, grids):
+        fam = build(base, other, t, grids)
         refs.append(weakref.ref(fam))
         return fam
 
@@ -504,7 +490,10 @@ def test_restricted_path_tail_bounds_summable(square_family):
 
 
 def test_lift_identity_at_zero(square_family):
-    assert sm.positive_curvature_lift(square_family, 0.25, 0.0) is square_family.curve(0.25)
+    # eps = 0 hands back the slice itself, a view of (family, s)
+    lift = sm.positive_curvature_lift(square_family, 0.25, 0.0)
+    assert type(lift) is type(square_family.curve(0.25))
+    assert (lift.family, lift.s) == (square_family, 0.25)
 
 
 @pytest.mark.parametrize("s", [1.5, -0.25, 0.0])
