@@ -19,17 +19,20 @@ import numpy as np
 from .billiard import trajectory_arrays
 from .curves import SampledCurve, TableCurve, c0_distance, circ_dist
 from .errors import (
-    BoundViolated,
     CurvatureNotPositive,
     DiagonalPoint,
     InconsistentChords,
     NearGrazing,
+    ResolutionTooLarge,
     SolverDidNotConverge,
 )
+from .specio import SpecError, json_field, load_json, number_list
 
 ACCEPT_RESIDUAL = 1e-10
 PHASE_TOL = 1e-8
 DEDUP_TOL = 1e-6
+# cells of an orbit search's Hessian stack, or of a barcode's functional grid
+CELL_BUDGET = 1 << 24
 
 
 def _action(dist) -> float:
@@ -250,17 +253,18 @@ def find_periodic_orbits(
     its action and the momentum of its first bounce from a frame of its own,
     and is accepted only when the critical residual is below 1e-10 and the
     tuple closes up as a phase-space trajectory within 1e-8.  Classes are
-    returned sorted by action, then tuple.
+    returned sorted by action, then tuple.  A Hessian stack of more than
+    ``CELL_BUDGET`` cells raises ResolutionTooLarge before it is allocated.
     """
     if n < 2:
         raise ValueError("period must be at least 2")
+    coprime = [k for k in range(1, n) if np.gcd(k, n) == 1]
+    tried = 8 * len(coprime) + seed_count
+    if tried * n * n > CELL_BUDGET:
+        raise ResolutionTooLarge(f"{tried} seeds x {n} x {n} Hessian stack exceeds the configured budget")
     rng = np.random.default_rng(rng)
-    seeds = []
-    for k in range(1, n):
-        if np.gcd(k, n) != 1:
-            continue
-        for q0 in np.linspace(0.0, 1.0 / n, 8, endpoint=False):
-            seeds.append(np.mod(q0 + np.arange(n) * k / n, 1.0))
+    starts = np.linspace(0.0, 1.0 / n, 8, endpoint=False)
+    seeds = [np.mod(q0 + np.arange(n) * k / n, 1.0) for k in coprime for q0 in starts]
     for _ in range(seed_count):
         cand = np.sort(rng.uniform(0.0, 1.0, n))
         if circ_dist(cand, np.roll(cand, -1)).min() > 0.05 / n:
@@ -330,19 +334,26 @@ def _adjacent_mask(n: int, m: int):
 
 @dataclass
 class FunctionalGap:
+    """sup |F_a - F_b| on a torus grid against its bound 2 n C^0(a, b)."""
+
     gap: float
     bound: float
     c0: float
+
+    @property
+    def passed(self) -> bool:
+        """The gap is within its bound, up to 1e-9 relative rounding."""
+        return self.gap <= self.bound * (1.0 + 1e-9)
 
     def to_json(self):
         return {"gap": self.gap, "bound": self.bound, "c0": self.c0}
 
 
 def functional_gap(a: TableCurve, b: TableCurve, n: int, m: int = 64) -> FunctionalGap:
-    """sup |F_a - F_b| over the torus grid, checked against 2 n C^0 distance.
+    """sup |F_a - F_b| over the torus grid, against 2 n C^0 distance.
 
     The bound is unconditional (triangle inequality chord by chord), so a
-    violation signals a numerics bug and raises BoundViolated.
+    report that does not pass signals a numerics bug.
     """
     Fa = sample_functional_values(a, n, m)
     Fb = sample_functional_values(b, n, m)
@@ -351,10 +362,7 @@ def functional_gap(a: TableCurve, b: TableCurve, n: int, m: int = 64) -> Functio
     q = np.arange(m) / m
     grid_c0 = float(np.linalg.norm(a.position(q) - b.position(q), axis=-1).max())
     c0 = max(c0_distance(a, b), grid_c0)
-    bound = 2.0 * n * c0
-    if gap > bound * (1.0 + 1e-9):
-        raise BoundViolated(f"functional gap {gap!r} exceeds 2n * C0 = {bound!r}")
-    return FunctionalGap(gap=gap, bound=bound, c0=c0)
+    return FunctionalGap(gap=gap, bound=2.0 * n * c0, c0=c0)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +503,24 @@ class ChordData:
             "from_half": self.from_half.tolist(),
             "anchor": self.anchor,
         }
+
+    @classmethod
+    def from_json(cls, source) -> "ChordData":
+        """The object ``to_json`` writes, or a JSON file of one; a malformed
+        field, or sample lists of unequal lengths, is a SpecError."""
+        obj = load_json(source)
+        data = {key: json_field(obj, key, "chords", _samples) for key in ("t", "from_start", "from_half")}
+        for key in ("from_start", "from_half"):
+            if data[key].size != data["t"].size:
+                raise SpecError(f"chords.{key}: {data[key].size} samples, chords.t has {data['t'].size}")
+        return cls(anchor=json_field(obj, "anchor", "chords"), **data)
+
+
+def _samples(value):
+    """A non-empty flat list of numbers as a float array."""
+    if not (arr := number_list(value)).size:
+        raise ValueError("expected a non-empty list of numbers")
+    return arr
 
 
 def table_chord_data(table: TableCurve, samples: int = 256) -> ChordData:

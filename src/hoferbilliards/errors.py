@@ -49,17 +49,5 @@ class InconsistentChords(HoferBilliardsError, ValueError):
     """Chord data is malformed or admits no plane point (an input error)."""
 
 
-class BracketInverted(HoferBilliardsError):
-    """Computed lower bound exceeds the upper bound; numerics bug."""
-
-
-class BoundViolated(HoferBilliardsError):
-    """An unconditional inequality failed; numerics bug."""
-
-
-class StabilityViolated(HoferBilliardsError):
-    """Barcode moved more than the functional gap allows; numerics bug."""
-
-
 class ResolutionTooLarge(HoferBilliardsError, ValueError):
     """Requested grid exceeds the configured cell budget (an input error)."""

@@ -19,16 +19,17 @@ when augmenting paths cover the long bars of each side (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import json
 from itertools import permutations
 from math import comb, inf
+from numbers import Integral
 
 import numpy as np
 
 from .curves import TableCurve
-from .dynamics import FunctionalGap, functional_gap, sample_functional_values
-from .errors import ResolutionTooLarge, StabilityViolated
-
-CELL_BUDGET = 1 << 24
+from .dynamics import CELL_BUDGET, FunctionalGap, functional_gap, sample_functional_values
+from .errors import ResolutionTooLarge
+from .specio import SpecError, json_field, load_json, number
 
 
 @dataclass
@@ -91,6 +92,30 @@ class Barcode:
             for (b, e) in self.bars[d]
         ]
 
+    @classmethod
+    def from_json(cls, source, where: str = "barcode") -> "Barcode":
+        """The bars ``to_json`` writes, or a JSON file of them: an integer degree
+        >= 0, a finite birth and a death above it or "inf", else a SpecError."""
+        items = load_json(source)
+        if not isinstance(items, list):
+            raise SpecError(f"{where}: expected a list of bars")
+        bars = {}
+        for i, item in enumerate(items):
+            at = f"{where}[{i}]"
+            degree = json_field(item, "degree", at, _degree)
+            birth = json_field(item, "birth", at)
+            death = json_field(item, "death", at, lambda e: inf if e == "inf" else number(e))
+            if not death > birth:
+                raise SpecError(f"{at}.death: {death!r} is not above the birth {birth!r}")
+            bars.setdefault(degree, []).append((birth, death))
+        return cls(max(bars, default=0), bars)
+
+
+def _degree(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value!r:.40}")
+    return int(value)
+
 
 def _cell_values(values: np.ndarray):
     """Lower-star values on the doubled grid: max over each cell's vertices."""
@@ -146,7 +171,7 @@ def _elder_merges(cells, a, b, size):
     return np.array(dead, dtype=np.int64), np.array(killers, dtype=np.int64)
 
 
-def sublevel_barcode(g: GridFunction, tie_break: str = "lex") -> Barcode:
+def sublevel_barcode(g: GridFunction) -> Barcode:
     """Persistence barcode of the sublevel filtration of a torus grid function.
 
     Zero-length pairs are dropped; every essential class appears as an
@@ -171,12 +196,7 @@ def sublevel_barcode(g: GridFunction, tie_break: str = "lex") -> Barcode:
     dims = np.zeros(total, dtype=np.int8)
     for axis in range(n):
         dims += (coords[axis] % 2).astype(np.int8)
-    if tie_break == "lex":
-        order = np.lexsort((np.arange(total), dims, values))
-    elif tie_break == "revlex":
-        order = np.lexsort((np.arange(total)[::-1], dims, values))
-    else:
-        raise ValueError("tie_break must be 'lex' or 'revlex'")
+    order = np.lexsort((np.arange(total), dims, values))
     rank = np.empty(total, dtype=np.int64)
     rank[order] = np.arange(total)
     dim_by_rank = dims[order]
@@ -412,10 +432,10 @@ def _cell_oscillation(values: np.ndarray) -> float:
 
 
 def stability_check(ta: TableCurve, tb: TableCurve, n: int, m: int = 64) -> StabilityReport:
-    """Assert per-degree bottleneck <= sup-gap + one-cell oscillation slack.
+    """Per-degree bottleneck distances against sup-gap + one-cell oscillation slack.
 
-    Discrete stability on a shared grid makes the bound a theorem, so a
-    violation raises StabilityViolated.
+    Discrete stability on a shared grid makes the bound a theorem, so a report
+    that does not pass (the gap's own bound included) signals a numerics bug.
     """
     ga = sample_orbit_functional(ta, n, m)
     gb = sample_orbit_functional(tb, n, m)
@@ -423,16 +443,9 @@ def stability_check(ta: TableCurve, tb: TableCurve, n: int, m: int = 64) -> Stab
     bar_b = sublevel_barcode(gb)
     gap = functional_gap(ta, tb, n, m)
     slack = _cell_oscillation(ga.values - gb.values)
-    out = {}
-    ok = True
-    for d in range(n + 1):
-        bd = bottleneck_distance(bar_a, bar_b, d)
-        out[d] = bd
-        if not bd <= gap.gap + slack + 1e-12:
-            ok = False
-    if not ok:
-        raise StabilityViolated(f"bottleneck {out!r} exceeds gap {gap.gap!r} + slack {slack!r}")
-    return StabilityReport(gap=gap, slack=slack, bottlenecks=out, passed=ok)
+    out = {d: bottleneck_distance(bar_a, bar_b, d) for d in range(n + 1)}
+    passed = gap.passed and all(bd <= gap.gap + slack + 1e-12 for bd in out.values())
+    return StabilityReport(gap=gap, slack=slack, bottlenecks=out, passed=passed)
 
 
 def betti_numbers(bar: Barcode) -> list[int]:
@@ -446,8 +459,6 @@ def expected_torus_betti(n: int) -> list[int]:
 
 def save_grid(path, g: GridFunction):
     """Write a grid as a one-line JSON header followed by raw row-major doubles."""
-    import json
-
     header = json.dumps(
         {"dim": g.dim, "resolution": g.resolution, "dtype": "float64", "order": "C"},
         sort_keys=True,
@@ -458,8 +469,6 @@ def save_grid(path, g: GridFunction):
 
 
 def load_grid(path) -> GridFunction:
-    import json
-
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         data = np.frombuffer(fh.read(), dtype="<f8")

@@ -1,4 +1,4 @@
-"""JSON input specs for tables, polygons and table paths.
+"""JSON input specs for tables, polygons and table paths, and their field reader.
 
 Table spec (one object):
     {"type": "disc"}
@@ -17,7 +17,8 @@ harmonics each; a longer list would alias and is rejected.
 
 All numbers are finite IEEE doubles, coordinates in plane units: every
 JSON input of ``hb`` is read by ``load_json``, which rejects ``NaN``,
-``Infinity`` and literals that overflow a double.  ``load_table``
+``Infinity`` and literals that overflow a double, and each of its fields
+by ``json_field``, which rejects strings and booleans for numbers.  ``load_table``
 and ``load_path`` raise only ``SpecError`` (an input error, exit code 1 of
 ``hb``), naming the offending field: a malformed field, a table outside
 the admissible class (a support function whose radius of curvature is not
@@ -29,6 +30,8 @@ interpolated support, a normal perturbation that is not C^2-small).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -68,22 +71,61 @@ def load_json(source):
     return source
 
 
-def _fourier_spec(obj, where):
+_REQUIRED = object()
+
+
+def number(value) -> float:
+    """A finite JSON number as a float; a string, a boolean or anything else is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r:.40}")
+    return float(value)
+
+
+def number_list(value) -> np.ndarray:
+    """A flat JSON list of finite numbers as a float array."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of numbers, got {value!r:.40}")
+    return np.array([number(v) for v in value], dtype=float)
+
+
+def json_field(obj, key, where, read=number, default=_REQUIRED):
+    """``read(obj[key])``, or ``default`` when one is given and ``key`` is absent;
+    a missing or rejected field is a SpecError named ``where.key``."""
+    if not isinstance(obj, dict) or (key not in obj and default is _REQUIRED):
+        raise SpecError(f"{where}.{key}: missing field")
+    if key not in obj:
+        return default
     try:
-        return FourierSupportSpec(
-            float(obj["c0"]),
-            np.asarray(obj.get("cos", []), dtype=float),
-            np.asarray(obj.get("sin", []), dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"{where}: bad fourier support fields ({exc})") from exc
+        return read(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"{where}.{key}: malformed field ({exc})") from exc
+
+
+def _vertices(value) -> np.ndarray:
+    """A JSON list of [x, y] pairs as a float array; PolygonSpec checks its shape."""
+    if not isinstance(value, list) or not all(isinstance(v, list) and len(v) == 2 for v in value):
+        raise ValueError(f"expected a list of [x, y] pairs, got {value!r:.40}")
+    return np.array([number_list(v) for v in value])
+
+
+def _fourier_spec(obj, where, c0="c0", default=_REQUIRED):
+    mean = json_field(obj, c0, where, default=default)
+    cos, sin = (json_field(obj, name, where, number_list, default=()) for name in ("cos", "sin"))
+    return FourierSupportSpec(mean, cos, sin)
+
+
+def _polygon(obj, where) -> PolygonSpec:
+    vertices = json_field(obj, "vertices", where, _vertices)
+    mark = json_field(obj, "mark", where, default=0.0)
+    try:
+        return PolygonSpec(vertices, mark)
+    except ValueError as exc:
+        raise SpecError(f"{where}.vertices: {exc}") from exc
 
 
 def load_table(source) -> TableCurve:
     obj = load_json(source)
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise SpecError("table: expected an object with a 'type' field")
-    kind = obj["type"]
+    kind = json_field(obj, "type", "table", str)
     if kind == "disc":
         return disc_table()
     if kind == "fourier_support":
@@ -95,26 +137,14 @@ def load_table(source) -> TableCurve:
     if kind == "smoothed_polygon":
         from .smoothing import family_from_polygon
 
+        poly = _polygon(obj, "table")
+        scale = json_field(obj, "scale", "table")
         try:
-            vertices = obj["vertices"]
-            mark = float(obj.get("mark", 0.0))
-            scale = float(obj["scale"])
-        except KeyError as exc:
-            raise SpecError(f"table.{exc.args[0]}: missing field") from exc
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"table.mark/scale: expected numbers ({exc})") from exc
-        try:
-            poly = PolygonSpec(np.asarray(vertices, dtype=float), mark)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"table.vertices: {exc}") from exc
-        try:
-            fam = family_from_polygon(poly, width=obj.get("profile_width"))
+            fam = family_from_polygon(poly, width=json_field(obj, "profile_width", "table", default=None))
         except InvalidWidth as exc:
             raise SpecError(f"table.profile_width: {exc}") from exc
         except MarkInCorner as exc:
             raise SpecError(f"table.mark: {exc}") from exc
-        except TypeError as exc:
-            raise SpecError(f"table.profile_width: malformed field ({exc})") from exc
         try:
             return fam.curve(scale)
         except ValueError as exc:
@@ -123,45 +153,33 @@ def load_table(source) -> TableCurve:
 
 
 def load_polygon(source) -> PolygonSpec:
-    obj = load_json(source)
-    try:
-        return PolygonSpec(np.asarray(obj["vertices"], dtype=float), float(obj.get("mark", 0.0)))
-    except (KeyError, TypeError) as exc:
-        raise SpecError(f"polygon.{exc}: missing or malformed field") from exc
+    return _polygon(load_json(source), "polygon")
 
 
 def _periodic_samples(obj, where):
     """f at 512 uniform points; a harmonic k >= 256 would alias, so it is rejected."""
     samples = 512
-    try:
-        const = float(obj.get("const", 0.0))
-        cos, sin = ([float(c) for c in obj.get(name, [])] for name in ("cos", "sin"))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SpecError(f"{where}: bad harmonic coefficients ({exc})") from exc
-    top = max(len(cos), len(sin))
-    if top >= samples // 2:
-        raise SpecError(
-            f"{where}: harmonic k = {top} aliases on the {samples} samples of f; k must be below {samples // 2}"
-        )
     # f has the form of a support function, so the one trigonometric kernel sums it
-    return FourierSupportSpec(const, cos, sin).h(TWO_PI * np.arange(samples) / samples)
+    f = _fourier_spec(obj, where, "const", 0.0)
+    if f.cos.size >= samples // 2:
+        raise SpecError(
+            f"{where}: harmonic k = {f.cos.size} aliases on the {samples} samples of f; k must be below {samples // 2}"
+        )
+    return f.h(TWO_PI * np.arange(samples) / samples)
 
 
 def load_path(source) -> TablePath:
     obj = load_json(source)
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise SpecError("path: expected an object with a 'type' field")
-    kind = obj["type"]
+    kind = json_field(obj, "type", "path", str)
     if kind == "translation":
+        v = json_field(obj, "v", "path", number_list)
+        table = load_table(obj.get("table", {"type": "disc"}))
         try:
-            v = np.asarray(obj["v"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError("path.v: expected a plane vector") from exc
-        return translation_path(load_table(obj.get("table", {"type": "disc"})), v)
+            return translation_path(table, v)
+        except ValueError as exc:
+            raise SpecError(f"path.v: {exc}") from exc
     if kind == "support_interp":
-        if "a" not in obj or "b" not in obj:
-            raise SpecError("path: support_interp needs 'a' and 'b' fourier specs")
-        a, b = _fourier_spec(obj["a"], "path.a"), _fourier_spec(obj["b"], "path.b")
+        a, b = _fourier_spec(obj.get("a"), "path.a"), _fourier_spec(obj.get("b"), "path.b")
         try:
             return support_interp_path(a, b)
         except CurvatureNotPositive as exc:

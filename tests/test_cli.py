@@ -1,9 +1,11 @@
 import argparse
 import json
+from itertools import count
 
 import numpy as np
 import pytest
 
+from hoferbilliards import dynamics as dy
 from hoferbilliards import persistence as pe
 from hoferbilliards.cli import main
 from hoferbilliards.errors import SolverDidNotConverge
@@ -145,10 +147,20 @@ GOOD_BAR = {"degree": 0, "birth": 0.0, "death": 1.0}
         ([{"degree": 0, "birth": None, "death": 1.0}], "barcode[0].birth: malformed field"),
         ([["degree", 0]], "barcode[0].degree: missing field"),
         (GOOD_BAR, "barcode: expected a list of bars"),
+        ([dict(GOOD_BAR, birth="nan")], "barcode[0].birth: malformed field (expected a finite number, got 'nan')"),
+        ([dict(GOOD_BAR, death="nan")], "barcode[0].death: malformed field (expected a finite number, got 'nan')"),
+        ([dict(GOOD_BAR, birth="inf", death=1)], "barcode[0].birth: malformed field"),
+        ([dict(GOOD_BAR, birth=2.0, death=1.0)], "barcode[0].death: 1.0 is not above the birth 2.0"),
+        ([dict(GOOD_BAR, degree=1.7)], "barcode[0].degree: malformed field (expected an integer >= 0, got 1.7)"),
+        ([dict(GOOD_BAR, degree=True)], "barcode[0].degree: malformed field (expected an integer >= 0, got True)"),
+        ([dict(GOOD_BAR, degree=-1)], "barcode[0].degree: malformed field (expected an integer >= 0, got -1)"),
     ],
-    ids=["no-degree", "no-birth", "no-death", "null-birth", "bar-not-object", "not-a-list"],
+    ids=["no-degree", "no-birth", "no-death", "null-birth", "bar-not-object", "not-a-list", "nan-birth",
+         "nan-death", "inf-birth", "inverted", "fractional-degree", "boolean-degree", "negative-degree"],
 )
 def test_bottleneck_malformed_barcode_is_input_error(tmp_path, capsys, bars, message):
+    # the string NaNs read 0.5 against a (0, 1) bar, the inverted bar and the
+    # infinite birth 0.0, and the degrees 1.7 and true were read as 1
     bad = _write(tmp_path, "bad.json", bars)
     good = _write(tmp_path, "good.json", [GOOD_BAR])
     assert main(["barcode", "bottleneck", "--barcode", bad, "--barcode2", good]) == 1
@@ -179,7 +191,7 @@ def test_reconstruct_chords_not_an_object_is_input_error(tmp_path, capsys):
         ({"t": [0.25, 0.5, 0.75]}, "chords.from_start: 2 samples, chords.t has 3"),
         ({"t": [], "from_start": [], "from_half": []}, "chords.t: malformed field (expected a non-empty list"),
         ({"from_half": []}, "chords.from_half: malformed field (expected a non-empty list"),
-        ({"t": [[0.25, 0.75]]}, "chords.t: malformed field (expected a non-empty list"),
+        ({"t": [[0.25, 0.75]]}, "chords.t: malformed field (expected a finite number, got [0.25, 0.75])"),
         ({"t": [0.75, 0.25]}, "t must increase strictly inside (0, 1) and skip 1/2"),
         ({"t": [1.25, 1.75]}, "t must increase strictly inside (0, 1) and skip 1/2"),
         ({"t": [0.0, 0.75]}, "t must increase strictly inside (0, 1) and skip 1/2"),
@@ -319,6 +331,8 @@ _COUNT_FLAGS = {
     "barcode-stability-resolution": (
         ["barcode", "stability", "--table", "{disc}", "--table2", "{ellipse}"], "--resolution", 1),
     "reconstruct-samples": (["reconstruct", "--table", "{ellipse}"], "--samples", 3),
+    "barcode-bottleneck-degree": (["barcode", "bottleneck", "--barcode", "{bars}", "--barcode2", "{bars}"],
+                                  "--degree", 0),
 }
 
 
@@ -329,6 +343,7 @@ def test_count_flag_below_its_minimum_is_a_usage_error(tmp_path, capsys, case):
         "disc": _write(tmp_path, "disc.json", {"type": "disc"}),
         "ellipse": _write(tmp_path, "ellipse.json", {"type": "fourier_support", "c0": 1.0, "cos": [0.0, 0.03]}),
         "translation": _write(tmp_path, "path.json", {"type": "translation", "table": {"type": "disc"}, "v": [0.05, 0.0]}),
+        "bars": _write(tmp_path, "bars.json", [GOOD_BAR]),
     }
     out = tmp_path / "out"
     argv = [a.format(**files) for a in argv] + ["--out", str(out)]
@@ -462,6 +477,69 @@ def test_flags_only_where_read(capsys, command, flag):
     else:
         assert main(argv) == 1
         assert "unrecognized arguments" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.fixture
+def inflated_gap(monkeypatch):
+    """Every other ``sample_functional_values`` call that ``dynamics`` makes
+    returns its values times 1.5, so each ``functional_gap`` compares F_a
+    with 1.5 F_b and reports a gap above its bound."""
+    original = dy.sample_functional_values
+    calls = count()
+
+    def inflated(*args):
+        values = original(*args)
+        return values * 1.5 if next(calls) % 2 else values
+
+    monkeypatch.setattr(dy, "sample_functional_values", inflated)
+
+
+def test_verify_all_records_a_failed_bound_and_runs_every_check(tmp_path, capsys, inflated_gap):
+    # the gap bound used to raise out of the battery: exit 2 with only
+    # cauchy.csv, comparison.json and independence.csv written
+    out = tmp_path / "va"
+    assert main(["verify", "all", "--seed", "7", "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False and len(summary["checks"]) == 10
+    # the stability report carries its functional gap, so it fails with it
+    failed = sorted(c["name"] for c in summary["checks"] if not c["pass"])
+    assert failed == ["functional_gap", "persistence"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "cauchy.csv", "comparison.json", "independence.csv", "orbits.json", "persistence.json", "summary.json"]
+    assert "[FAIL] functional_gap" in capsys.readouterr().err
+
+
+def test_orbits_gap_reports_its_verdict(tmp_path, capsys):
+    disc = _write(tmp_path, "disc.json", {"type": "disc"})
+    ellipse = _write(tmp_path, "ellipse.json", {"type": "fourier_support", "c0": 1.0, "cos": [0.0, 0.03]})
+    assert main(["orbits", "gap", "--table", disc, "--table2", ellipse, "--period", "2", "--grid-q", "16"]) == 0
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert result["pass"] is True and result["gap"] <= result["bound"]
+
+
+def test_orbits_gap_above_its_bound_exits_2(tmp_path, capsys, inflated_gap):
+    disc = _write(tmp_path, "disc.json", {"type": "disc"})
+    ellipse = _write(tmp_path, "ellipse.json", {"type": "fourier_support", "c0": 1.0, "cos": [0.0, 0.03]})
+    assert main(["orbits", "gap", "--table", disc, "--table2", ellipse, "--period", "2", "--grid-q", "16"]) == 2
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert result["pass"] is False and result["gap"] > result["bound"]
+
+
+def test_orbit_search_over_the_cell_budget_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # --period 2000 asked numpy for a (5013, 2000, 2000) Hessian stack, 149 GiB,
+    # and ended in a traceback; period 3 tries 8 rotational seeds for each of
+    # k = 1, 2 and the 2 random ones, a stack of 18 x 3 x 3 cells
+    disc = _write(tmp_path, "disc.json", {"type": "disc"})
+    out = tmp_path / "out"
+    argv = ["orbits", "find", "--table", disc, "--period", "3", "--seeds", "2", "--out", str(out)]
+    monkeypatch.setattr(dy, "CELL_BUDGET", 18 * 3 * 3 - 1)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    result = json.loads(captured.out.strip().splitlines()[-1])
+    assert "18 seeds x 3 x 3 Hessian stack exceeds the configured budget" in result["error"]
+    assert "kind" not in result and "input error" in captured.err and not out.exists()
+    monkeypatch.setattr(dy, "CELL_BUDGET", 18 * 3 * 3)
+    assert main(argv) == 0
 
 
 def test_exit_code_mapping_certificate_failure(tmp_path, capsys, monkeypatch):
@@ -680,6 +758,46 @@ def test_non_finite_json_numbers_are_input_errors(tmp_path, capsys, case):
     error = json.loads(captured.out.strip().splitlines()[-1])["error"]
     assert f"invalid JSON in {spec}" in error and named in error
     assert "input error" in captured.err and "Traceback" not in captured.err and not out.exists()
+
+
+# fields that are not JSON numbers or flat lists of them; float() and numpy
+# used to convert the strings and booleans (an NP spec with a string NaN
+# exited 2 with "l_H": NaN, a string-NaN anchor exited 0 with NaN rows), and
+# the other cases failed with a message that named no field
+_MALFORMED_FIELDS = {
+    "np-cos-nan-string": (["hofer", "compare", "--path"],
+                          {"type": "normal_perturbation", "f": {"cos": [0, 0, "nan"]}}, "path.f.cos: malformed field"),
+    "np-const-nan-string": (["hofer", "compare", "--path"],
+                            {"type": "normal_perturbation", "f": {"const": "nan"}}, "path.f.const: malformed field"),
+    "translation-string-v": (["hofer", "compare", "--path"], {"type": "translation", "v": ["0.1", 0.0]},
+                             "path.v: malformed field"),
+    "chords-anchor-nan-string": (["reconstruct", "--chords"], dict(GOOD_CHORDS, anchor="nan"),
+                                 "chords.anchor: malformed field"),
+    "chords-from-start-nan-string": (["reconstruct", "--chords"], dict(GOOD_CHORDS, from_start=["nan", 1.0]),
+                                     "chords.from_start: malformed field"),
+    "polygon-mark-string": (["polygon", "family", "--polygon"], dict(_SQUARE, mark="x"),
+                            "polygon.mark: malformed field (expected a finite number, got 'x')"),
+    "polygon-no-vertices": (["polygon", "family", "--polygon"], {"mark": 0.125}, "polygon.vertices: missing field"),
+    "table-nested-cos": (["table", "inspect", "--table"], {"type": "fourier_support", "c0": 1.0, "cos": [[0.1, 0.2]]},
+                         "table.cos: malformed field"),
+    "table-boolean-c0": (["table", "inspect", "--table"], {"type": "fourier_support", "c0": True},
+                         "table.c0: malformed field (expected a finite number, got True)"),
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_FIELDS))
+def test_malformed_json_fields_are_input_errors_naming_the_field(tmp_path, capsys, case):
+    argv, spec, message = _MALFORMED_FIELDS[case]
+    out = tmp_path / "out"
+    assert main(argv + [_write(tmp_path, "spec.json", spec), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    result = json.loads(captured.out.strip().splitlines()[-1], parse_constant=_reject_constant)
+    assert message in result["error"]
+    assert "Traceback" not in captured.err and not out.exists()
 
 
 @pytest.mark.parametrize("v", ["1e308", "1e7"])

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -422,6 +423,11 @@ def test_functional_gap_bound(disc, mild_ellipse, spec_factory):
             assert rep.gap <= rep.bound
 
 
+def test_functional_gap_passes_within_its_rounding():
+    assert dy.FunctionalGap(gap=1.0 + 1e-10, bound=1.0, c0=0.25).passed
+    assert not dy.FunctionalGap(gap=1.0 + 1e-8, bound=1.0, c0=0.25).passed
+
+
 def test_almost_periodicity_identical(disc):
     orb = dy.find_periodic_orbits(disc, 2, seed_count=4, rng=0)[0]
     rep = dy.almost_periodicity_experiment(disc, disc, orb, 2, radius=0.05, samples=60, rng=0)
@@ -493,6 +499,19 @@ def test_reconstruction_corrupted_chord(disc):
     # corruption stays local: neighbors are fine
     others = np.delete(err, spike)
     assert others.max() < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chord_data_json_round_trip(seed, spec_factory, tmp_path):
+    rng = np.random.default_rng(seed)
+    data = dy.table_chord_data(build_fourier_table(spec_factory(rng)), samples=int(rng.integers(3, 64)))
+    path = tmp_path / "chords.json"
+    path.write_text(json.dumps(data.to_json()))
+    for source in (data.to_json(), str(path)):
+        back = dy.ChordData.from_json(source)
+        assert back.anchor == data.anchor
+        for key in ("t", "from_start", "from_half"):
+            assert np.array_equal(getattr(back, key), getattr(data, key))
 
 
 def test_reconstruction_infeasible_raises():

@@ -244,6 +244,15 @@ def test_bracket_ordering(ellipse_path):
     assert br.upper > 0
 
 
+def test_bracket_passes_within_its_rounding(disc, monkeypatch):
+    assert ho.DistanceBracket(lower=1.0 + 1e-7, upper=1.0).passed
+    assert not ho.DistanceBracket(lower=1.0 + 1e-5, upper=1.0).passed
+    # an inverted bracket is reported, not raised
+    monkeypatch.setattr(ho, "path_geometric_length", lambda path, s_nodes, q_nodes: 0.0)
+    br = ho.bracket_dB(ho.translation_path(disc, (0.0, 0.04)), s_nodes=9, q_nodes=128)
+    assert br.lower == pytest.approx(0.04, abs=1e-9) and not br.passed
+
+
 def test_normal_perturbation_trivial(disc):
     res = ho.normal_perturbation_path(disc, np.zeros(256))
     assert res.bound == 0.0

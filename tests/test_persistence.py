@@ -1,3 +1,4 @@
+import json
 from itertools import product
 from math import comb, inf
 
@@ -81,13 +82,38 @@ def test_barcode_shift():
 
 
 def test_tie_break_invariance():
+    # the barcode (lex order) equals the full reduction in the reversed order
     rng = np.random.default_rng(2)
     vals = rng.integers(0, 4, (6, 6)).astype(float)  # many ties
     g = pe.GridFunction(2, 6, vals)
-    a = pe.sublevel_barcode(g, tie_break="lex")
-    b = pe.sublevel_barcode(g, tie_break="revlex")
-    for d in range(3):
-        assert sorted(a.degree(d)) == sorted(b.degree(d))
+    assert pe.sublevel_barcode(g).bars == reference_barcode(g, "revlex")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_barcode_json_round_trip(seed, tmp_path):
+    # seeded grids of both dimensions, with ties on odd seeds
+    rng = np.random.default_rng(seed)
+    for n, m in ((2, int(rng.integers(1, 10))), (3, int(rng.integers(1, 6)))):
+        shape = (m,) * n
+        values = rng.integers(0, 4, shape).astype(float) if seed % 2 else rng.uniform(0, 1, shape)
+        bar = pe.sublevel_barcode(pe.GridFunction(n, m, values))
+        path = tmp_path / f"bars_n{n}.json"
+        path.write_text(json.dumps(bar.to_json()))
+        assert pe.Barcode.from_json(bar.to_json()) == bar
+        assert pe.Barcode.from_json(str(path)) == bar
+
+
+def test_barcode_from_json_lists_only_the_degrees_it_reads():
+    # a huge degree costs nothing: no empty degree lists are filled in below it
+    bar = pe.Barcode.from_json([{"degree": 10**9, "birth": 0.0, "death": "inf"}])
+    assert bar.dim == 10**9 and bar.bars == {10**9: [(0.0, inf)]}
+
+
+def test_stability_check_reports_a_failed_bound(disc, mild_ellipse, monkeypatch):
+    # a bottleneck above gap + slack used to raise StabilityViolated
+    monkeypatch.setattr(pe, "bottleneck_distance", lambda a, b, d: 1.0)
+    rep = pe.stability_check(disc, mild_ellipse, 2, 16)
+    assert rep.gap.passed and not rep.passed and rep.to_json()["pass"] is False
 
 
 def test_bottleneck_identity_and_shift(disc):
@@ -282,12 +308,14 @@ GRIDS = st.sampled_from([1, 2, 3]).flatmap(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_barcode_matches_full_reduction(grid, ties, tie_break, seed):
+    # the bars do not depend on the tie order, so the lex-ordered barcode
+    # matches the reference reduction in either order
     n, m = grid
     rng = np.random.default_rng(seed)
     shape = (m,) * n
     values = rng.integers(0, 4, shape).astype(float) if ties else rng.uniform(0, 1, shape)
     g = pe.GridFunction(n, m, values)
-    bar = pe.sublevel_barcode(g, tie_break=tie_break)
+    bar = pe.sublevel_barcode(g)
     assert bar.bars == reference_barcode(g, tie_break)
     assert pe.betti_numbers(bar) == [comb(n, d) for d in range(n + 1)]
 
@@ -295,8 +323,9 @@ def test_barcode_matches_full_reduction(grid, ties, tie_break, seed):
 def test_full_reduction_on_landscape_functionals(mild_ellipse):
     for n, m in ((2, 12), (3, 6)):
         g = pe.sample_orbit_functional(mild_ellipse, n, m)
+        bars = pe.sublevel_barcode(g).bars
         for tie_break in ("lex", "revlex"):
-            assert pe.sublevel_barcode(g, tie_break).bars == reference_barcode(g, tie_break)
+            assert bars == reference_barcode(g, tie_break)
 
 
 # ---------------------------------------------------------------------------
