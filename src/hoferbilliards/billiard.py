@@ -21,7 +21,7 @@ import numpy as np
 
 from ._solve import newton_bisect
 from .curves import TableCurve, circ_dist
-from .errors import DiagonalPoint, NearGrazing, NotStrictlyConvex
+from .errors import DiagonalPoint, NearGrazing, NotStrictlyConvex, ResolutionTooLarge
 
 GRAZING_CUTOFF = 1e-9
 DIAGONAL_TOL = 1e-12
@@ -172,10 +172,17 @@ def trajectory_arrays(table: TableCurve, q, p, steps: int):
     returned by ``forward_chord``.
 
     Raises NearGrazing, with ``step`` the 1-based index of the bounce that
-    could not be taken, when some |p| reaches 1 - GRAZING_CUTOFF.
+    could not be taken, when some |p| reaches 1 - GRAZING_CUTOFF, and
+    ResolutionTooLarge, before anything is allocated, when the trajectories
+    hold more than ``dynamics.CELL_BUDGET`` cells.
     """
+    # the package's one cell budget; dynamics imports this module
+    from .dynamics import CELL_BUDGET
+
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     n = abs(int(steps))
+    if (n + 1) * q.size > CELL_BUDGET:
+        raise ResolutionTooLarge(f"{n + 1} steps x {q.size} starts exceeds the configured budget")
     sign = -1.0 if steps < 0 else 1.0
     qs = np.empty((n + 1,) + q.shape)
     ps = np.empty_like(qs)

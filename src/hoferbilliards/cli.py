@@ -33,7 +33,7 @@ from . import persistence as pe
 from . import smoothing as sm
 from .billiard import AnnulusPoint, forward_chord, forward_map, iterate, map_jacobian, trajectory_arrays
 from .curves import FourierSupportSpec, build_fourier_table, disc_table, unit_square
-from .errors import HoferBilliardsError
+from .errors import HoferBilliardsError, ResolutionTooLarge
 from .specio import SpecError, load_path, load_polygon, load_table
 
 OK, INPUT_ERROR, CERT_FAIL = 0, 1, 2
@@ -92,6 +92,8 @@ def cmd_table_inspect(args):
 def cmd_table_sample(args):
     table = load_table(args.table)
     n = args.grid_q
+    if n > dy.CELL_BUDGET:
+        raise ResolutionTooLarge(f"--grid-q {n} exceeds the configured budget")
     q = np.arange(n) / n
     pos = table.position(q)
     tan = table.tangent(q)

@@ -31,7 +31,8 @@ from .specio import SpecError, json_field, load_json, number_list
 ACCEPT_RESIDUAL = 1e-10
 PHASE_TOL = 1e-8
 DEDUP_TOL = 1e-6
-# cells of an orbit search's Hessian stack, or of a barcode's functional grid
+# cells of an orbit search's Hessian stack, a barcode's functional grid, a
+# batch of trajectories, a table's samples or its chord data
 CELL_BUDGET = 1 << 24
 
 
@@ -355,8 +356,11 @@ def functional_gap(a: TableCurve, b: TableCurve, n: int, m: int = 64) -> Functio
     The bound is unconditional (triangle inequality chord by chord), so a
     report that does not pass signals a numerics bug.
     """
-    Fa = sample_functional_values(a, n, m)
-    Fb = sample_functional_values(b, n, m)
+    return _gap_of_samples(a, b, n, m, sample_functional_values(a, n, m), sample_functional_values(b, n, m))
+
+
+def _gap_of_samples(a: TableCurve, b: TableCurve, n: int, m: int, Fa, Fb) -> FunctionalGap:
+    """`functional_gap` from the two tables' `sample_functional_values` on the m^n grid."""
     mask = _adjacent_mask(n, m)
     gap = float(np.abs(np.where(mask, 0.0, Fa - Fb)).max())
     q = np.arange(m) / m
@@ -524,7 +528,12 @@ def _samples(value):
 
 
 def table_chord_data(table: TableCurve, samples: int = 256) -> ChordData:
-    """Chord data of a table on the uniform grid (skipping t = 0, 1/2)."""
+    """Chord data of a table on the uniform grid (skipping t = 0, 1/2).
+
+    More than ``CELL_BUDGET`` samples raises ResolutionTooLarge before any is taken.
+    """
+    if samples > CELL_BUDGET:
+        raise ResolutionTooLarge(f"{samples} chord samples exceed the configured budget")
     t = np.arange(1, samples) / samples
     t = t[np.abs(t - 0.5) > 1e-12]
     pos = table.position(t)

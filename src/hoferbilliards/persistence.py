@@ -27,7 +27,9 @@ from numbers import Integral
 import numpy as np
 
 from .curves import TableCurve
-from .dynamics import CELL_BUDGET, FunctionalGap, functional_gap, sample_functional_values
+# functional_gap is not called here, but stays bound: bench/tracer.py counts
+# the calls made through this module's name
+from .dynamics import CELL_BUDGET, FunctionalGap, _gap_of_samples, functional_gap, sample_functional_values  # noqa: F401
 from .errors import ResolutionTooLarge
 from .specio import SpecError, json_field, load_json, number
 
@@ -441,7 +443,8 @@ def stability_check(ta: TableCurve, tb: TableCurve, n: int, m: int = 64) -> Stab
     gb = sample_orbit_functional(tb, n, m)
     bar_a = sublevel_barcode(ga)
     bar_b = sublevel_barcode(gb)
-    gap = functional_gap(ta, tb, n, m)
+    # the barcodes' grids are the functional gap's, bit for bit
+    gap = _gap_of_samples(ta, tb, n, m, ga.values, gb.values)
     slack = _cell_oscillation(ga.values - gb.values)
     out = {d: bottleneck_distance(bar_a, bar_b, d) for d in range(n + 1)}
     passed = gap.passed and all(bd <= gap.gap + slack + 1e-12 for bd in out.values())

@@ -481,8 +481,9 @@ def test_flags_only_where_read(capsys, command, flag):
 
 @pytest.fixture
 def inflated_gap(monkeypatch):
-    """Every other ``sample_functional_values`` call that ``dynamics`` makes
-    returns its values times 1.5, so each ``functional_gap`` compares F_a
+    """Every other ``sample_functional_values`` call, through ``dynamics`` or
+    through ``persistence`` (whose stability check hands its grids to the
+    gap), returns its values times 1.5, so each functional gap compares F_a
     with 1.5 F_b and reports a gap above its bound."""
     original = dy.sample_functional_values
     calls = count()
@@ -492,6 +493,7 @@ def inflated_gap(monkeypatch):
         return values * 1.5 if next(calls) % 2 else values
 
     monkeypatch.setattr(dy, "sample_functional_values", inflated)
+    monkeypatch.setattr(pe, "sample_functional_values", inflated)
 
 
 def test_verify_all_records_a_failed_bound_and_runs_every_check(tmp_path, capsys, inflated_gap):
@@ -539,6 +541,32 @@ def test_orbit_search_over_the_cell_budget_is_an_input_error(tmp_path, capsys, m
     assert "18 seeds x 3 x 3 Hessian stack exceeds the configured budget" in result["error"]
     assert "kind" not in result and "input error" in captured.err and not out.exists()
     monkeypatch.setattr(dy, "CELL_BUDGET", 18 * 3 * 3)
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, cells, message",
+    [
+        (["table", "sample", "--grid-q", "16"], 16, "--grid-q 16 exceeds the configured budget"),
+        (["map", "iterate", "--q", "0.1", "--p", "0.3", "--steps", "9"], 10, "10 steps x 1 starts"),
+        (["map", "portrait", "--seeds", "3", "--steps", "-4"], 15, "5 steps x 3 starts"),
+        (["reconstruct", "--samples", "64"], 64, "64 chord samples exceed the configured budget"),
+    ],
+    ids=["table-sample", "map-iterate", "map-portrait", "reconstruct"],
+)
+def test_count_flags_over_the_cell_budget_are_input_errors(tmp_path, capsys, monkeypatch, argv, cells, message):
+    # --grid-q 2000000000, --steps 1000000000 and --samples 2000000000 asked
+    # numpy for 7.45-14.9 GiB and ended in an _ArrayMemoryError traceback
+    disc = _write(tmp_path, "disc.json", {"type": "disc"})
+    out = tmp_path / "out"
+    argv = argv + ["--table", disc, "--out", str(out)]
+    monkeypatch.setattr(dy, "CELL_BUDGET", cells - 1)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    result = json.loads(captured.out.strip().splitlines()[-1])
+    assert message in result["error"] and "kind" not in result
+    assert "input error" in captured.err and not out.exists()
+    monkeypatch.setattr(dy, "CELL_BUDGET", cells)
     assert main(argv) == 0
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoferbilliards import FourierSupportSpec, build_fourier_table, rigid_motion
+from hoferbilliards import dynamics as dy
 from hoferbilliards import persistence as pe
 from hoferbilliards.errors import ResolutionTooLarge
 
@@ -218,6 +219,25 @@ def test_stability_check_ellipse(disc, mild_ellipse):
     assert rep.passed
     for d, v in rep.bottlenecks.items():
         assert v <= rep.gap.gap + rep.slack + 1e-12
+
+
+@pytest.mark.parametrize("n, m", [(2, 24), (3, 8)])
+def test_stability_check_samples_each_functional_once(disc, mild_ellipse, monkeypatch, n, m):
+    # the functional gap reads the barcodes' grids; it used to sample both
+    # tables again, to the same bits
+    want = dy.functional_gap(disc, mild_ellipse, n, m).to_json()
+    sampled = []
+    sample = dy.sample_functional_values
+
+    def counted(table, n, m):
+        sampled.append(table)
+        return sample(table, n, m)
+
+    monkeypatch.setattr(dy, "sample_functional_values", counted)
+    monkeypatch.setattr(pe, "sample_functional_values", counted)
+    rep = pe.stability_check(disc, mild_ellipse, n, m)
+    assert sampled == [disc, mild_ellipse]
+    assert json.dumps(rep.gap.to_json()) == json.dumps(want)
 
 
 def test_stability_check_three_bounces(disc, mild_ellipse):
