@@ -21,7 +21,7 @@ import numpy as np
 
 from ._solve import newton_bisect
 from .curves import TableCurve, circ_dist
-from .errors import DiagonalPoint, NearGrazing, NotStrictlyConvex, ResolutionTooLarge
+from .errors import DiagonalPoint, NearGrazing, NotStrictlyConvex
 
 GRAZING_CUTOFF = 1e-9
 DIAGONAL_TOL = 1e-12
@@ -177,12 +177,11 @@ def trajectory_arrays(table: TableCurve, q, p, steps: int):
     hold more than ``dynamics.CELL_BUDGET`` cells.
     """
     # the package's one cell budget; dynamics imports this module
-    from .dynamics import CELL_BUDGET
+    from .dynamics import check_budget
 
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     n = abs(int(steps))
-    if (n + 1) * q.size > CELL_BUDGET:
-        raise ResolutionTooLarge(f"{n + 1} steps x {q.size} starts exceeds the configured budget")
+    check_budget((n + 1) * q.size, f"{n + 1} steps x {q.size} starts")
     sign = -1.0 if steps < 0 else 1.0
     qs = np.empty((n + 1,) + q.shape)
     ps = np.empty_like(qs)

@@ -33,7 +33,7 @@ from . import persistence as pe
 from . import smoothing as sm
 from .billiard import AnnulusPoint, forward_chord, forward_map, iterate, map_jacobian, trajectory_arrays
 from .curves import FourierSupportSpec, build_fourier_table, disc_table, unit_square
-from .errors import HoferBilliardsError, ResolutionTooLarge
+from .errors import HoferBilliardsError
 from .specio import SpecError, load_path, load_polygon, load_table
 
 OK, INPUT_ERROR, CERT_FAIL = 0, 1, 2
@@ -92,8 +92,7 @@ def cmd_table_inspect(args):
 def cmd_table_sample(args):
     table = load_table(args.table)
     n = args.grid_q
-    if n > dy.CELL_BUDGET:
-        raise ResolutionTooLarge(f"--grid-q {n} exceeds the configured budget")
+    dy.check_budget(n, f"--grid-q {n}")
     q = np.arange(n) / n
     pos = table.position(q)
     tan = table.tangent(q)
@@ -131,6 +130,8 @@ def cmd_map_iterate(args):
 
 def cmd_map_portrait(args):
     table = load_table(args.table)
+    # trajectory_arrays checks the same count, after the starts are drawn
+    dy.check_budget((abs(args.steps) + 1) * args.seeds, f"{abs(args.steps) + 1} steps x {args.seeds} starts")
     rng = np.random.default_rng(args.seed)
     starts = np.array([(rng.uniform(), rng.uniform(-0.9, 0.9)) for _ in range(args.seeds)]).reshape(-1, 2)
     # all orbits advance together: one batched bounce per step
@@ -154,6 +155,10 @@ def cmd_map_portrait(args):
 
 def cmd_hofer_length(args):
     path = load_path(args.path)
+    # the speeds are taken one s-node at a time, each on --grid-q points
+    dy.check_budget(args.grid_s, f"--grid-s {args.grid_s}")
+    dy.check_budget(args.grid_q, f"--grid-q {args.grid_q}")
+    dy.check_budget(args.grid_q // 4 * args.grid_p, f"{args.grid_q // 4} x --grid-p {args.grid_p} Hamiltonian grid")
     l_b = ho.path_geometric_length(path, s_nodes=args.grid_s, q_nodes=args.grid_q)
     l_h = ho.hofer_length(path, q_grid=args.grid_q // 4, p_grid=args.grid_p)
     result = {"l_B": l_b, "l_H": l_h}
@@ -187,6 +192,7 @@ def cmd_hofer_compare(args):
 
 def cmd_hofer_hjresidual(args):
     path = load_path(args.path)
+    dy.check_budget(args.points, f"--points {args.points}")
     rng = np.random.default_rng(args.seed)
     pts = np.stack([rng.uniform(0, 1, args.points), rng.uniform(-0.9, 0.9, args.points)], axis=-1)
     res = ho.hamilton_jacobi_residual(path, args.s, pts)
@@ -381,6 +387,9 @@ def _random_admissible_spec(rng):
 
 
 def cmd_verify_all(args):
+    # the comparison paths are held together; each one's grids are solved on
+    # their own, at most --threads at once
+    dy.check_budget(args.paths, f"--paths {args.paths}")
     outdir = _outdir(args)
     rng = np.random.default_rng(args.seed)
     checks = []

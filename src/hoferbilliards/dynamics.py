@@ -31,9 +31,18 @@ from .specio import SpecError, json_field, load_json, number_list
 ACCEPT_RESIDUAL = 1e-10
 PHASE_TOL = 1e-8
 DEDUP_TOL = 1e-6
-# cells of an orbit search's Hessian stack, a barcode's functional grid, a
-# batch of trajectories, a table's samples or its chord data
+# cells of an orbit search's Hessian stack, a functional grid, a batch of
+# trajectories, a table's samples or its chord data, and every other array
+# whose size a count flag sets (see ``check_budget``)
 CELL_BUDGET = 1 << 24
+
+
+def check_budget(cells: int, what: str) -> None:
+    """Raise ResolutionTooLarge, an input error, when ``what`` would hold more
+    than ``CELL_BUDGET`` cells.  The budget is read at call time, and a
+    caller checks before it allocates or loops over the count."""
+    if cells > CELL_BUDGET:
+        raise ResolutionTooLarge(f"{what} exceeds the configured budget")
 
 
 def _action(dist) -> float:
@@ -255,14 +264,15 @@ def find_periodic_orbits(
     and is accepted only when the critical residual is below 1e-10 and the
     tuple closes up as a phase-space trajectory within 1e-8.  Classes are
     returned sorted by action, then tuple.  A Hessian stack of more than
-    ``CELL_BUDGET`` cells raises ResolutionTooLarge before it is allocated.
+    ``CELL_BUDGET`` cells raises ResolutionTooLarge before it is allocated,
+    and before the coprime scan when its 8 seeds of k = 1 alone exceed it.
     """
     if n < 2:
         raise ValueError("period must be at least 2")
+    check_budget(8 * n * n, f"at least 8 seeds x {n} x {n} Hessian stack")
     coprime = [k for k in range(1, n) if np.gcd(k, n) == 1]
     tried = 8 * len(coprime) + seed_count
-    if tried * n * n > CELL_BUDGET:
-        raise ResolutionTooLarge(f"{tried} seeds x {n} x {n} Hessian stack exceeds the configured budget")
+    check_budget(tried * n * n, f"{tried} seeds x {n} x {n} Hessian stack")
     rng = np.random.default_rng(rng)
     starts = np.linspace(0.0, 1.0 / n, 8, endpoint=False)
     seeds = [np.mod(q0 + np.arange(n) * k / n, 1.0) for k in coprime for q0 in starts]
@@ -310,16 +320,21 @@ def find_periodic_orbits(
 
 
 def sample_functional_values(table: TableCurve, n: int, m: int):
-    """F on the uniform m^n torus grid; chords of equal parameters count 0."""
+    """F on the uniform m^n torus grid; chords of equal parameters count 0.
+
+    Raises ValueError unless n is 2 or 3, and ResolutionTooLarge, before
+    anything is sampled, over the cell budget.
+    """
+    if n not in (2, 3):
+        raise ValueError("torus grids are supported for n in {2, 3}")
+    check_budget(m**n, f"{m}^{n} grid")
     q = np.arange(m) / m
     pos = table.position(q)
     diff = pos[None, :, :] - pos[:, None, :]
     D = np.linalg.norm(diff, axis=-1)
     if n == 2:
         return 2.0 * D
-    if n == 3:
-        return D[:, :, None] + D[None, :, :] + D[:, None, :]
-    raise ValueError("torus grids are supported for n in {2, 3}")
+    return D[:, :, None] + D[None, :, :] + D[:, None, :]
 
 
 def _adjacent_mask(n: int, m: int):
@@ -425,7 +440,10 @@ def almost_periodicity_experiment(
     not computable).  When there is no bound, ``bound_missing`` says why:
     a table without a support spec, or the typed error of an interpolation
     that leaves the convex class or a length sweep that did not converge.
+    The samples^2 cloud distances are checked against the cell budget
+    before anything is drawn.
     """
+    check_budget(samples * samples, f"{samples} x {samples} distance matrix")
     rng = np.random.default_rng(rng)
     q0, p0 = orbit_phase_point(a, np.asarray(orbit.qs))
     ang = rng.uniform(0.0, 2 * np.pi, samples - 1)

@@ -29,8 +29,7 @@ import numpy as np
 from .curves import TableCurve
 # functional_gap is not called here, but stays bound: bench/tracer.py counts
 # the calls made through this module's name
-from .dynamics import CELL_BUDGET, FunctionalGap, _gap_of_samples, functional_gap, sample_functional_values  # noqa: F401
-from .errors import ResolutionTooLarge
+from .dynamics import FunctionalGap, _gap_of_samples, functional_gap, sample_functional_values  # noqa: F401
 from .specio import SpecError, json_field, load_json, number
 
 
@@ -57,10 +56,9 @@ def sample_orbit_functional(table: TableCurve, n: int, m: int) -> GridFunction:
     """Chord-length functional on the m^n torus grid.
 
     Chord terms of coinciding parameters evaluate to 0 (the continuous
-    extension of the norm); raises ResolutionTooLarge over the cell budget.
+    extension of the norm); ``sample_functional_values`` checks n and the
+    cell budget.
     """
-    if m**n > CELL_BUDGET:
-        raise ResolutionTooLarge(f"{m}^{n} grid exceeds the configured budget")
     return GridFunction(n, m, sample_functional_values(table, n, m))
 
 

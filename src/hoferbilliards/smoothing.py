@@ -23,31 +23,33 @@ profile choice.
 
 Every slice quantity (position, tangent, curvature, s-rate) comes from one
 gathered kernel, ``SmoothingFamily._eval``, which takes a 1-D array of
-scales and a stack of k profile sets on the family's corners (`_Rows`); a
-family's own profiles are a stack of one.  The edge points of all pieces and
-scales are one fancy-indexed expression per stack row; the corner points of
-all rows take one profile call per corner that holds any.  Each point sees
-the floating-point operations of a one-scale, one-profile call in the same
-order, so batching changes no bit.  `cauchy_tail` reads all its levels from
-one call.
+scales and a stack of k profile sets on the family's corners (`_Rows`).  At
+corner i, row r of a stack is the profile sum_j w[r, j] parents[i][j]: a
+family's own profiles are one row of one parent with weight 1, and the
+blends of a Simpson node below are k rows of two parents with weights
+(1 - t, t).  `_Rows` holds each corner's (k, 2049) arc table, built in one
+pass from the parents' f' on the widest parent's grid (`_arc_grid`); its
+``xi_of_arc`` is the one inversion of a profile's arc length and its
+``profile`` the one mixer of the parents' f, f' and f''.  Each mix starts
+from its first term, so a weight of 1 changes no bit.  The edge points of
+all pieces and scales are one fancy-indexed expression per stack row; the
+corner points of all rows take one call of each parent per corner that
+holds any.  Each point sees the floating-point operations of a one-scale,
+one-profile call in the same order, so batching changes no bit.
+`cauchy_tail` reads all its levels from one call.
 
 The independence certificate blends the two families' corner profiles at
 the stencil points of a Simpson rule in the blend parameter t.  The blend
 does not depend on the scale, so one sweep over the t nodes serves every
-scale of `independence_slope`.  The 2 or 3 blends of a node are one stack
-(`_Blends`): their profile arc lengths, length defects, L(s), piece starts
-and mark carry a leading blend axis, each corner's arc tables come from one
-(k, 2049) pass over the parents' f' on a grid that every t shares
-(`_blend_grid`, computed once per corner in each sweep), and `np.interp` on
-a row's table inverts its arc length.  One kernel call evaluates the node,
-blend by blend into one array, with one call of each parent's f per corner
-for the corner points of every blend, each mixed with its own t.
+scale of `independence_slope`.  The sweep reads each parent's f' once, on
+its corner's grid, and the 2 or 3 blends of a node are one stack, evaluated
+by one kernel call blend by blend into one array.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +64,7 @@ from .curves import (
     rotate_cw,
     shift_mark,
 )
+from .dynamics import check_budget
 from .errors import InvalidWidth, MarkInCorner
 from .homotopy import TablePath, simpson_nodes
 
@@ -150,12 +153,6 @@ def standard_mollifier() -> _Mollifier:
 _ARC_GRID = 2049
 
 
-def _arc_tables(xi, dfx):
-    """Graph arc length from xi[0] on the grid xi, given f' there (one row per
-    profile when dfx has a leading axis)."""
-    return xi, _cumulative(xi, np.sqrt(1.0 + dfx**2))
-
-
 @dataclass
 class CornerProfile:
     """Smooth convex even function equal to slope*|x| for |x| >= width."""
@@ -165,41 +162,14 @@ class CornerProfile:
     f: object
     df: object
     ddf: object
-    _arc: tuple | None = field(default=None, repr=False)
-
-    def _tables(self):
-        if self._arc is None:
-            xi = np.linspace(-self.width, self.width, _ARC_GRID)
-            self._arc = _arc_tables(xi, self.df(xi))
-        return self._arc
-
-    @property
-    def arc_length(self) -> float:
-        """Length of the profile graph over [-width, width]."""
-        return float(self._tables()[1][-1])
-
-    def xi_of_arc(self, arc):
-        """Invert the graph arc length measured from x = -width: the table is
-        piecewise linear and increasing, so its inverse interpolates on the
-        swapped nodes, and arcs outside [0, arc_length] clamp to the ends."""
-        xi_grid, arc_grid = self._tables()
-        return np.interp(arc, arc_grid, xi_grid)
 
 
-def _blend_grid(a: CornerProfile, b: CornerProfile):
-    """The arc grid of every blend of a and b, on the wider width, and both f' on it."""
-    width = max(a.width, b.width)
+def _arc_grid(parents):
+    """The arc-table nodes of a corner's parent profiles, 2049 over the widest
+    parent's [-width, width], and every parent's f' there, one row each."""
+    width = max(p.width for p in parents)
     xi = np.linspace(-width, width, _ARC_GRID)
-    return xi, a.df(xi), b.df(xi)
-
-
-def _blend_tables(grid, ts):
-    """Arc tables of the blends (1 - t) a + t b at every t of the 1-D ``ts``,
-    one row each, from ``grid = _blend_grid(a, b)``: the parents' f' there
-    combined by the same expression as a blend's f'."""
-    xi, da, db = grid
-    t = ts[:, None]
-    return _arc_tables(xi, (1 - t) * da + t * db)
+    return xi, np.array([p.df(xi) for p in parents])
 
 
 def make_profile(slope: float, width: float) -> CornerProfile:
@@ -281,24 +251,40 @@ class _FamilyCurve(TableCurve):
         return self.curvature(t)
 
 
-class _Rows:
-    """k sets of corner profiles on one family's corners: every layout value
-    that depends on the profiles, with a leading axis of k.
+def _mix(w, values):
+    """sum_j w[..., j] values[j], started from its first term: a weight of 1
+    changes no bit, and -0.0 stays -0.0."""
+    out = w[..., 0] * values[0]
+    for j in range(1, len(values)):
+        out += w[..., j] * values[j]
+    return out
 
-    ``arcs`` (k, n) holds the profile arc lengths and ``slopes`` the profile
-    slopes; the width-dependent geometry is the family's.  A subclass
-    evaluates the profiles at corner points drawn from any rows, each point
-    with its own row: ``xi_of_arc(i, row, arc)`` inverts corner i's arc
-    length and ``profile(i, row, name, x)`` gives its f, df or ddf.
-    `_Profiles` holds a family's own (k = 1), `_Blends` the blends of two
-    families at k values of t.
+
+class _Rows:
+    """k sets of corner profiles on one family's corners: at corner i, row r
+    is the profile sum_j weights[r, j] parents[i][j], and every layout value
+    that depends on the profiles has a leading axis of k.
+
+    A family's own profiles are one row of one parent with weight 1; the
+    blends (1 - t) a + t b of two families at k values of t are k rows of
+    two parents.  ``grids`` holds each corner's `_arc_grid` (built here when
+    not given): one (k, 2049) pass there gives every row's arc table, from
+    the parents' f' mixed as ``profile`` mixes them.  ``arcs`` (k, n) holds
+    the profile arc lengths; the widths, and the geometry that depends on
+    them, are the family's.
     """
 
-    def __init__(self, fam: "SmoothingFamily", slopes, arcs):
+    def __init__(self, fam: "SmoothingFamily", parents, weights, grids=None):
+        self.parents = parents
+        self.weights = weights
+        self.tables = [
+            (xi, _cumulative(xi, np.sqrt(1.0 + _mix(weights[:, None, :], dfs) ** 2)))
+            for xi, dfs in grids or map(_arc_grid, parents)
+        ]
+        self.arcs = arcs = np.stack([arc[:, -1] for _, arc in self.tables], axis=-1)
         n = fam.n_corners
         j = fam.mark_edge
-        self.arcs = arcs
-        self.deltas = 2.0 * fam.widths * np.hypot(1.0, slopes) - arcs
+        self.deltas = 2.0 * fam.widths * np.hypot(1.0, [p[0].slope for p in parents]) - arcs
         # each row sums its own defects, as a family of one would
         self.total_delta = np.array([row.sum() for row in self.deltas])
         # d/ds of the piece starts and of the mark's arc position; the piece
@@ -313,6 +299,22 @@ class _Rows:
         self._edge_len = fam.edge_len
         self._edge_cut = fam._edge_cut
         self._mark = (j, fam.mark_offset, fam.cut[j])
+
+    def xi_of_arc(self, i, row, arc):
+        """Invert corner i's graph arc length, measured from x = -width, on
+        each point's own row: a table is piecewise linear and increasing, so
+        its inverse interpolates on the swapped nodes, and arcs outside
+        [0, arc length] clamp to the ends."""
+        xi_grid, arc_grid = self.tables[i]
+        xi = np.empty_like(arc)
+        for r in np.unique(row):
+            m = row == r
+            xi[m] = np.interp(arc[m], arc_grid[r], xi_grid)
+        return xi
+
+    def profile(self, i, row, name, x):
+        """Corner i's f, df or ddf (``name``) at the points x, each on its own row."""
+        return _mix(self.weights[row], [getattr(p, name)(x) for p in self.parents[i]])
 
     def length_at(self, s):
         """L(s) of every row at every scale of the 1-D s, shape (k, len(s))."""
@@ -334,52 +336,6 @@ class _Rows:
         lengths[..., 1::2] = self._edge_len - s[:, None] * self._edge_cut
         head = np.array([row[: 2 * j + 1].sum() for row in lengths.reshape(-1, n2)]).reshape(k, s.size)
         return lengths, head + offset - s * cut
-
-
-class _Profiles(_Rows):
-    """A family's own corner profiles, a stack of one."""
-
-    def __init__(self, fam: "SmoothingFamily", profiles):
-        self.profiles = profiles
-        super().__init__(fam, np.array([p.slope for p in profiles]), np.array([[p.arc_length for p in profiles]]))
-
-    def xi_of_arc(self, i, row, arc):
-        return self.profiles[i].xi_of_arc(arc)
-
-    def profile(self, i, row, name, x):
-        return getattr(self.profiles[i], name)(x)
-
-
-class _Blends(_Rows):
-    """The corner blends (1 - t) a + t b of two families' profiles at the k values ``ts``.
-
-    ``fam`` has the wider parent's width at each corner, the blends' width.
-    ``grids`` holds each corner's `_blend_grid`: one (k, 2049) pass there
-    gives every row's arc table, from the parents' f' combined by the same
-    expression as the blend's f'.  A profile value at corner points of any
-    rows takes one call of each parent, mixed with each point's own t.
-    """
-
-    def __init__(self, fam: "SmoothingFamily", lower: "SmoothingFamily", upper: "SmoothingFamily", grids, ts):
-        self.pairs = list(zip(lower.profiles, upper.profiles))
-        self.t = np.asarray(ts, dtype=float)
-        self.tables = [_blend_tables(grid, self.t) for grid in grids]
-        arcs = np.stack([arc[:, -1] for _, arc in self.tables], axis=-1)
-        super().__init__(fam, np.array([a.slope for a, _ in self.pairs]), arcs)
-
-    def xi_of_arc(self, i, row, arc):
-        """`CornerProfile.xi_of_arc` on each point's own row of corner i."""
-        xi_grid, arc_grid = self.tables[i]
-        xi = np.empty_like(arc)
-        for r in np.unique(row):
-            m = row == r
-            xi[m] = np.interp(arc[m], arc_grid[r], xi_grid)
-        return xi
-
-    def profile(self, i, row, name, x):
-        a, b = self.pairs[i]
-        t = self.t[row]
-        return (1 - t) * getattr(a, name)(x) + t * getattr(b, name)(x)
 
 
 class SmoothingFamily:
@@ -442,10 +398,27 @@ class SmoothingFamily:
             )
         # distance along each edge consumed by its two corners at s = 1
         self._edge_cut = self.cut + np.roll(self.cut, -1)
-        self._rows = _Profiles(self, profiles)
-        self.profile_arcs = self._rows.arcs[0]
-        self.deltas = self._rows.deltas[0]
-        self.total_delta = float(self._rows.total_delta[0])
+
+    @functools.cached_property
+    def _rows(self) -> _Rows:
+        """The family's own profiles, one row of one parent per corner with
+        weight 1; built on first use, so a family that only lends its
+        geometry to a stack of blends builds no arc table."""
+        return _Rows(self, [(p,) for p in self.profiles], np.ones((1, 1)))
+
+    @property
+    def profile_arcs(self):
+        """Graph length of each corner profile over [-width, width]."""
+        return self._rows.arcs[0]
+
+    @property
+    def deltas(self):
+        """Length defect of each corner profile's graph against the corner graph."""
+        return self._rows.deltas[0]
+
+    @property
+    def total_delta(self) -> float:
+        return float(self._rows.total_delta[0])
 
     @property
     def n_corners(self) -> int:
@@ -464,15 +437,14 @@ class SmoothingFamily:
         Evaluates every scale of the 1-D array ``scales`` at every q in one
         pass: the result has shape (len(scales),) + q.shape, plus a last
         axis of 2 except for 'kappa'.  ``rows`` is a stack of k profile sets
-        on this family's corners (`_Blends`), which then replace the
-        family's own profiles and give the result a leading axis of k; the
-        family itself is a stack of one.  Row by row, every point is first
-        evaluated as an edge point, all pieces and scales in one
-        fancy-indexed expression per coordinate; the corner points of all
-        rows are then overwritten by one profile call per corner that holds
-        any.  Each point goes through the floating-point operations of a
-        one-scale, one-profile call in the same order, so the bits do not
-        depend on the batch.
+        on this family's corners (`_Rows`), which then replace the family's
+        own stack of one and give the result a leading axis of k.  Row by
+        row, every point is first evaluated as an edge point, all pieces and
+        scales in one fancy-indexed expression per coordinate; the corner
+        points of all rows are then overwritten by one profile call per
+        corner that holds any.  Each point goes through the floating-point
+        operations of a one-scale, one-profile call in the same order, so
+        the bits do not depend on the batch.
 
         'rate' is d/ds at fixed q of the normalized slice C + (pos - C) / L,
         from the raw position and its rate in one pass: an edge point moves
@@ -692,8 +664,13 @@ class CauchyTailReport:
 
 
 def cauchy_tail(fam: SmoothingFamily, s0: float, levels: int = 8, q_nodes: int = 4096) -> CauchyTailReport:
-    """Approximate int_0^s0 family_speed ds on the dyadic grid s0 * 2^-k, 0 < s0 <= 1."""
+    """Approximate int_0^s0 family_speed ds on the dyadic grid s0 * 2^-k, 0 < s0 <= 1.
+
+    The (levels + 1) x q_nodes slice points are checked against the cell
+    budget before any is evaluated.
+    """
     _check_scales(s0)
+    check_budget((levels + 1) * q_nodes, f"{levels + 1} levels x {q_nodes} nodes rate grid")
     nodes = s0 * 0.5 ** np.arange(levels + 1)
     speeds = _family_speeds(fam, nodes, q_nodes)
     inc = 0.5 * (speeds[:-1] + speeds[1:]) * (nodes[:-1] - nodes[1:])
@@ -759,7 +736,7 @@ def _independence_gaps(fam_a, fam_b, scales, t_nodes, q_nodes):
     # a blend is as wide as its wider parent, so every blend has that family's
     # widths, cuts and mark, and its width checks
     wide = SmoothingFamily(fam_a.polygon, [a if a.width >= b.width else b for a, b in pairs])
-    grids = [_blend_grid(a, b) for a, b in pairs]
+    grids = [_arc_grid(pair) for pair in pairs]
     totals = np.zeros(len(scales))
     for t, w in zip(tq, tw):
         # one-sided second-order stencils at the ends, central inside
@@ -769,7 +746,9 @@ def _independence_gaps(fam_a, fam_b, scales, t_nodes, q_nodes):
             ts, stencil = (t, t - h, t - 2 * h), lambda p: 3.0 * p[0] - 4.0 * p[1] + p[2]
         else:
             ts, stencil = (t + h, t - h), lambda p: p[0] - p[1]
-        d = stencil(wide._positions(scales, q, _Blends(wide, fam_a, fam_b, grids, ts))) / (2 * h)
+        ts = np.array(ts)
+        blends = _Rows(wide, pairs, np.stack([1 - ts, ts], axis=-1), grids)
+        d = stencil(wide._positions(scales, q, blends)) / (2 * h)
         # the norm's sum of squares; the root of the max is the max of the roots
         totals += w * np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).max(axis=-1))
     return totals
@@ -790,11 +769,13 @@ def profile_independence_gap(
 
     Cost: the t derivative takes a 2- or 3-point stencil at each of the
     ``t_nodes`` Simpson nodes, 2 t_nodes + 2 blends in all (36 at the
-    default 17).  Each node's blends are one stack (`_Blends`): one (k, 2049)
-    pass per corner gives their arc tables from the parents' f' on a grid
-    that the sweep computes once per corner, and one gathered kernel call
-    evaluates every blend at every scale, with one call of each parent's f
-    per corner for the corner points of all of them.  The same sweep serves
+    default 17).  Each node's blends are one `_Rows` stack of k rows of the
+    two parents, weighted (1 - t, t): one (k, 2049) pass per corner gives
+    their arc tables from the parents' f' on a grid that the sweep computes
+    once per corner, and one gathered kernel call evaluates every blend at
+    every scale, with one call of each parent's f per corner for the corner
+    points of all of them.  The two families and the wide one whose geometry
+    the blends share build no arc table of their own.  The same sweep serves
     every scale of `independence_slope`, so a call with six scales builds no
     more tables, and makes no more kernel calls, than a call with one.
     Memory: the kernel evaluates a node blend by blend into one (k, S, Q, 2)

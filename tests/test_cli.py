@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 from itertools import count
 
 import numpy as np
@@ -336,17 +337,22 @@ _COUNT_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("case", list(_COUNT_FLAGS))
-def test_count_flag_below_its_minimum_is_a_usage_error(tmp_path, capsys, case):
-    argv, flag, low = _COUNT_FLAGS[case]
-    files = {
+def _input_files(tmp_path):
+    """Input files of every command, by the placeholder names of the flag tables."""
+    return {
         "disc": _write(tmp_path, "disc.json", {"type": "disc"}),
         "ellipse": _write(tmp_path, "ellipse.json", {"type": "fourier_support", "c0": 1.0, "cos": [0.0, 0.03]}),
         "translation": _write(tmp_path, "path.json", {"type": "translation", "table": {"type": "disc"}, "v": [0.05, 0.0]}),
         "bars": _write(tmp_path, "bars.json", [GOOD_BAR]),
+        "square": _write(tmp_path, "square.json", _SQUARE),
     }
+
+
+@pytest.mark.parametrize("case", list(_COUNT_FLAGS))
+def test_count_flag_below_its_minimum_is_a_usage_error(tmp_path, capsys, case):
+    argv, flag, low = _COUNT_FLAGS[case]
     out = tmp_path / "out"
-    argv = [a.format(**files) for a in argv] + ["--out", str(out)]
+    argv = [a.format(**_input_files(tmp_path)) for a in argv] + ["--out", str(out)]
     for value in sorted(v for v in {low - 1, 0, -3} if v < low):
         assert main(argv + [flag, str(value)]) == 1
         captured = capsys.readouterr()
@@ -544,22 +550,56 @@ def test_orbit_search_over_the_cell_budget_is_an_input_error(tmp_path, capsys, m
     assert main(argv) == 0
 
 
-@pytest.mark.parametrize(
-    "argv, cells, message",
-    [
-        (["table", "sample", "--grid-q", "16"], 16, "--grid-q 16 exceeds the configured budget"),
-        (["map", "iterate", "--q", "0.1", "--p", "0.3", "--steps", "9"], 10, "10 steps x 1 starts"),
-        (["map", "portrait", "--seeds", "3", "--steps", "-4"], 15, "5 steps x 3 starts"),
-        (["reconstruct", "--samples", "64"], 64, "64 chord samples exceed the configured budget"),
-    ],
-    ids=["table-sample", "map-iterate", "map-portrait", "reconstruct"],
-)
-def test_count_flags_over_the_cell_budget_are_input_errors(tmp_path, capsys, monkeypatch, argv, cells, message):
-    # --grid-q 2000000000, --steps 1000000000 and --samples 2000000000 asked
-    # numpy for 7.45-14.9 GiB and ended in an _ArrayMemoryError traceback
-    disc = _write(tmp_path, "disc.json", {"type": "disc"})
+# each budgeted count with the cells it asks for: orbits gap and the barcode
+# commands through one m^n check in dynamics, which barcode compute and
+# barcode stability used to skip for a copy of the budget bound at import;
+# orbits find checks 8 n^2 before its coprime scan; hofer length checks
+# each of its node counts and the one Hamiltonian grid it solves at a time
+_BUDGETS = {
+    "table-sample": (["table", "sample", "--table", "{disc}", "--grid-q", "16"], 16,
+                     "--grid-q 16 exceeds the configured budget"),
+    "map-iterate": (["map", "iterate", "--table", "{disc}", "--q", "0.1", "--p", "0.3", "--steps", "9"], 10,
+                    "10 steps x 1 starts"),
+    "map-portrait": (["map", "portrait", "--table", "{disc}", "--seeds", "3", "--steps", "-4"], 15,
+                     "5 steps x 3 starts"),
+    "reconstruct": (["reconstruct", "--table", "{disc}", "--samples", "64"], 64,
+                    "64 chord samples exceed the configured budget"),
+    "hofer-length-nodes": (
+        ["hofer", "length", "--path", "{translation}", "--grid-q", "8", "--grid-p", "1", "--grid-s", "9"], 9,
+        "--grid-s 9 exceeds the configured budget"),
+    "hofer-length-speed": (
+        ["hofer", "length", "--path", "{translation}", "--grid-q", "8", "--grid-p", "3", "--grid-s", "5"], 8,
+        "--grid-q 8 exceeds the configured budget"),
+    "hofer-length-hamiltonian": (
+        ["hofer", "length", "--path", "{translation}", "--grid-q", "8", "--grid-p", "31", "--grid-s", "3"], 62,
+        "2 x --grid-p 31 Hamiltonian grid exceeds the configured budget"),
+    "hofer-hjresidual": (["hofer", "hjresidual", "--path", "{translation}", "--points", "5"], 5,
+                         "--points 5 exceeds the configured budget"),
+    "polygon-cauchy": (["polygon", "cauchy", "--polygon", "{square}", "--levels", "2", "--tol", "1"], 3 * 4096,
+                       "3 levels x 4096 nodes rate grid exceeds the configured budget"),
+    "orbits-find": (["orbits", "find", "--table", "{disc}", "--period", "2", "--seeds", "0"], 8 * 2 * 2,
+                    "at least 8 seeds x 2 x 2 Hessian stack exceeds the configured budget"),
+    "orbits-gap": (["orbits", "gap", "--table", "{disc}", "--table2", "{disc}", "--period", "2", "--grid-q", "16"],
+                   16 * 16, "16^2 grid exceeds the configured budget"),
+    "orbits-experiment": (
+        ["orbits", "experiment", "--table", "{disc}", "--table2", "{disc}", "--period", "2", "--seeds", "0",
+         "--samples", "8"], 8 * 8, "8 x 8 distance matrix exceeds the configured budget"),
+    "barcode-compute": (["barcode", "compute", "--table", "{disc}", "--resolution", "16"], 16 * 16,
+                        "16^2 grid exceeds the configured budget"),
+    "barcode-stability": (["barcode", "stability", "--table", "{disc}", "--table2", "{disc}", "--resolution", "16"],
+                          16 * 16, "16^2 grid exceeds the configured budget"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BUDGETS))
+def test_count_flags_over_the_cell_budget_are_input_errors(tmp_path, capsys, monkeypatch, case):
+    # under a per-process 3 GB address-space limit, --grid-q 2000000000,
+    # --steps 1000000000, --samples 2000000000, the hofer length grids,
+    # --points and --levels asked numpy for 7.45-298 GiB and ended in an
+    # _ArrayMemoryError traceback
+    argv, cells, message = _BUDGETS[case]
     out = tmp_path / "out"
-    argv = argv + ["--table", disc, "--out", str(out)]
+    argv = [a.format(**_input_files(tmp_path)) for a in argv] + ["--out", str(out)]
     monkeypatch.setattr(dy, "CELL_BUDGET", cells - 1)
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -568,6 +608,91 @@ def test_count_flags_over_the_cell_budget_are_input_errors(tmp_path, capsys, mon
     assert "input error" in captured.err and not out.exists()
     monkeypatch.setattr(dy, "CELL_BUDGET", cells)
     assert main(argv) == 0
+
+
+class _PastTheBudget(Exception):
+    pass
+
+
+def test_verify_all_paths_over_the_cell_budget_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # verify all --paths 100000000 drew paths for minutes.  The drawn paths
+    # are held together, while each one's Hamiltonian grids are solved on
+    # their own, so the count alone is checked.  The certificates of the
+    # run check larger grids, so the boundary is seen at the output folder
+    # made right after the check.
+    import hoferbilliards.cli as cli
+
+    out = tmp_path / "out"
+    argv = ["verify", "all", "--paths", "5", "--out", str(out)]
+    monkeypatch.setattr(dy, "CELL_BUDGET", 4)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    result = json.loads(captured.out.strip().splitlines()[-1])
+    assert "--paths 5 exceeds the configured budget" in result["error"] and "kind" not in result
+    assert "input error" in captured.err and not out.exists()
+    monkeypatch.setattr(dy, "CELL_BUDGET", 5)
+
+    def reached(args):
+        raise _PastTheBudget
+
+    monkeypatch.setattr(cli, "_outdir", reached)
+    with pytest.raises(_PastTheBudget):
+        main(argv)
+
+
+# integer flags that take any value: --seed only seeds the draws, and
+# barcode bottleneck --degree reads only the degrees present in the bars
+_FREE_INT_FLAGS = {"--seed", "--degree"}
+# every other integer flag, found by walking the parser; the placeholders of
+# the input files follow _COUNT_FLAGS
+_INPUTS = {"t.json": "{disc}", "p.json": "{translation}", "g.json": "{square}", "b.json": "{bars}"}
+
+
+def _int_flags():
+    from hoferbilliards.cli import build_parser
+
+    return sorted(
+        (command, a.option_strings[0])
+        for command, sp in _leaf_parsers(build_parser()).items()
+        for a in sp._actions
+        if getattr(a.type, "__name__", None) == "int" and a.option_strings[0] not in _FREE_INT_FLAGS
+    )
+
+
+def _huge_values(flag):
+    # --steps iterates the inverse map when negative, and an even --grid-s is
+    # a usage error, so the odd count reaches the budget
+    return {"--steps": ["2000000000", "-2000000000"], "--grid-s": ["2000000000", "2000000001"]}.get(
+        flag, ["2000000000"])
+
+
+@pytest.mark.parametrize("command, flag, value",
+                         [(c, f, v) for c, f in _int_flags() for v in _huge_values(f)],
+                         ids=lambda v: v.replace(" ", "-") if isinstance(v, str) else v)
+def test_every_count_flag_at_two_billion_is_an_input_error(tmp_path, capsys, command, flag, value):
+    # a count flag without a budget hangs or asks numpy for gigabytes: barcode
+    # compute and stability at --period 2000000000 computed 64**2000000000,
+    # orbits find made 2e9 gcd calls, the grids ended in a traceback
+    files = _input_files(tmp_path)
+    # the flag comes last, so it overrides a required value (--period 2)
+    argv = command.split() + [_INPUTS.get(a, a).format(**files) for a in _COMMANDS[command]]
+    if flag == "--threads":
+        # the certificate pool is never started at this size
+        from hoferbilliards.cli import _parser
+
+        assert _parser().parse_args(argv + [flag, value]).threads == int(value)
+        return
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(argv + [f"{flag}={value}", "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 10.0
+    captured = capsys.readouterr()
+    result = json.loads(captured.out.strip().splitlines()[-1], parse_constant=_reject_constant)
+    assert set(result) == {"error"} and "Traceback" not in captured.err and not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
 
 
 def test_exit_code_mapping_certificate_failure(tmp_path, capsys, monkeypatch):

@@ -156,7 +156,7 @@ def test_native_frame_matches_arc_length_frame(native_tables, kind, q):
 
 # q-API oracles that read no native frame: difference quotients in q.  The
 # smoothed slice places its corner points by inverting a piecewise-linear
-# table of the profile's arc length (CornerProfile.xi_of_arc), so there its
+# table of the profile's arc length (smoothing._Rows.xi_of_arc), so there its
 # tangent matches the difference quotient of its position only to about
 # 2e-5 at this step, and its curvature that of its tangent angle to 7e-6.
 Q_API_KINDS = NATIVE_KINDS + ["smoothed_slice"]

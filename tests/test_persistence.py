@@ -28,6 +28,19 @@ def test_resolution_budget(disc):
         pe.sample_orbit_functional(disc, 3, 512)
 
 
+def test_functional_grids_read_the_budget_at_call_time(disc, monkeypatch):
+    # persistence checked a copy of the budget bound at import, so with a
+    # budget of 10 this still returned a 4096-cell grid
+    monkeypatch.setattr(dy, "CELL_BUDGET", 64 * 64 - 1)
+    with pytest.raises(ResolutionTooLarge, match=r"64\^2 grid exceeds the configured budget"):
+        pe.sample_orbit_functional(disc, 2, 64)
+    monkeypatch.setattr(dy, "CELL_BUDGET", 64 * 64)
+    assert pe.sample_orbit_functional(disc, 2, 64).values.shape == (64, 64)
+    # the period is checked first: 64**2000000000 is never formed
+    with pytest.raises(ValueError, match=r"n in \{2, 3\}"):
+        pe.sample_orbit_functional(disc, 2_000_000_000, 64)
+
+
 def test_constant_function_barcode():
     g = pe.GridFunction(2, 8, np.full((8, 8), 3.0))
     bar = pe.sublevel_barcode(g)

@@ -116,13 +116,13 @@ def test_profile_zero_value_moment():
 
 
 def test_profile_delta_positive():
-    p = sm.make_profile(1.0, 0.01)
-    assert np.all(sm.family_from_polygon(unit_square(), width=0.01).deltas > 0)
+    fam = sm.family_from_polygon(unit_square(), width=0.01)
+    assert np.all(fam.deltas > 0)
     # crude sandwich: the profile graph is shorter than the corner graph but
     # longer than the straight chord between the junctions
     chord = 2 * 0.01
-    assert p.arc_length > chord
-    assert p.arc_length < 2 * 0.01 * np.hypot(1, 1)
+    assert np.all(fam.profile_arcs > chord)
+    assert np.all(fam.profile_arcs < 2 * 0.01 * np.hypot(1, 1))
 
 
 def test_square_corner_slope():
@@ -281,19 +281,29 @@ def _rotated_polygons(draw, max_corners=7):
     return PolygonSpec(verts, mark=float(mark))
 
 
-def _blend(a, b, t, grid):
-    """The corner profile (1 - t) a + t b as one profile of its own: closures
-    over the parents, and the arc table of its f' on ``grid = _blend_grid(a, b)``."""
+def _blend(a, b, t):
+    """The corner profile (1 - t) a + t b as one profile of its own, from
+    closures over the parents; a family of such profiles tabulates its own
+    arc lengths from the closure f'."""
     t = float(t)
-    xi, da, db = grid
     return sm.CornerProfile(
         slope=a.slope,
         width=max(a.width, b.width),
         f=lambda x: (1 - t) * a.f(x) + t * b.f(x),
         df=lambda x: (1 - t) * a.df(x) + t * b.df(x),
         ddf=lambda x: (1 - t) * a.ddf(x) + t * b.ddf(x),
-        _arc=sm._arc_tables(xi, (1 - t) * da + t * db),
     )
+
+
+def _square_stack(parents, ts):
+    """A `_Rows` stack with the rows (1 - t) a + t b of ``parents = (a, b)``,
+    or the one profile of ``parents = (a,)``, at every corner of the unit
+    square.  Its arc tables, inversion and mixer read only the parents,
+    whatever their slope and width; its layout values are not read here."""
+    square = sm.family_from_polygon(unit_square())
+    ts = np.asarray(ts, dtype=float)
+    weights = np.stack([1 - ts, ts], axis=-1) if len(parents) == 2 else np.ones((1, 1))
+    return sm._Rows(square, [parents] * square.n_corners, weights)
 
 
 def _gap_by_scale_then_node(fam_a, fam_b, s, t_nodes, q_nodes):
@@ -302,10 +312,9 @@ def _gap_by_scale_then_node(fam_a, fam_b, s, t_nodes, q_nodes):
     tq, tw = simpson_nodes(t_nodes)
     q = np.arange(q_nodes) / q_nodes
     h = 1.0 / (4.0 * (t_nodes - 1))
-    grids = [sm._blend_grid(a, b) for a, b in zip(fam_a.profiles, fam_b.profiles)]
 
     def blend_positions(t):
-        profiles = [_blend(a, b, t, g) for a, b, g in zip(fam_a.profiles, fam_b.profiles, grids)]
+        profiles = [_blend(a, b, t) for a, b in zip(fam_a.profiles, fam_b.profiles)]
         return sm.SmoothingFamily(fam_a.polygon, profiles).curve(s).position(q)
 
     total = 0.0
@@ -358,27 +367,31 @@ def test_blend_tables_match_tables_from_the_closures(t):
     # h = 1/64 is the stencil step of the default 17 blend nodes; the stack
     # puts t in the middle row of three
     lower, upper = sm.make_profile(1.3, 0.005), sm.make_profile(1.3, 0.01)
-    grid = sm._blend_grid(lower, upper)
-    xi, arc = sm._blend_tables(grid, np.array([0.25, t, 0.75]))
-    # a profile from the blend's closures alone tabulates its own df
-    blend = _blend(lower, upper, t, grid)
-    ref = sm.CornerProfile(blend.slope, blend.width, blend.f, blend.df, blend.ddf)
-    ref_xi, ref_arc = ref._tables()
-    assert xi.tobytes() == ref_xi.tobytes() and arc[1].tobytes() == ref_arc.tobytes()
-    arcs = np.linspace(-1e-3, ref.arc_length + 1e-3, 1001)
-    assert np.interp(arcs, arc[1], xi).tobytes() == ref.xi_of_arc(arcs).tobytes()
+    stack = _square_stack((lower, upper), [0.25, t, 0.75])
+    xi, arc = stack.tables[0]
+    # a stack of one profile from the blend's closures tabulates its own df
+    ref = _square_stack((_blend(lower, upper, t),), [])
+    ref_xi, ref_arc = ref.tables[0]
+    assert xi.tobytes() == ref_xi.tobytes() and arc[1].tobytes() == ref_arc[0].tobytes()
+    assert stack.arcs[1].tobytes() == ref.arcs[0].tobytes()
+    arcs = np.linspace(-1e-3, ref_arc[0, -1] + 1e-3, 1001)
+    row = np.ones(arcs.size, dtype=np.intp)
+    assert stack.xi_of_arc(0, row, arcs).tobytes() == ref.xi_of_arc(0, 0 * row, arcs).tobytes()
+    # the mixer gives the closures' values, weight 1 included
+    x = np.linspace(-0.012, 0.012, row.size)
+    for name in ("f", "df", "ddf"):
+        assert stack.profile(0, row, name, x).tobytes() == ref.profile(0, 0 * row, name, x).tobytes()
 
 
-def _xi_of_arc_by_newton(profile, arc):
+def _xi_of_arc_by_newton(xi_grid, arc_grid, df, arc):
     """Oracle: the inversion before the direct one, a pchip inverse of the
     arc table as the seed and two Newton steps with the exact derivative
     1/sqrt(1 + f'^2) on the piecewise-linear forward table."""
-    xi_grid, arc_grid = profile._tables()
-    w = profile.width
+    w = xi_grid[-1]
     xi = np.clip(PchipInterpolator(arc_grid, xi_grid)(np.clip(arc, 0.0, arc_grid[-1])), -w, w)
     for _ in range(2):
         resid = np.interp(xi, xi_grid, arc_grid) - arc
-        xi = np.clip(xi - resid / np.sqrt(1.0 + profile.df(xi) ** 2), -w, w)
+        xi = np.clip(xi - resid / np.sqrt(1.0 + df(xi) ** 2), -w, w)
     return xi
 
 
@@ -391,20 +404,24 @@ def _xi_of_arc_by_newton(profile, arc):
 )
 def test_xi_of_arc_inverts_the_arc_table(slope, width, t, u):
     lower, upper = sm.make_profile(slope, width), sm.make_profile(slope, 2.0 * width)
-    profile = _blend(lower, upper, t, sm._blend_grid(lower, upper))
-    w, length = profile.width, profile.arc_length
-    xi_grid, arc_grid = profile._tables()
+    stack = _square_stack((lower, upper), [t])
+    xi_grid, (arc_grid,) = stack.tables[0]
+    w, length = upper.width, arc_grid[-1]
     arcs = np.sort(np.concatenate([np.asarray(u) * length, np.linspace(0.0, length, 257)]))
-    xi = profile.xi_of_arc(arcs)
+
+    def xi_of_arc(arc):
+        return stack.xi_of_arc(0, np.zeros(arc.size, dtype=np.intp), arc)
+
+    xi = xi_of_arc(arcs)
     assert np.all(np.abs(xi) <= w) and np.all(np.diff(xi) >= 0.0)
     # the root of the forward table, to a few ulps of the arc length
     assert np.abs(np.interp(xi, xi_grid, arc_grid) - arcs).max() <= 4.0 * np.spacing(length)
-    # arcs outside [0, arc_length] clamp to the end nodes
-    assert profile.xi_of_arc(np.array([-1e-3 * length, -0.0, length, 1.001 * length])).tolist() == [-w, -w, w, w]
+    # arcs outside [0, length] clamp to the end nodes
+    assert xi_of_arc(np.array([-1e-3 * length, -0.0, length, 1.001 * length])).tolist() == [-w, -w, w, w]
     # the Newton leaves its own residual near the apex, where f'' is largest
     # and two steps do not converge; the cells rise at least as fast as xi,
     # so that residual bounds the distance between the two roots
-    ref = _xi_of_arc_by_newton(profile, arcs)
+    ref = _xi_of_arc_by_newton(xi_grid, arc_grid, lambda x: stack.profile(0, np.zeros(x.size, dtype=np.intp), "df", x), arcs)
     ref_resid = np.abs(np.interp(ref, xi_grid, arc_grid) - arcs)
     assert np.all(np.abs(xi - ref) <= ref_resid + 1e-14 * w)
 
@@ -413,9 +430,11 @@ def test_xi_of_arc_inverts_the_arc_table(slope, width, t, u):
 def test_xi_of_arc_matches_newton_on_the_unit_square(width):
     # the square's corners at the widths that verify all and landscape use;
     # the Newton's unconverged apex cells leave 1.3e-14 * width
-    profile = sm.make_profile(1.0, width)
-    arcs = np.linspace(0.0, profile.arc_length, 200001)
-    assert np.abs(profile.xi_of_arc(arcs) - _xi_of_arc_by_newton(profile, arcs)).max() <= 2e-14 * width
+    fam = sm.family_from_polygon(unit_square(), width=width)
+    xi_grid, (arc_grid,) = fam._rows.tables[0]
+    arcs = np.linspace(0.0, fam.profile_arcs[0], 200001)
+    xi = fam._rows.xi_of_arc(0, np.zeros(arcs.size, dtype=np.intp), arcs)
+    assert np.abs(xi - _xi_of_arc_by_newton(xi_grid, arc_grid, fam.profiles[0].df, arcs)).max() <= 2e-14 * width
 
 
 def test_independence_slope_builds_no_interpolant(monkeypatch):
@@ -460,20 +479,25 @@ def test_independence_slope_reads_each_parents_df_once_per_corner():
         sm.independence_slope(fam_a, fam_b, t_nodes=5, q_nodes=128)
         assert sizes == {key: [sm._ARC_GRID] * calls for key in keys}
     # the grid spans the wider of the two widths
-    assert sm._blend_grid(fam_a.profiles[0], fam_b.profiles[0])[0][-1] == 0.01
+    assert sm._arc_grid((fam_a.profiles[0], fam_b.profiles[0]))[0][-1] == 0.01
 
 
 def test_independence_sweep_builds_each_arc_table_once(monkeypatch):
     polygon = regular_polygon(5)
     fam_a, fam_b = sm.family_from_polygon(polygon, width=0.005), sm.family_from_polygon(polygon, width=0.01)
-    built = []
-    tables = sm._blend_tables
+    built, stacks = [], []
+    cumulative, rows = sm._cumulative, sm._Rows
 
-    def logged(grid, ts):
-        built.append((id(grid), tuple(ts.tolist())))
-        return tables(grid, ts)
+    def logged_cumulative(x, y):
+        built.append((id(x), len(y)))
+        return cumulative(x, y)
 
-    monkeypatch.setattr(sm, "_blend_tables", logged)
+    def logged_rows(fam, parents, weights, grids=None):
+        stacks.append(weights[:, 1].tolist())
+        return rows(fam, parents, weights, grids)
+
+    monkeypatch.setattr(sm, "_cumulative", logged_cumulative)
+    monkeypatch.setattr(sm, "_Rows", logged_rows)
     # 17 nodes: 15 central stencils of 2 blends and 2 one-sided ones of 3
     tq, _ = simpson_nodes(17)
     h = 1.0 / 64.0
@@ -481,40 +505,44 @@ def test_independence_sweep_builds_each_arc_table_once(monkeypatch):
     for call in (lambda: sm.profile_independence_gap(fam_a, fam_b, 0.25, t_nodes=17, q_nodes=128),
                  lambda: sm.independence_slope(fam_a, fam_b, t_nodes=17, q_nodes=128)):
         built.clear()
+        stacks.clear()
         call()
-        # one table pass per corner and node, and each stencil t once per corner
-        assert len(built) == 5 * 17
+        # one table pass per corner and node, of as many rows as the node
+        # has blends, and each stencil t once in one of the node stacks
+        assert len(built) == 5 * 17 and len(stacks) == 17
         per_corner = {}
-        for grid, ts in built:
-            per_corner.setdefault(grid, []).extend(ts)
+        for grid, k in built:
+            per_corner.setdefault(grid, []).append(k)
         assert len(per_corner) == 5
-        assert all(sorted(ts) == stencil_ts for ts in per_corner.values())
+        assert all(ks == [len(ts) for ts in stacks] for ks in per_corner.values())
+        assert sorted(t for ts in stacks for t in ts) == stencil_ts
 
 
 def test_nothing_the_sweep_builds_outlives_it(monkeypatch, width_pair):
     fam_a, fam_b = width_pair
     refs = []
+    rows, grid = sm._Rows, sm._arc_grid
 
-    class Logged(sm._Blends):
-        def __init__(self, fam, *args):
-            super().__init__(fam, *args)
-            refs.extend(weakref.ref(obj) for obj in (self, fam, self.t, *(arc for _, arc in self.tables)))
+    def logged_rows(fam, *args):
+        stack = rows(fam, *args)
+        refs.extend(weakref.ref(obj) for obj in (stack, fam, stack.weights, *(arc for _, arc in stack.tables)))
+        return stack
 
-    grid = sm._blend_grid
-    monkeypatch.setattr(sm, "_Blends", Logged)
-    monkeypatch.setattr(sm, "_blend_grid", lambda a, b: logged_grid(grid(a, b)))
-
-    def logged_grid(g):
+    def logged_grid(parents):
+        g = grid(parents)
         refs.extend(weakref.ref(arr) for arr in g)
         return g
+
+    monkeypatch.setattr(sm, "_Rows", logged_rows)
+    monkeypatch.setattr(sm, "_arc_grid", logged_grid)
 
     gc.collect()
     gc.disable()
     try:
         sm.independence_slope(fam_a, fam_b, t_nodes=5, q_nodes=128)
-        # 5 nodes: 5 stacks, each with its blends' family, t and 4 tables,
-        # and 4 grids of 3 arrays
-        assert len(refs) == 5 * 7 + 4 * 3
+        # 5 nodes: 5 stacks, each with its blends' family, weights and 4
+        # tables, and 4 grids of 2 arrays (the nodes and both parents' f')
+        assert len(refs) == 5 * 7 + 4 * 2
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
@@ -806,7 +834,8 @@ def _eval_by_piece(fam, s, q, want):
                     out[m] = dlam * (pos - fam.center) + lam * raw_rate
             continue
         prof = fam.profiles[i]
-        xi = prof.xi_of_arc(loc[m] / s)
+        xi_grid, (arc_grid,) = fam._rows.tables[i]
+        xi = np.interp(loc[m] / s, arc_grid, xi_grid)
         if want == "kappa":
             out[m] = prof.ddf(xi) / (s * (1.0 + prof.df(xi) ** 2) ** 1.5)
             continue
