@@ -17,9 +17,10 @@ slices) define the q-methods, where a position alone is cheaper than a
 frame, and state the native ones through them.  The bounce solve of
 :mod:`hoferbilliards.billiard` runs in t and hands its landing t to the
 next bounce, so arc length is inverted only at the start points of a
-trajectory; the orbit search of :mod:`hoferbilliards.dynamics` inverts it
-once per Newton iterate and once more per converged candidate.  Concrete
-representations:
+trajectory.  The orbit search of :mod:`hoferbilliards.dynamics` runs its
+Newton iteration in t as well: it inverts arc length once, on its seed
+stack, reads each iterate's tuple from ``q_of_native``, and inverts once
+more per converged candidate.  Concrete representations:
 
 * ``DiscTable`` -- the round table of radius 1/(2*pi), all queries closed
   form; its native parameter is q itself.

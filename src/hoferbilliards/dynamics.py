@@ -12,7 +12,7 @@ rigid motion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,26 +49,29 @@ def _action(dist) -> float:
     return float(dist.sum(axis=-1))
 
 
-def _stack_frame(table: TableCurve, qs):
-    """Frames of a stack of cyclic tuples, ``qs`` of shape (S, n).
+def _stack_frame(table: TableCurve, t):
+    """Frames of a stack of cyclic tuples at native parameters ``t`` of shape (S, n).
 
-    Returns ``(kept, frame)``: ``kept`` marks the tuples whose consecutive
-    points are apart, and ``frame`` holds their unit chords, chord lengths,
-    tangents and curvatures, shapes (K, n, 2), (K, n), (K, n, 2), (K, n).
-    One arc-length inversion for every point: positions and tangents come
-    from ``native_frame`` and curvatures from ``native_curvature`` at the
-    native parameters, so the gradient, the Hessian, the action and the
-    phase point can share them.  A tuple on the diagonal is dropped before
-    anything divides by its chord lengths.
+    Returns ``(kept, qs, dq_dt, frame)``: ``kept`` marks the tuples whose
+    consecutive points are apart, ``qs`` holds their arc-length parameters
+    ``q_of_native(t)`` and ``dq_dt`` the rates from ``native_frame``, and
+    ``frame`` their unit chords, chord lengths, tangents and curvatures,
+    shapes (K, n, 2), (K, n), (K, n, 2), (K, n).  Nothing inverts arc
+    length here: positions, tangents and dq/dt come from ``native_frame``,
+    curvatures from ``native_curvature`` and q in closed form, so the
+    gradient, the Hessian, the action and the phase point can share them.
+    A tuple on the diagonal is dropped before anything divides by its chord
+    lengths.
     """
-    t = table.native_of_q(qs)
-    pos, tan, _ = table.native_frame(t)
+    qs = table.q_of_native(t)
+    pos, tan, dq_dt = table.native_frame(t)
     d = np.roll(pos, -1, axis=-2) - pos
     dist = np.linalg.norm(d, axis=-1)
     close = circ_dist(qs, np.roll(qs, -1, axis=-1)) < 1e-12
     kept = ~np.any((dist < 1e-14) | close, axis=-1)
     dist = dist[kept]
-    return kept, (d[kept] / dist[..., None], dist, tan[kept], table.native_curvature(t[kept]))
+    frame = d[kept] / dist[..., None], dist, tan[kept], table.native_curvature(t[kept])
+    return kept, qs[kept], dq_dt[kept], frame
 
 
 def _orbit_frame(table: TableCurve, qs):
@@ -78,7 +81,7 @@ def _orbit_frame(table: TableCurve, qs):
     coinciding consecutive points.
     """
     qs = np.asarray(qs, dtype=float)
-    kept, frame = _stack_frame(table, qs.reshape(-1, qs.shape[-1]))
+    kept, _, _, frame = _stack_frame(table, table.native_of_q(qs.reshape(-1, qs.shape[-1])))
     if not kept.all():
         raise DiagonalPoint("consecutive orbit points coincide")
     return tuple(a.reshape(qs.shape[:-1] + a.shape[1:]) for a in frame)
@@ -185,30 +188,33 @@ def _newton_orbit(table: TableCurve, seeds):
     """Damped Newton on the torus from every row of the (S, n) array ``seeds``.
 
     Returns, in seed order, (tuple mod 1, residual) or None for each seed.
-    All active seeds advance together: each iteration inverts arc length
-    once for all their points, builds the (A, n, n) Hessian stack from that
-    frame and takes one stacked minimum-norm step.  The rules are per seed:
-    a step is clipped to max-norm 0.1; a seed stops at |gradient| < 1e-13,
-    one iterate after a step below 1e-15, or after 60 steps, and reports
-    its last iterate; a seed whose tuple reaches the diagonal drops out
-    alone and returns None.
+    The iteration runs in the table's native parameter t: arc length is
+    inverted once, on the seed stack, and each iterate reads its frame from
+    ``native_frame(t)`` and its tuple from ``q_of_native(t)`` in closed
+    form.  All active seeds advance together: each iteration builds the
+    (A, n, n) Hessian stack in q from one frame of all their points and
+    takes one stacked minimum-norm step in q, applied as t += step / (dq/dt).
+    The rules are per seed: a step is clipped to max-norm 0.1 in q; a seed
+    stops at |gradient| < 1e-13, one iterate after a step below 1e-15, or
+    after 60 steps, and reports its last iterate; a seed whose tuple
+    reaches the diagonal drops out alone and returns None.
     """
     maxiter = 60
-    qs = np.array(seeds, dtype=float)
-    eps_n = np.finfo(float).eps * qs.shape[-1]
-    results = [None] * len(qs)
-    active = np.arange(len(qs))
-    settled = np.zeros(len(qs), dtype=bool)
+    t = table.native_of_q(np.array(seeds, dtype=float))
+    eps_n = np.finfo(float).eps * t.shape[-1]
+    results = [None] * len(t)
+    active = np.arange(len(t))
+    settled = np.zeros(len(t), dtype=bool)
     for it in range(maxiter + 1):
-        kept, (u, dist, tan, kappa) = _stack_frame(table, qs)
-        active, qs, settled = active[kept], qs[kept], settled[kept]
+        kept, qs, dq_dt, (u, dist, tan, kappa) = _stack_frame(table, t)
+        active, t, settled = active[kept], t[kept], settled[kept]
         g = _gradient(u, tan)
         residual = np.abs(g).max(axis=-1)
         done = settled | (residual < 1e-13) | (it == maxiter)
         for k in np.flatnonzero(done):
             results[active[k]] = np.mod(qs[k], 1.0), float(residual[k])
         go = ~done
-        active, qs = active[go], qs[go]
+        active, t = active[go], t[go]
         if not active.size:
             break
         # one stacked minimum-norm least-squares step with lstsq's rank cut:
@@ -219,34 +225,35 @@ def _newton_orbit(table: TableCurve, seeds):
         norm = np.abs(step).max(axis=-1)
         clip = norm > 0.1
         step[clip] *= (0.1 / norm[clip])[:, None]
-        qs = qs + step
+        t = t + step / dq_dt[go]
         settled = norm < 1e-15
     return results
 
 
-def _canonical_images(qs):
+def _images(qs):
+    """The n cyclic shifts of a tuple mod 1, then those of its reversal: shape (2n, n)."""
     qs = np.mod(np.asarray(qs, dtype=float), 1.0)
     n = qs.size
-    images = []
-    for arr in (qs, qs[::-1]):
-        for k in range(n):
-            images.append(np.roll(arr, k))
-    return images
+    shift = (np.arange(n) - np.arange(n)[:, None]) % n
+    return np.concatenate([qs[shift], qs[::-1][shift]])
 
 
-def _same_orbit(a: PeriodicOrbitCandidate, b: PeriodicOrbitCandidate) -> bool:
-    qa = np.asarray(a.qs)
-    for img in _canonical_images(b.qs):
-        if circ_dist(qa, img).max() < DEDUP_TOL:
-            return True
-    if a.degenerate_family and b.degenerate_family:
-        # members of a rotational family match after a common rotation
-        for img in _canonical_images(b.qs):
-            diff = np.mod(qa - img, 1.0)
-            mean = np.angle(np.exp(2j * np.pi * diff).mean()) / (2 * np.pi)
-            if circ_dist(diff, mean).max() < 1e-4:
-                return True
-    return False
+def _seen(qs, degenerate: bool, images, family):
+    """Whether the tuple ``qs`` repeats an accepted class.
+
+    ``images`` stacks the ``_images`` of every accepted class and ``family``
+    marks the rows of degenerate classes.  The tuple repeats a class when
+    it lies within DEDUP_TOL of one of its images; a degenerate tuple also
+    repeats a degenerate class that one of its images matches after a
+    common rotation (members of a rotational family).
+    """
+    if np.any(circ_dist(qs, images).max(axis=-1) < DEDUP_TOL):
+        return True
+    if not degenerate:
+        return False
+    diff = np.mod(qs - images[family], 1.0)
+    mean = np.angle(np.exp(2j * np.pi * diff).mean(axis=-1)) / (2 * np.pi)
+    return bool(np.any(circ_dist(diff, mean[:, None]).max(axis=-1) < 1e-4))
 
 
 def find_periodic_orbits(
@@ -259,13 +266,15 @@ def find_periodic_orbits(
     (``_newton_orbit``).  The converged candidates, in seed order, read their
     Hessian eigenvalues from one stacked frame.  Duplicates modulo cyclic
     shift and reversal (and common rotation for degenerate families) are
-    rejected before the phase validation; each remaining candidate takes
-    its action and the momentum of its first bounce from a frame of its own,
-    and is accepted only when the critical residual is below 1e-10 and the
-    tuple closes up as a phase-space trajectory within 1e-8.  Classes are
-    returned sorted by action, then tuple.  A Hessian stack of more than
-    ``CELL_BUDGET`` cells raises ResolutionTooLarge before it is allocated,
-    and before the coprime scan when its 8 seeds of k = 1 alone exceed it.
+    rejected before the phase validation, each candidate compared at once
+    with the 2n images of every accepted class (``_seen``); each remaining
+    candidate takes its action and the momentum of its first bounce from a
+    frame of its own, and is accepted only when the critical residual is
+    below 1e-10 and the tuple closes up as a phase-space trajectory within
+    1e-8.  Classes are returned sorted by action, then tuple.  A Hessian
+    stack of more than ``CELL_BUDGET`` cells raises ResolutionTooLarge
+    before it is allocated, and before the coprime scan when its 8 seeds of
+    k = 1 alone exceed it.
     """
     if n < 2:
         raise ValueError("period must be at least 2")
@@ -292,24 +301,28 @@ def find_periodic_orbits(
     if not results:
         return found
     eig = np.linalg.eigvalsh(_hessian(*_orbit_frame(table, np.array([qs for qs, _ in results]))))
+    images, family = np.empty((0, n)), np.empty(0, dtype=bool)
     for (qs, residual), ev in zip(results, np.abs(eig)):
-        winding = int(np.rint(np.sum(np.mod(np.diff(np.concatenate([qs, qs[:1]])), 1.0))))
-        cand = PeriodicOrbitCandidate(
-            qs=tuple(float(v) for v in qs),
-            n=n,
-            action=np.nan,
-            residual=residual,
-            accepted=False,
-            degenerate_family=bool(ev.min() < 1e-6 * max(1.0, ev.max())),
-            phase_error=np.inf,
-            winding=winding,
-        )
-        if any(_same_orbit(cand, other) for other in found):
+        degenerate = bool(ev.min() < 1e-6 * max(1.0, ev.max()))
+        if _seen(qs, degenerate, images, family):
             continue
         u, dist, tan, _ = _orbit_frame(table, qs)
         phase_error = _phase_validation(table, qs, _outgoing_momentum(u, tan))
         if residual < ACCEPT_RESIDUAL and phase_error < PHASE_TOL:
-            found.append(replace(cand, action=_action(dist), accepted=True, phase_error=phase_error))
+            found.append(
+                PeriodicOrbitCandidate(
+                    qs=tuple(float(v) for v in qs),
+                    n=n,
+                    action=_action(dist),
+                    residual=residual,
+                    accepted=True,
+                    degenerate_family=degenerate,
+                    phase_error=phase_error,
+                    winding=int(np.rint(np.sum(np.mod(np.diff(np.concatenate([qs, qs[:1]])), 1.0)))),
+                )
+            )
+            images = np.concatenate([images, _images(qs)])
+            family = np.concatenate([family, np.full(2 * n, degenerate)])
     found.sort(key=lambda c: (c.action, c.qs))
     return found
 

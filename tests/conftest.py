@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from hoferbilliards import FourierSupportSpec, build_fourier_table, disc_table
 from hoferbilliards.billiard import trajectory_arrays
 from hoferbilliards.curves import TableCurve, circ_dist
-from hoferbilliards.dynamics import _gradient, _hessian, _orbit_frame
+from hoferbilliards.dynamics import DEDUP_TOL, _gradient, _hessian, _orbit_frame
 from hoferbilliards.errors import DiagonalPoint, NearGrazing
 from hoferbilliards.persistence import Barcode
 
@@ -134,11 +134,14 @@ def tuple_from_phase_point(table: TableCurve, q: float, p: float, n: int):
     return trajectory_arrays(table, q, p, n - 1)[0]
 
 
-# --- per-seed torus Newton oracle ----------------------------------------------
+# --- per-seed torus Newton oracles ---------------------------------------------
 # The one-seed-at-a-time damped Newton that dynamics._newton_orbit ran before
 # it stacked the seeds of a search, kept unchanged: every iterate builds its
-# own frame and takes its own ``np.linalg.lstsq`` step.  test_dynamics checks
-# the stacked search against it.
+# own frame and takes its own ``np.linalg.lstsq`` step.  It steps in q and
+# inverts arc length at every iterate; test_dynamics checks the search against
+# it as the arc-length reference.  ``native_newton_orbit`` takes the same
+# steps in the table's native parameter, the rule of the stacked search, and
+# test_dynamics checks the stacked iterates seed by seed against it.
 
 
 def scalar_newton_orbit(table: TableCurve, qs0):
@@ -164,6 +167,71 @@ def scalar_newton_orbit(table: TableCurve, qs0):
             step *= 0.1 / norm
         qs = qs + step
         settled = norm < 1e-15
+
+
+def native_newton_orbit(table: TableCurve, qs0):
+    """Damped Newton from ``qs0`` in the native parameter t: (tuple mod 1, residual) or None.
+
+    Arc length is inverted once, at the seed.  Each iterate builds its frame
+    from ``native_frame(t)`` and ``native_curvature(t)`` and reads its tuple
+    from ``q_of_native(t)``; the ``np.linalg.lstsq`` step in q, clipped to
+    max-norm 0.1, moves t by step / (dq/dt).  Stops as ``scalar_newton_orbit``
+    does.
+    """
+    maxiter = 60
+    t = table.native_of_q(np.array(qs0, dtype=float))
+    settled = False
+    for it in range(maxiter + 1):
+        qs = table.q_of_native(t)
+        pos, tan, dq_dt = table.native_frame(t)
+        d = np.roll(pos, -1, axis=0) - pos
+        dist = np.linalg.norm(d, axis=-1)
+        if np.any(dist < 1e-14) or np.any(circ_dist(qs, np.roll(qs, -1)) < 1e-12):
+            return None
+        u = d / dist[:, None]
+        g = _gradient(u, tan)
+        if settled or it == maxiter or np.abs(g).max() < 1e-13:
+            return np.mod(qs, 1.0), float(np.abs(g).max())
+        step, *_ = np.linalg.lstsq(_hessian(u, dist, tan, table.native_curvature(t)), -g, rcond=None)
+        norm = np.abs(step).max()
+        if norm > 0.1:
+            step *= 0.1 / norm
+        t = t + step / dq_dt
+        settled = norm < 1e-15
+
+
+# --- orbit deduplication oracle ----------------------------------------------
+# The pairwise comparison that dynamics.find_periodic_orbits made before it
+# compared each candidate with every accepted class in one stacked test: the
+# validate-then-deduplicate oracle of test_dynamics reads it.
+
+
+def canonical_images(qs):
+    """The 2n cyclic shifts and reversals of a tuple mod 1, one array each."""
+    qs = np.mod(np.asarray(qs, dtype=float), 1.0)
+    n = qs.size
+    images = []
+    for arr in (qs, qs[::-1]):
+        for k in range(n):
+            images.append(np.roll(arr, k))
+    return images
+
+
+def same_orbit(a, b) -> bool:
+    """Whether candidates ``a`` and ``b`` are one class: equal up to cyclic
+    shift and reversal, or, for two degenerate families, after a common rotation."""
+    qa = np.asarray(a.qs)
+    for img in canonical_images(b.qs):
+        if circ_dist(qa, img).max() < DEDUP_TOL:
+            return True
+    if a.degenerate_family and b.degenerate_family:
+        # members of a rotational family match after a common rotation
+        for img in canonical_images(b.qs):
+            diff = np.mod(qa - img, 1.0)
+            mean = np.angle(np.exp(2j * np.pi * diff).mean()) / (2 * np.pi)
+            if circ_dist(diff, mean).max() < 1e-4:
+                return True
+    return False
 
 
 # --- sampled support-function oracle -------------------------------------------

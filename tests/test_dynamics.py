@@ -12,7 +12,14 @@ from hoferbilliards import smoothing as sm
 from hoferbilliards.curves import FourierTable, circ_dist, unit_square
 from hoferbilliards.errors import DiagonalPoint, InconsistentChords
 
-from conftest import phase_fixed_points, random_support_spec, scalar_newton_orbit, tuple_from_phase_point
+from conftest import (
+    native_newton_orbit,
+    phase_fixed_points,
+    random_support_spec,
+    same_orbit,
+    scalar_newton_orbit,
+    tuple_from_phase_point,
+)
 
 NATIVE_KINDS = ["disc", "mild_ellipse", "sampled", "mark_shifted", "rigid"]
 
@@ -121,94 +128,114 @@ def test_hessian_matches_chord_loop_bit_for_bit(native_tables, kind):
             assert np.array_equal(g[k], dy._gradient(rows[0], rows[2]))
 
 
-def test_orbit_newton_inverts_arc_length_once_per_iterate(mild_ellipse, monkeypatch):
-    calls, hessians = [], []
-    inner, inner_hessian = FourierTable.native_of_q, dy._hessian
-
-    def counted(self, q):
-        calls.append(np.size(q))
-        return inner(self, q)
-
-    def counted_hessian(*frame):
-        hessians.append(1)
-        return inner_hessian(*frame)
-
-    monkeypatch.setattr(FourierTable, "native_of_q", counted)
-    monkeypatch.setattr(dy, "_hessian", counted_hessian)
-    ((qs, residual),) = dy._newton_orbit(mild_ellipse, [[0.05, 0.38, 0.71]])
-    assert residual < dy.ACCEPT_RESIDUAL
-    # every iterate but the last takes one Newton step with the shared frame
-    assert len(hessians) >= 2
-    assert calls == [3] * (len(hessians) + 1)
-
-
-def _counted_native_of_q(monkeypatch, cls):
-    """Record the argument of every ``native_of_q`` call on tables of class ``cls``."""
+def _counted(monkeypatch, cls, name):
+    """Record the argument of every call of the method ``name`` on tables of class ``cls``."""
     calls = []
-    inner = cls.native_of_q
+    inner = getattr(cls, name)
 
-    def counted(self, q):
-        calls.append(np.array(q, dtype=float))
-        return inner(self, q)
+    def counted(self, x):
+        calls.append(np.array(x, dtype=float))
+        return inner(self, x)
 
-    monkeypatch.setattr(cls, "native_of_q", counted)
+    monkeypatch.setattr(cls, name, counted)
     return calls
 
 
-def test_orbit_newton_stack_inverts_arc_length_once_per_iteration(mild_ellipse, monkeypatch):
-    seeds = [[0.05, 0.38, 0.71], [0.02, 0.35, 0.69], [0.1, 0.5, 0.6], [0.05, 0.38, 0.71]]
-    calls = _counted_native_of_q(monkeypatch, FourierTable)
+def _counted_hessians(monkeypatch):
+    """Record the stack size of every ``_hessian`` call."""
     hessians = []
-    inner_hessian = dy._hessian
+    inner = dy._hessian
 
-    def counted_hessian(*frame):
+    def counted(*frame):
         hessians.append(frame[1].shape[0])
-        return inner_hessian(*frame)
+        return inner(*frame)
 
-    monkeypatch.setattr(dy, "_hessian", counted_hessian)
+    monkeypatch.setattr(dy, "_hessian", counted)
+    return hessians
+
+
+def _assert_native_oracle(table, seed, res):
+    """The stacked result of one seed is the native oracle's, tuple and residual to 1e-12."""
+    oracle = native_newton_orbit(table, seed)
+    assert np.abs(res[0] - oracle[0]).max() < 1e-12
+    assert res[1] == pytest.approx(oracle[1], abs=1e-12)
+
+
+def test_orbit_newton_inverts_arc_length_once_per_search(mild_ellipse, monkeypatch):
+    # under the native step rule the first seed runs to the 60-step cap at
+    # residual 2.5e-2; the second converges
+    for seed, converges in (([0.05, 0.38, 0.71], False), ([0.02, 0.35, 0.69], True)):
+        with monkeypatch.context() as m:
+            inversions = _counted(m, FourierTable, "native_of_q")
+            frames = _counted(m, FourierTable, "q_of_native")
+            hessians = _counted_hessians(m)
+            ((qs, residual),) = dy._newton_orbit(mild_ellipse, [seed])
+        _assert_native_oracle(mild_ellipse, seed, (qs, residual))
+        if converges:
+            assert residual < dy.ACCEPT_RESIDUAL and len(hessians) >= 2
+        else:
+            assert residual > 1e-2 and len(hessians) == 60
+        # one inversion, of the seed; every iterate reads its tuple in closed
+        # form, and every iterate but the last takes one Newton step
+        assert [q.shape for q in inversions] == [(1, 3)]
+        assert len(frames) == len(hessians) + 1
+
+
+def test_orbit_newton_stack_takes_one_frame_per_iteration(mild_ellipse, monkeypatch):
+    seeds = [[0.05, 0.38, 0.71], [0.02, 0.35, 0.69], [0.1, 0.5, 0.6], [0.3, 0.2, 0.9]]
+    inversions = _counted(monkeypatch, FourierTable, "native_of_q")
+    frames = _counted(monkeypatch, FourierTable, "q_of_native")
+    hessians = _counted_hessians(monkeypatch)
     results = dy._newton_orbit(mild_ellipse, seeds)
-    assert all(res is not None and res[1] < dy.ACCEPT_RESIDUAL for res in results)
-    # one inversion per iteration for every active seed; the seeds that step
-    # are the ones the next iteration inverts at
-    assert len(calls) == len(hessians) + 1
-    assert calls[0].shape == (4, 3)
-    assert [q.shape for q in calls[1:]] == [(a, 3) for a in hessians]
-    assert hessians == sorted(hessians, reverse=True) and hessians[-1] < 4
+    monkeypatch.undo()
+    for seed, res in zip(seeds, results):
+        _assert_native_oracle(mild_ellipse, seed, res)
+    assert [res[1] < dy.ACCEPT_RESIDUAL for res in results] == [False, True, True, True]
+    # arc length is inverted once, on the seed stack; each iteration reads the
+    # frame of every active seed, and the seeds that step are the ones the
+    # next iteration reads; the first seed steps alone up to the cap
+    assert [q.shape for q in inversions] == [(4, 3)]
+    assert [t.shape for t in frames] == [(4, 3)] + [(a, 3) for a in hessians]
+    assert hessians == sorted(hessians, reverse=True)
+    assert hessians[0] == 4 and hessians[-1] == 1 and len(hessians) == 60
 
 
 def test_orbit_newton_converged_seed_leaves_the_stack(disc, monkeypatch):
     # the diameter is critical to rounding: its seed stops at the first frame
     # while the other seed still steps
     assert np.abs(dy.orbit_gradient(disc, [0.0, 0.5])).max() < 1e-13
-    calls = _counted_native_of_q(monkeypatch, type(disc))
+    inversions = _counted(monkeypatch, type(disc), "native_of_q")
+    frames = _counted(monkeypatch, type(disc), "q_of_native")
     results = dy._newton_orbit(disc, [[0.0, 0.5], [0.1, 0.45]])
     assert results[0][0].tolist() == [0.0, 0.5]
     assert results[1][1] < dy.ACCEPT_RESIDUAL
-    assert len(calls) > 2
-    assert [q.shape for q in calls] == [(2, 2)] + [(1, 2)] * (len(calls) - 1)
+    assert [q.shape for q in inversions] == [(2, 2)]
+    assert len(frames) > 2
+    assert [t.shape for t in frames] == [(2, 2)] + [(1, 2)] * (len(frames) - 1)
 
 
 def _iterates(monkeypatch, table, run):
-    """The tuples a Newton run inverts arc length at, one row per iteration."""
-    calls = _counted_native_of_q(monkeypatch, type(table))
+    """The native tuples at which a Newton run reads its frames, one row per iteration."""
+    frames = _counted(monkeypatch, type(table), "q_of_native")
     result = run()
     monkeypatch.undo()
-    return result, [q.reshape(-1) for q in calls]
+    return result, np.array([t.reshape(-1) for t in frames])
 
 
 @pytest.mark.parametrize("kind", ["mild_ellipse", "sampled", "rigid"])
 def test_orbit_newton_iterates_follow_the_scalar_oracle(native_tables, kind, monkeypatch):
-    """Seed by seed, the stacked iteration takes the oracle's damped steps and
-    stops at the oracle's iterate."""
+    """Seed by seed, the stacked iteration takes the native oracle's damped
+    steps and stops at the oracle's iterate."""
     table = native_tables[kind]
     clipped = []
     for seed in ([0.05, 0.38, 0.71], [0.3, 0.2, 0.9], [0.02, 0.52], [0.4, 0.45]):
         (stacked,), path = _iterates(monkeypatch, table, lambda: dy._newton_orbit(table, [seed]))
-        oracle, oracle_path = _iterates(monkeypatch, table, lambda: scalar_newton_orbit(table, seed))
+        oracle, oracle_path = _iterates(monkeypatch, table, lambda: native_newton_orbit(table, seed))
         assert len(path) == len(oracle_path)
-        assert np.abs(np.array(path) - np.array(oracle_path)).max() < 1e-9
+        assert np.abs(path - oracle_path).max() < 1e-9
         assert np.abs(stacked[0] - oracle[0]).max() < 1e-12
-        steps = np.abs(np.diff(path, axis=0)).max(axis=1)
+        # each step in t is a step in q of max-norm at most 0.1 over dq/dt
+        steps = np.abs(np.diff(path, axis=0) * table.native_frame(path[:-1])[2]).max(axis=1)
         assert steps.max() <= 0.1 * (1 + 1e-12)
         clipped.append(np.isclose(steps, 0.1, rtol=1e-12, atol=0).sum())
     # the damping clip is active on some steps
@@ -216,15 +243,15 @@ def test_orbit_newton_iterates_follow_the_scalar_oracle(native_tables, kind, mon
 
 
 def test_orbit_newton_diagonal_seed_drops_out_alone(mild_ellipse):
-    seeds = [[0.05, 0.38, 0.71], [0.2, 0.2, 0.6], [0.1, 0.5, 0.6]]
+    seeds = [[0.05, 0.38, 0.71], [0.2, 0.2, 0.6], [0.1, 0.5, 0.6], [0.02, 0.35, 0.69]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = dy._newton_orbit(mild_ellipse, seeds)
     assert results[1] is None
-    for res, seed in zip(results[::2], seeds[::2]):
-        assert res is not None and res[1] < dy.ACCEPT_RESIDUAL
-        oracle = scalar_newton_orbit(mild_ellipse, seed)
-        assert np.abs(res[0] - oracle[0]).max() < 1e-12
+    for k in (0, 2, 3):
+        _assert_native_oracle(mild_ellipse, seeds[k], results[k])
+    # the first seed runs to the step cap, the last two converge
+    assert [results[k][1] < dy.ACCEPT_RESIDUAL for k in (0, 2, 3)] == [False, True, True]
 
 
 def _oracle_residual(table, qs):
@@ -250,7 +277,7 @@ def test_stacked_newton_matches_scalar_oracle(table_seed, n, picks):
     stacked = dy._newton_orbit(table, seeds)
     assert len(stacked) == len(seeds)
     for seed, res in zip(seeds, stacked):
-        oracle = scalar_newton_orbit(table, seed)
+        oracle = native_newton_orbit(table, seed)
         assert (res is None) == (oracle is None)
         if res is None:
             continue
@@ -331,10 +358,40 @@ def _validate_then_deduplicate(table, n, results):
             phase_error=float(phase_err),
             winding=int(np.rint(np.sum(np.mod(np.diff(np.concatenate([qs, qs[:1]])), 1.0)))),
         )
-        if cand.accepted and not any(dy._same_orbit(cand, other) for other in found):
+        if cand.accepted and not any(same_orbit(cand, other) for other in found):
             found.append(cand)
     found.sort(key=lambda c: (c.action, c.qs))
     return found
+
+
+def _class(qs, degenerate):
+    return dy.PeriodicOrbitCandidate(
+        qs=tuple(float(v) for v in qs), n=len(qs), action=0.0, residual=0.0,
+        accepted=True, degenerate_family=degenerate, phase_error=0.0,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_deduplication_decides_as_the_pairwise_oracle(n):
+    """One stacked ``_seen`` test against every accepted class decides as
+    the pairwise ``same_orbit`` against each class, on near-images of the
+    classes whose distances straddle both tolerances."""
+    rng = np.random.default_rng(n)
+    classes = [_class(np.sort(rng.uniform(0.0, 1.0, n)), k % 2 == 1) for k in range(4)]
+    images = np.concatenate([dy._images(c.qs) for c in classes])
+    family = np.repeat([c.degenerate_family for c in classes], 2 * n)
+    decisions = []
+    for _ in range(600):
+        image = dy._images(classes[rng.integers(4)].qs)[rng.integers(2 * n)]
+        rotation = rng.uniform() if rng.uniform() < 0.5 else 0.0
+        noise = 10.0 ** rng.uniform(-8, -3) * rng.uniform(-1.0, 1.0, n)
+        qs = np.mod(image + rotation + noise, 1.0)
+        degenerate = bool(rng.uniform() < 0.5)
+        seen = dy._seen(qs, degenerate, images, family)
+        assert seen == any(same_orbit(_class(qs, degenerate), c) for c in classes)
+        decisions.append((seen, degenerate and rotation > 0.0))
+    # both outcomes occur, for plain repeats and for rotated family members
+    assert {(True, False), (False, False), (True, True), (False, True)} <= set(decisions)
 
 
 @pytest.mark.parametrize("kind", NATIVE_KINDS)
@@ -361,6 +418,68 @@ def test_orbit_search_matches_scalar_oracle_search(native_tables, kind, monkeypa
         for a, b in zip(found, oracle):
             assert abs(a.action - b.action) < 1e-12
             assert (a.winding, a.degenerate_family, a.accepted) == (b.winding, b.degenerate_family, b.accepted)
+
+
+@pytest.mark.parametrize("kind", NATIVE_KINDS)
+def test_orbit_search_inverts_arc_length_once_inside_newton(native_tables, kind, monkeypatch):
+    table = native_tables[kind]
+    results, inside = _converged_results(monkeypatch)
+    calls = []
+    inner = type(table).native_of_q
+
+    def counted(self, q):
+        if inside:
+            calls.append(np.shape(q))
+        return inner(self, q)
+
+    monkeypatch.setattr(type(table), "native_of_q", counted)
+    for n in (2, 3):
+        results.clear()
+        calls.clear()
+        dy.find_periodic_orbits(table, n, seed_count=6, rng=n)
+        # the stacked Newton inverts arc length once, on its seed stack
+        assert calls == [(len(results), n)]
+
+
+def _search_with(newton, table, n, rng):
+    """``find_periodic_orbits`` run with ``newton`` as its stacked Newton:
+    the classes found and the number of seeds that became candidates."""
+    candidates = []
+
+    def recorded(t, seeds):
+        res = newton(t, seeds)
+        candidates.extend(map(_is_candidate, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dy, "_newton_orbit", recorded)
+        found = dy.find_periodic_orbits(table, n, seed_count=6, rng=rng)
+    return found, sum(candidates)
+
+
+# seeded non-round tables: 2 to 5 harmonics, amplitudes 0.03 and 0.05
+COMPLETENESS_TABLES = [(k, 2 + k % 4, 0.05 if k % 2 else 0.03) for k in range(16)]
+
+
+def test_native_search_finds_every_class_of_the_arc_length_search():
+    """The native step rule loses no class that the arc-length reference
+    search finds, and converges at least as many seeds over the table list."""
+    native = dy._newton_orbit
+
+    def reference(table, seeds):
+        return [scalar_newton_orbit(table, s) for s in seeds]
+
+    converged = np.zeros(2, dtype=int)
+    for k, harmonics, amplitude in COMPLETENESS_TABLES:
+        table = build_fourier_table(random_support_spec(np.random.default_rng(k), harmonics, amplitude))
+        for n in (2, 3):
+            found, native_count = _search_with(native, table, n, k)
+            oracle, reference_count = _search_with(reference, table, n, k)
+            assert oracle
+            for b in oracle:
+                assert any(same_orbit(a, b) and abs(a.action - b.action) < 1e-12 for a in found), (k, n, b)
+            converged += native_count, reference_count
+    assert converged[0] >= converged[1]
 
 
 def test_disc_orbits(disc):
